@@ -11,6 +11,7 @@ package tfrec
 // scoring, cascaded vs naive inference) follow the figure benches.
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -301,9 +302,12 @@ func BenchmarkNaiveInference(b *testing.B) {
 	for k := range q {
 		q[k] = float64(k%5) - 2
 	}
+	pl := infer.Plan{K: 10, Precision: model.PrecisionF64}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		infer.Naive(c, q, 10)
+		if _, err := infer.Execute(context.Background(), c, q, pl); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -334,6 +338,28 @@ func benchComposedForTopK(b *testing.B) (*model.Composed, []float64) {
 	return m.Compose(), q
 }
 
+// sweepTopK is the raw serial f64 sweep the plan executor's naive engine
+// runs — 256-item blocks scored by ItemScoresRangeInto, streamed through
+// the collector's threshold — written against exported calls only, so
+// the benchgate canary measures the kernel and heap without the executor
+// in front of them.
+func sweepTopK(c *model.Composed, q []float64, st *vecmath.TopKStream) {
+	var block [256]float64
+	n := c.Index.NumItems()
+	th, full := st.Threshold()
+	for lo := 0; lo < n; lo += len(block) {
+		buf := block[:min(len(block), n-lo)]
+		c.Index.ItemScoresRangeInto(q, lo, lo+len(buf), buf)
+		for i, s := range buf {
+			if full && s < th {
+				continue
+			}
+			st.Push(lo+i, s)
+			th, full = st.Threshold()
+		}
+	}
+}
+
 func BenchmarkTopKLegacyFullScan(b *testing.B) {
 	c, q := benchComposedForTopK(b)
 	b.ReportAllocs()
@@ -350,7 +376,7 @@ func BenchmarkTopKIndexStreaming(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Reset(10)
-		infer.NaiveInto(c, q, st)
+		sweepTopK(c, q, st)
 		_ = st.Ranked()
 	}
 }
@@ -377,7 +403,7 @@ func BenchmarkTopKIndexStreamingParallel(b *testing.B) {
 		st := vecmath.NewTopKStream(10)
 		for pb.Next() {
 			st.Reset(10)
-			infer.NaiveInto(c, q, st)
+			sweepTopK(c, q, st)
 			_ = st.Ranked()
 		}
 	})
@@ -385,10 +411,12 @@ func BenchmarkTopKIndexStreamingParallel(b *testing.B) {
 
 func BenchmarkDiversifiedInference(b *testing.B) {
 	c, q := benchComposedForTopK(b)
+	pl := infer.Plan{Strategy: infer.StrategyDiversified, K: 10, Precision: model.PrecisionF64,
+		Diversify: &infer.Diversify{MaxPerCategory: 2, CatDepth: c.Tree.Depth() - 1}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := infer.Diversified(c, q, 10, 2, c.Tree.Depth()-1); err != nil {
+		if _, err := infer.Execute(context.Background(), c, q, pl); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -403,9 +431,10 @@ func BenchmarkCascadedInference(b *testing.B) {
 		q[k] = float64(k%5) - 2
 	}
 	cfg := infer.UniformCascade(tree.Depth(), 0.2)
+	pl := infer.Plan{Strategy: infer.StrategyCascade, K: 10, Precision: model.PrecisionF64, Cascade: &cfg}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := infer.Cascade(c, q, cfg, 10); err != nil {
+		if _, err := infer.Execute(context.Background(), c, q, pl); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,9 +14,8 @@
 //	tfrec-router -shards http://localhost:9001,http://localhost:9002,http://localhost:9003 -addr :8080
 //	curl -d '{"user":17,"k":10}' localhost:8080/v1/recommend
 //
-// The router serves the full endpoint surface of a node — the unified
-// plan route, the deprecated per-shape adapters (with the same
-// Deprecation headers), /v1/stats and /healthz — plus the edge stack:
+// The router serves the full endpoint surface of a node — POST
+// /v1/recommend, /v1/stats and /healthz — plus the edge stack:
 // admission control, per-request deadlines, hedged shard requests
 // (-hedge), and a merged-result cache versioned by the minimum snapshot
 // epoch across the shard set. Per-request model fingerprint checks keep

@@ -1,14 +1,14 @@
 // Command tfrec-serve exposes a model trained by tfrec-train as an
-// HTTP/JSON recommendation service: user, session, cascaded and
-// diversified endpoints plus snapshot stats (see serve.HTTP for the wire
-// format). SIGHUP re-reads the model file and hot-swaps the serving
+// HTTP/JSON recommendation service: one POST /v1/recommend route for
+// user, session, cascaded and diversified rankings plus snapshot stats
+// (see serve.HTTP for the wire format). SIGHUP re-reads the model file and hot-swaps the serving
 // snapshot without dropping in-flight requests; SIGINT/SIGTERM shut down
 // gracefully.
 //
 // Usage:
 //
 //	tfrec-serve -model model.tfrec -addr :8080
-//	curl -d '{"user":17,"k":10}' localhost:8080/v1/recommend/user
+//	curl -d '{"user":17,"k":10}' localhost:8080/v1/recommend
 //	kill -HUP $(pidof tfrec-serve)   # after tfrec-train rewrites model.tfrec
 //
 // A v4 (TFRECMDL flat) model file is memory-mapped and served zero-copy:

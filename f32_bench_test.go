@@ -55,42 +55,22 @@ func benchWideWorld(b *testing.B) (*model.Composed, []float64) {
 // "slow" side of the gated ≥1.5x single-core pair.
 func BenchmarkTopKF64Wide(b *testing.B) {
 	c, q := benchWideWorld(b)
-	st := vecmath.NewTopKStream(10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Reset(10)
-		infer.NaiveInto(c, q, st)
-		_ = st.Ranked()
-	}
+	runExecuteInto(b, nil, c, q, f64Top10)
 }
+
+// f32Top10 is the two-stage f32 top-10 plan of the f32 pipeline benches.
+var f32Top10 = infer.Plan{K: 10, Precision: model.PrecisionF32}
 
 // BenchmarkTopKF32Wide is the two-stage pipeline on the wide world,
 // gated ≥1.5x over BenchmarkTopKF64Wide with 0 allocs/op.
 func BenchmarkTopKF32Wide(b *testing.B) {
 	c, q := benchWideWorld(b)
-	st := vecmath.NewTopKStream(10)
-	infer.NaiveF32Into(c, q, st)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Reset(10)
-		infer.NaiveF32Into(c, q, st)
-		_ = st.Ranked()
-	}
+	runExecuteInto(b, nil, c, q, f32Top10)
 }
 
 func BenchmarkTopKF32Streaming(b *testing.B) {
 	c, q := benchComposedForTopK(b)
-	st := vecmath.NewTopKStream(10)
-	infer.NaiveF32Into(c, q, st) // warm the scratch pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Reset(10)
-		infer.NaiveF32Into(c, q, st)
-		_ = st.Ranked()
-	}
+	runExecuteInto(b, nil, c, q, f32Top10)
 }
 
 // BenchmarkTopKF32Sharded is the single-core two-stage sweep on the large
@@ -98,15 +78,7 @@ func BenchmarkTopKF32Streaming(b *testing.B) {
 // BenchmarkShardedTopKSerial.
 func BenchmarkTopKF32Sharded(b *testing.B) {
 	c, q := benchShardedWorld(b)
-	st := vecmath.NewTopKStream(10)
-	infer.NaiveF32Into(c, q, st)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Reset(10)
-		infer.NaiveF32Into(c, q, st)
-		_ = st.Ranked()
-	}
+	runExecuteInto(b, nil, c, q, f32Top10)
 }
 
 func BenchmarkTopKF32Pool(b *testing.B) {
@@ -115,15 +87,7 @@ func BenchmarkTopKF32Pool(b *testing.B) {
 			c, q := benchShardedWorld(b)
 			pool := infer.NewPool(workers)
 			defer pool.Close()
-			st := vecmath.NewTopKStream(10)
-			pool.NaiveF32Into(c, q, st, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.Reset(10)
-				pool.NaiveF32Into(c, q, st, 0)
-				_ = st.Ranked()
-			}
+			runExecuteInto(b, pool, c, q, f32Top10)
 		})
 	}
 }
@@ -135,16 +99,7 @@ func BenchmarkTopKF32Saturated(b *testing.B) {
 	c, q := benchShardedWorld(b)
 	pool := infer.NewPool(0)
 	defer pool.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		st := vecmath.NewTopKStream(10)
-		for pb.Next() {
-			st.Reset(10)
-			pool.NaiveF32Into(c, q, st, 0)
-			_ = st.Ranked()
-		}
-	})
+	runSaturated(b, pool, c, q, f32Top10)
 }
 
 // BenchmarkTopKF32BatchSweep is the coalesced multi-query sweep over the
@@ -154,18 +109,7 @@ func BenchmarkTopKF32BatchSweep(b *testing.B) {
 	for _, batch := range []int{4, 16} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			c, qs := benchBatchQueries(b, batch)
-			outs := make([]*vecmath.TopKStream, batch)
-			for i := range outs {
-				outs[i] = vecmath.NewTopKStream(10)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range outs {
-					outs[j].Reset(10)
-				}
-				infer.MultiNaiveF32Into(c, qs, outs)
-			}
+			runBatch(b, c, qs, f32Top10)
 		})
 	}
 }

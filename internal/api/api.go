@@ -14,45 +14,20 @@
 // the scatter-gather router's merge depends on.
 package api
 
-// Endpoint names one of the recommend routes. The unified plan endpoint
-// is the canonical one; the four legacy per-shape routes are served as
-// thin adapters that rewrite their request into the unified form (see
-// RecommendRequest.RewriteLegacy) and answer with Deprecation headers.
+// Endpoint names a recommend route. There is exactly one,
+// EndpointUnified; its Path is the single declaration of the route
+// string that tfrec-serve and tfrec-router register and clients post to.
 type Endpoint int
 
-const (
-	// EndpointUnified is POST /v1/recommend — the plan path every request
-	// ultimately executes through.
-	EndpointUnified Endpoint = iota
-	// EndpointUser is the deprecated POST /v1/recommend/user.
-	EndpointUser
-	// EndpointSession is the deprecated POST /v1/recommend/session.
-	EndpointSession
-	// EndpointCascade is the deprecated POST /v1/recommend/cascade.
-	EndpointCascade
-	// EndpointDiversified is the deprecated POST /v1/recommend/diversified.
-	EndpointDiversified
-)
+// EndpointUnified is POST /v1/recommend — every recommend request, of
+// every strategy, goes through it.
+const EndpointUnified Endpoint = 0
 
 // Path returns the endpoint's route.
-func (e Endpoint) Path() string {
-	switch e {
-	case EndpointUser:
-		return "/v1/recommend/user"
-	case EndpointSession:
-		return "/v1/recommend/session"
-	case EndpointCascade:
-		return "/v1/recommend/cascade"
-	case EndpointDiversified:
-		return "/v1/recommend/diversified"
-	default:
-		return "/v1/recommend"
-	}
-}
+func (e Endpoint) Path() string { return "/v1/recommend" }
 
-// RecommendRequest is the JSON body of every recommend endpoint. On the
-// unified endpoint Strategy picks the ranking shape; the legacy
-// endpoints imply it (RewriteLegacy).
+// RecommendRequest is the JSON body of POST /v1/recommend; Strategy picks
+// the ranking shape.
 type RecommendRequest struct {
 	// User is the subject's id; -1 marks a session request (no known
 	// user; the ranking runs on the Recent baskets alone).
@@ -62,8 +37,8 @@ type RecommendRequest struct {
 	Recent [][]int32 `json:"recent,omitempty"`
 	// K is the number of items returned (after filters and Offset).
 	K int `json:"k"`
-	// Strategy picks the ranking shape on the unified endpoint: "" or
-	// "naive", "cascade", "diversified".
+	// Strategy picks the ranking shape: "" or "naive", "cascade",
+	// "diversified".
 	Strategy string `json:"strategy,omitempty"`
 	// KeepFrac lists per-level cascade keep fractions; Keep is the
 	// uniform shorthand. One of them is required for cascade requests.
@@ -87,25 +62,6 @@ type RecommendRequest struct {
 	Pruned bool `json:"pruned,omitempty"`
 }
 
-// RewriteLegacy rewrites a legacy per-shape request into its unified
-// equivalent — the adapter step the deprecated endpoints run before
-// entering the plan path. The endpoint wins over whatever Strategy the
-// body carried (the legacy routes never read it), and the session route
-// forces User to -1 exactly as it always did.
-func (r *RecommendRequest) RewriteLegacy(ep Endpoint) {
-	switch ep {
-	case EndpointUser:
-		r.Strategy = ""
-	case EndpointSession:
-		r.Strategy = ""
-		r.User = -1
-	case EndpointCascade:
-		r.Strategy = "cascade"
-	case EndpointDiversified:
-		r.Strategy = "diversified"
-	}
-}
-
 // Item is one ranked entry of a recommend response. Category is present
 // only on diversified rankings: the taxonomy node the item's quota was
 // charged to, which the scatter-gather router needs to re-apply the
@@ -117,7 +73,7 @@ type Item struct {
 	Category int32   `json:"category,omitempty"`
 }
 
-// RecommendResponse is the success body of every recommend endpoint.
+// RecommendResponse is the success body of a recommend request.
 type RecommendResponse struct {
 	// Items is the ranked page, best first.
 	Items []Item `json:"items"`

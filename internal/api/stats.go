@@ -73,18 +73,11 @@ type StatsModel struct {
 	ItemRange *ItemRange `json:"item_range,omitempty"`
 }
 
-// StatsServed counts requests served per endpoint.
+// StatsServed counts recommend traffic: Plan is one per successful POST
+// /v1/recommend, whatever its strategy; Errors counts error responses.
 type StatsServed struct {
-	User        int64 `json:"user"`
-	Session     int64 `json:"session"`
-	Cascade     int64 `json:"cascade"`
-	Diversified int64 `json:"diversified"`
-	Plan        int64 `json:"plan"`
-	Errors      int64 `json:"errors"`
-	// Legacy counts hits on the deprecated per-shape endpoints (the sum
-	// of user/session/cascade/diversified, kept as one counter so their
-	// removal can be data-driven).
-	Legacy int64 `json:"legacy_requests"`
+	Plan   int64 `json:"plan"`
+	Errors int64 `json:"errors"`
 }
 
 // StatsFilters counts how many served requests used each request-time
@@ -202,7 +195,6 @@ type RouterCounters struct {
 	Hedges        int64 `json:"hedges"`
 	HedgeWins     int64 `json:"hedge_wins"`
 	EpochMismatch int64 `json:"epoch_mismatch"`
-	Legacy        int64 `json:"legacy_requests"`
 	CacheHits     int64 `json:"cache_hits"`
 	// HedgeDelayMS and DegradedMode echo the router's configuration.
 	HedgeDelayMS int64  `json:"hedge_delay_ms"`

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -180,10 +181,17 @@ func runCascadeTradeoff(out io.Writer, sc Scale, leafOnly bool, title string) (*
 	}
 	c := m.Compose()
 
-	const topK = 10
+	// both sides time the serving path at one precision, so the time ratio
+	// compares the beam with the sweep it approximates, not two tiers
+	ctx := context.Background()
+	naive := infer.Plan{K: 10}
 	naiveAUC, naiveTime := cascadeUserAUC(c, w.History, w.Split.Test,
 		func(q, dst []float64) { c.ItemScoresInto(q, dst) },
-		func(q []float64) { infer.Naive(c, q, topK) })
+		func(q []float64) {
+			if _, err := infer.Execute(ctx, c, q, naive); err != nil {
+				panic(err)
+			}
+		})
 
 	res := &Fig8cdResult{NaiveAUC: naiveAUC}
 	for _, pct := range []int{5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100} {
@@ -199,6 +207,8 @@ func runCascadeTradeoff(out io.Writer, sc Scale, leafOnly bool, title string) (*
 		if err := cfg.Validate(w.Tree.Depth()); err != nil {
 			return nil, err
 		}
+		casc := naive
+		casc.Strategy, casc.Cascade = infer.StrategyCascade, &cfg
 		auc, elapsed := cascadeUserAUC(c, w.History, w.Split.Test,
 			func(q, dst []float64) {
 				s, _, err := infer.CascadeScores(c, q, cfg)
@@ -208,7 +218,7 @@ func runCascadeTradeoff(out io.Writer, sc Scale, leafOnly bool, title string) (*
 				copy(dst, s)
 			},
 			func(q []float64) {
-				if _, _, err := infer.Cascade(c, q, cfg, topK); err != nil {
+				if _, err := infer.Execute(ctx, c, q, casc); err != nil {
 					panic(err)
 				}
 			})

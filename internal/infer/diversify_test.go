@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"testing"
 )
 
@@ -8,10 +9,8 @@ func TestDiversifiedRespectsQuota(t *testing.T) {
 	c := composed(t)
 	q := query(c.K())
 	catDepth := c.Tree.Depth() - 1
-	out, err := Diversified(c, q, 20, 2, catDepth)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := serialF64(t, c, q, Plan{Strategy: StrategyDiversified, K: 20,
+		Diversify: &Diversify{MaxPerCategory: 2, CatDepth: catDepth}}).Items
 	if len(out) != 20 {
 		t.Fatalf("got %d items", len(out))
 	}
@@ -34,11 +33,9 @@ func TestDiversifiedRespectsQuota(t *testing.T) {
 func TestDiversifiedUnlimitedQuotaEqualsNaive(t *testing.T) {
 	c := composed(t)
 	q := query(c.K())
-	out, err := Diversified(c, q, 15, 1<<30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive := Naive(c, q, 15)
+	out := serialF64(t, c, q, Plan{Strategy: StrategyDiversified, K: 15,
+		Diversify: &Diversify{MaxPerCategory: 1 << 30, CatDepth: 1}}).Items
+	naive := serialF64(t, c, q, Plan{K: 15}).Items
 	for i := range naive {
 		if out[i].ID != naive[i].ID {
 			t.Fatal("huge quota must reduce to the plain ranking")
@@ -57,11 +54,9 @@ func TestDiversifiedCoversMoreCategories(t *testing.T) {
 		}
 		return len(set)
 	}
-	naive := Naive(c, q, 20)
-	div, err := Diversified(c, q, 20, 1, catDepth)
-	if err != nil {
-		t.Fatal(err)
-	}
+	naive := serialF64(t, c, q, Plan{K: 20}).Items
+	div := serialF64(t, c, q, Plan{Strategy: StrategyDiversified, K: 20,
+		Diversify: &Diversify{MaxPerCategory: 1, CatDepth: catDepth}}).Items
 	var naiveIDs, divIDs []int
 	for _, s := range naive {
 		naiveIDs = append(naiveIDs, s.ID)
@@ -80,13 +75,16 @@ func TestDiversifiedCoversMoreCategories(t *testing.T) {
 func TestDiversifiedValidation(t *testing.T) {
 	c := composed(t)
 	q := query(c.K())
-	if _, err := Diversified(c, q, 5, 0, 1); err == nil {
-		t.Fatal("expected error for quota 0")
-	}
-	if _, err := Diversified(c, q, 5, 1, 0); err == nil {
-		t.Fatal("expected error for catDepth 0")
-	}
-	if _, err := Diversified(c, q, 5, 1, c.Tree.Depth()); err == nil {
-		t.Fatal("expected error for catDepth == leaf depth")
+	// CatDepth 0 is the plan's "lowest category level" default, so the
+	// out-of-range depths below the first level are the negative ones
+	for want, d := range map[string]Diversify{
+		"quota 0":                {MaxPerCategory: 0, CatDepth: 1},
+		"negative catDepth":      {MaxPerCategory: 1, CatDepth: -1},
+		"catDepth == leaf depth": {MaxPerCategory: 1, CatDepth: c.Tree.Depth()},
+	} {
+		pl := Plan{Strategy: StrategyDiversified, K: 5, Diversify: &d}
+		if _, err := Execute(context.Background(), c, q, pl); err == nil {
+			t.Fatalf("expected error for %s", want)
+		}
 	}
 }

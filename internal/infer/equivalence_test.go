@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestNaiveMatchesLegacyFullScan(t *testing.T) {
 		c := tiedComposed(t, useBias)
 		q := query(c.K())
 		for _, k := range []int{1, 10, 137, c.NumItems(), c.NumItems() + 5} {
-			assertSameRanking(t, "naive", Naive(c, q, k), legacyNaive(c, q, k))
+			assertSameRanking(t, "naive", serialF64(t, c, q, Plan{K: k}).Items, legacyNaive(c, q, k))
 		}
 	}
 }
@@ -136,10 +137,8 @@ func TestCascadeMatchesLegacy(t *testing.T) {
 		q := query(c.K())
 		for _, f := range []float64{0.1, 0.3, 0.5, 1.0} {
 			cfg := UniformCascade(c.Tree.Depth(), f)
-			got, gotStats, err := Cascade(c, q, cfg, 25)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := serialF64(t, c, q, Plan{Strategy: StrategyCascade, K: 25, Cascade: &cfg})
+			got, gotStats := res.Items, res.Stats
 			want, wantStats, err := legacyCascade(c, q, cfg, 25)
 			if err != nil {
 				t.Fatal(err)
@@ -194,10 +193,8 @@ func TestDiversifiedMatchesLegacyGreedy(t *testing.T) {
 		for _, maxPer := range []int{1, 2, 5, 1 << 30} {
 			for _, depth := range []int{1, 2, c.Tree.Depth() - 1} {
 				for _, k := range []int{1, 8, 30} {
-					got, err := Diversified(c, q, k, maxPer, depth)
-					if err != nil {
-						t.Fatal(err)
-					}
+					got := serialF64(t, c, q, Plan{Strategy: StrategyDiversified, K: k,
+						Diversify: &Diversify{MaxPerCategory: maxPer, CatDepth: depth}}).Items
 					want := legacyDiversified(c, q, k, maxPer, depth)
 					assertSameRanking(t, "diversified", got, want)
 				}
@@ -206,29 +203,35 @@ func TestDiversifiedMatchesLegacyGreedy(t *testing.T) {
 	}
 }
 
+// Plan validation rejects K=0, but the engines must still treat an
+// empty collector as an empty ranking, as the full scan does; execInto
+// runs them without the validation step.
 func TestZeroKMatchesLegacyEmptyResult(t *testing.T) {
 	c := tiedComposed(t, false)
 	q := query(c.K())
-	if got := Naive(c, q, 0); len(got) != 0 {
-		t.Fatalf("Naive k=0 returned %d items", len(got))
-	}
-	got, _, err := Cascade(c, q, UniformCascade(c.Tree.Depth(), 0.5), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("Cascade k=0 returned %d items", len(got))
+	cfg := UniformCascade(c.Tree.Depth(), 0.5)
+	for _, pl := range []Plan{{}, {Strategy: StrategyCascade, Cascade: &cfg}} {
+		res, err := (*Pool)(nil).execInto(context.Background(), c, q, pl, vecmath.NewTopKStream(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameRanking(t, pl.Strategy.String()+" k=0", res.Items, legacyNaive(c, q, 0))
 	}
 }
 
 func TestNaiveIntoReusesCollector(t *testing.T) {
 	c := tiedComposed(t, false)
 	q := query(c.K())
+	pl := Plan{K: 12, Precision: model.PrecisionF64}
 	st := vecmath.NewTopKStream(12)
-	NaiveInto(c, q, st)
-	first := append([]vecmath.Scored(nil), st.Ranked()...)
-	st.Reset(12)
-	NaiveInto(c, q, st)
-	assertSameRanking(t, "naiveinto-reuse", st.Ranked(), first)
-	assertSameRanking(t, "naiveinto-vs-naive", first, Naive(c, q, 12))
+	ranked := func() []vecmath.Scored {
+		res, err := ExecuteInto(context.Background(), c, q, pl, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Items
+	}
+	first := append([]vecmath.Scored(nil), ranked()...)
+	assertSameRanking(t, "executeinto-reuse", ranked(), first)
+	assertSameRanking(t, "executeinto-vs-fullscan", first, legacyNaive(c, q, 12))
 }

@@ -10,12 +10,11 @@ import (
 // This file is the engine layer of the query-plan executor: one function
 // per ranking shape (naive sweep, cascade, diversified, multi-query
 // batch), each taking the full parameterization — precision, worker cap,
-// eligibility mask — as arguments. Every public entry point, the Plan
-// executor and the legacy strategy×precision×parallelism wrappers alike,
-// funnels into these engines, so a new serving capability is one
-// parameter threaded through four functions instead of sixteen new
-// variants. All engines are methods on *Pool with a nil receiver meaning
-// "serial".
+// eligibility mask — as arguments. Every public entry point funnels
+// through the Plan executor into these engines, so a new serving
+// capability is one parameter threaded through four functions instead of
+// sixteen new variants. All engines are methods on *Pool with a nil
+// receiver meaning "serial".
 
 // ---- masked sweeps ------------------------------------------------------
 
@@ -527,14 +526,9 @@ func (p *Pool) scoreFrontier(done <-chan struct{}, c *model.Composed, q []float6
 // over the eligible items only. The per-category bounded heaps make the
 // greedy score-ordered selection exact without sorting the catalog; the
 // f32 mode additionally needs the per-category separation certificate of
-// rescoreDiversified before its pruning is trusted.
-func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []float64, maxPerCategory, catDepth int, prec model.Precision, maxWorkers int, cf *compiledFilter, final *vecmath.TopKStream) error {
-	if maxPerCategory <= 0 {
-		return errMaxPerCategory(maxPerCategory)
-	}
-	if catDepth < 1 || catDepth >= c.Tree.Depth() {
-		return errCatDepth(catDepth, c.Tree.Depth())
-	}
+// rescoreDiversified before its pruning is trusted. The quota and depth
+// arrive validated (Plan.Validate).
+func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []float64, maxPerCategory, catDepth int, prec model.Precision, maxWorkers int, cf *compiledFilter, final *vecmath.TopKStream) {
 	ix := c.Index
 	k := final.K()
 	perCat := maxPerCategory
@@ -569,7 +563,7 @@ func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []f
 			armed := make([]bool, width)
 			for s, n := 0, ix.NumShards(); s < n; s++ {
 				if canceled(done) {
-					return nil
+					return
 				}
 				shardLo, shardHi := ix.Shard(s)
 				diversifiedSweepRange(ix, q, mask, shardLo, shardHi, perCat, catDepth, cats, armed)
@@ -579,7 +573,7 @@ func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []f
 					final.Merge(&cats[pos])
 				}
 			}
-			return nil
+			return
 		}
 		t := p.getDivTask()
 		t.armDiv(width, perCat)
@@ -594,7 +588,7 @@ func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []f
 		}
 		t.ix, t.q, t.mask, t.done = nil, nil, nil, nil
 		p.divs.Put(t)
-		return nil
+		return
 	}
 
 	sc := getF32Scratch(q)
@@ -609,11 +603,12 @@ func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []f
 	}
 	for perp := f32OverFetch(perCat); ; perp *= 2 {
 		if canceled(done) {
-			return nil
+			return
 		}
 		if perp >= eligible {
 			// every category retains all its eligible items: no pruning left
-			return p.executeDiversified(done, c, q, maxPerCategory, catDepth, model.PrecisionF64, maxWorkers, cf, final)
+			p.executeDiversified(done, c, q, maxPerCategory, catDepth, model.PrecisionF64, maxWorkers, cf, final)
+			return
 		}
 		var ok bool
 		if fan <= 1 {
@@ -622,7 +617,7 @@ func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []f
 			}
 			for s, n := 0, ix.NumShards(); s < n; s++ {
 				if canceled(done) {
-					return nil
+					return
 				}
 				shardLo, shardHi := ix.Shard(s)
 				diversifiedSweepRange32(ix, sc.q32, mask, shardLo, shardHi, perp, catDepth, cats32, armed)
@@ -640,14 +635,14 @@ func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []f
 				// heaps must not reach the certificate
 				t.ix, t.q32, t.mask, t.done = nil, nil, nil, nil
 				p.divs.Put(t)
-				return nil
+				return
 			}
 			ok = rescoreDiversified(done, ix, q, t.gcats32, cats, t.garmed, perCat, k, eps, final)
 			t.ix, t.q32, t.mask, t.done = nil, nil, nil, nil
 			p.divs.Put(t)
 		}
 		if ok {
-			return nil
+			return
 		}
 		f32Escalations.Add(1)
 	}

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"reflect"
 	"runtime/debug"
 	"testing"
@@ -82,18 +83,19 @@ func f32World(t *testing.T, seed uint64, shardRaw, kRaw, sizeRaw, tieRaw uint8) 
 func TestQuickF32MatchesF64(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
+	ctx := context.Background()
 	f := func(seed uint16, shardRaw, kRaw, sizeRaw, tieRaw uint8) bool {
 		c, q := f32World(t, uint64(seed)+101, shardRaw, kRaw, sizeRaw, tieRaw)
 		for _, k := range []int{1, 1 + int(kRaw)%10, c.NumItems(), c.NumItems() + 5} {
-			want := Naive(c, q, k)
-			if !reflect.DeepEqual(want, NaiveF32(c, q, k)) {
+			want := serialF64(t, c, q, Plan{K: k}).Items
+			got, err := Execute(ctx, c, q, Plan{K: k, Precision: model.PrecisionF32})
+			if err != nil || !reflect.DeepEqual(want, got.Items) {
 				t.Logf("serial f32 naive diverged (k=%d)", k)
 				return false
 			}
 			for _, workers := range []int{2, 4} {
-				st := vecmath.NewTopKStream(k)
-				pool.NaiveF32Into(c, q, st, workers)
-				if !reflect.DeepEqual(want, st.Ranked()) {
+				got, err := pool.Execute(ctx, c, q, Plan{K: k, Precision: model.PrecisionF32, MaxWorkers: workers})
+				if err != nil || !reflect.DeepEqual(want, got.Items) {
 					t.Logf("pooled f32 naive diverged (k=%d workers=%d)", k, workers)
 					return false
 				}
@@ -101,33 +103,31 @@ func TestQuickF32MatchesF64(t *testing.T) {
 		}
 		k := 1 + int(kRaw)%15
 		cfg := UniformCascade(c.Tree.Depth(), 0.2+float64(tieRaw%8)/10)
-		wantItems, wantStats, err := Cascade(c, q, cfg, k)
-		if err != nil {
-			return false
-		}
-		gotItems, gotStats, err := CascadeF32(c, q, cfg, k)
-		if err != nil || !reflect.DeepEqual(wantItems, gotItems) || !reflect.DeepEqual(wantStats, gotStats) {
+		casc := Plan{Strategy: StrategyCascade, K: k, Cascade: &cfg}
+		want := serialF64(t, c, q, casc)
+		casc.Precision = model.PrecisionF32
+		got, err := Execute(ctx, c, q, casc)
+		if err != nil || !reflect.DeepEqual(want.Items, got.Items) || !reflect.DeepEqual(want.Stats, got.Stats) {
 			t.Log("serial f32 cascade diverged")
 			return false
 		}
-		gotItems, gotStats, err = pool.CascadeF32(c, q, cfg, k, 0)
-		if err != nil || !reflect.DeepEqual(wantItems, gotItems) || !reflect.DeepEqual(wantStats, gotStats) {
+		got, err = pool.Execute(ctx, c, q, casc)
+		if err != nil || !reflect.DeepEqual(want.Items, got.Items) || !reflect.DeepEqual(want.Stats, got.Stats) {
 			t.Log("pooled f32 cascade diverged")
 			return false
 		}
 		maxPer := 1 + int(tieRaw)%4
 		catDepth := 1 + int(tieRaw)%(c.Tree.Depth()-1)
-		wantDiv, err := Diversified(c, q, k, maxPer, catDepth)
-		if err != nil {
-			return false
-		}
-		gotDiv, err := DiversifiedF32(c, q, k, maxPer, catDepth)
-		if err != nil || !reflect.DeepEqual(wantDiv, gotDiv) {
+		div := Plan{Strategy: StrategyDiversified, K: k, Diversify: &Diversify{MaxPerCategory: maxPer, CatDepth: catDepth}}
+		wantDiv := serialF64(t, c, q, div).Items
+		div.Precision = model.PrecisionF32
+		got, err = Execute(ctx, c, q, div)
+		if err != nil || !reflect.DeepEqual(wantDiv, got.Items) {
 			t.Log("serial f32 diversified diverged")
 			return false
 		}
-		gotDiv, err = pool.DiversifiedF32(c, q, k, maxPer, catDepth, 0)
-		if err != nil || !reflect.DeepEqual(wantDiv, gotDiv) {
+		got, err = pool.Execute(ctx, c, q, div)
+		if err != nil || !reflect.DeepEqual(wantDiv, got.Items) {
 			t.Log("pooled f32 diversified diverged")
 			return false
 		}
@@ -147,41 +147,36 @@ func TestQuickMultiF32MatchesF64(t *testing.T) {
 		c, base := f32World(t, uint64(seed)+211, shardRaw, kRaw, batchRaw, tieRaw)
 		batch := 1 + int(batchRaw)%6
 		qs := make([][]float64, batch)
-		outs := make([]*vecmath.TopKStream, batch)
-		ks := make([]int, batch)
+		pls := make([]Plan, batch)
 		rng := vecmath.NewRNG(uint64(seed) + 977)
 		for i := range qs {
 			qs[i] = append([]float64(nil), base...)
 			for j := range qs[i] {
 				qs[i][j] += rng.NormFloat64() * 1e-3
 			}
-			ks[i] = 1 + (int(kRaw)+i)%12
+			k := 1 + (int(kRaw)+i)%12
 			if i == 0 {
 				// force one query whose over-fetch budget covers the
 				// catalog: it must skip the f32 sweep and still come back
 				// exact through the f64 finish path
-				ks[i] = c.NumItems() + 2
+				k = c.NumItems() + 2
 			}
-			outs[i] = vecmath.NewTopKStream(ks[i])
+			pls[i] = Plan{K: k, Precision: model.PrecisionF32}
 		}
-		check := func(label string) bool {
-			for i := range qs {
-				if !reflect.DeepEqual(Naive(c, qs[i], ks[i]), outs[i].Ranked()) {
-					t.Logf("%s diverged for query %d", label, i)
+		for _, p := range []*Pool{nil, pool} {
+			results, err := p.ExecuteBatch(context.Background(), c, qs, pls)
+			if err != nil {
+				t.Logf("f32 batch (pool=%v): %v", p != nil, err)
+				return false
+			}
+			for i := range results {
+				if !reflect.DeepEqual(serialF64(t, c, qs[i], pls[i]).Items, results[i].Items) {
+					t.Logf("f32 batch query %d diverged (pool=%v)", i, p != nil)
 					return false
 				}
 			}
-			return true
 		}
-		MultiNaiveF32Into(c, qs, outs)
-		if !check("serial multi f32") {
-			return false
-		}
-		for i := range outs {
-			outs[i].Reset(ks[i])
-		}
-		pool.MultiNaiveF32Into(c, qs, outs, 0)
-		return check("pooled multi f32")
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -209,19 +204,19 @@ func TestF32EscalationNearTiesStaysExact(t *testing.T) {
 	c.Index.SetShardItems(37)
 	q := make([]float64, p.K) // zero query: scores collapse onto biases
 	before := F32Escalations()
-	want := Naive(c, q, 10)
-	got := NaiveF32(c, q, 10)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("escalated ranking diverged:\nwant %v\ngot  %v", want, got)
+	want := serialF64(t, c, q, Plan{K: 10}).Items
+	pl := Plan{K: 10, Precision: model.PrecisionF32}
+	got, err := Execute(context.Background(), c, q, pl)
+	if err != nil || !reflect.DeepEqual(want, got.Items) {
+		t.Fatalf("escalated ranking diverged (err %v):\nwant %v\ngot  %v", err, want, got.Items)
 	}
 	if F32Escalations() == before {
 		t.Fatal("near-tie catalog did not trigger a margin escalation")
 	}
 	pool := NewPool(4)
 	defer pool.Close()
-	st := vecmath.NewTopKStream(10)
-	pool.NaiveF32Into(c, q, st, 0)
-	if !reflect.DeepEqual(want, st.Ranked()) {
+	got, err = pool.Execute(context.Background(), c, q, pl)
+	if err != nil || !reflect.DeepEqual(want, got.Items) {
 		t.Fatal("pooled escalated ranking diverged")
 	}
 }
@@ -246,14 +241,18 @@ func TestNaiveF32IntoZeroAlloc(t *testing.T) {
 	// a GC empties sync.Pools, which would show up as a spurious scratch
 	// refill; the serving claim is "no allocation given a warm pool"
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	pl := Plan{K: 10, Precision: model.PrecisionF32}
 	st := vecmath.NewTopKStream(10)
-	NaiveF32Into(c, q, st) // warm the scratch pool
+	ctx := context.Background()
+	if _, err := ExecuteInto(ctx, c, q, pl, st); err != nil { // warm the scratch pool
+		t.Fatal(err)
+	}
 	allocs := testing.AllocsPerRun(20, func() {
-		st.Reset(10)
-		NaiveF32Into(c, q, st)
-		_ = st.Ranked()
+		if _, err := ExecuteInto(ctx, c, q, pl, st); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs > 0 {
-		t.Fatalf("NaiveF32Into allocated %.1f objects per query, want 0", allocs)
+		t.Fatalf("f32 ExecuteInto allocated %.1f objects per query, want 0", allocs)
 	}
 }

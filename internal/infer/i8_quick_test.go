@@ -38,7 +38,7 @@ func TestQuickI8MatchesF64(t *testing.T) {
 	f := func(seed uint16, shardRaw, kRaw, sizeRaw, tieRaw uint8) bool {
 		c, q := f32World(t, uint64(seed)+601, shardRaw, kRaw, sizeRaw, tieRaw)
 		for _, k := range []int{1, 1 + int(kRaw)%10, c.NumItems(), c.NumItems() + 5} {
-			want := Naive(c, q, k)
+			want := serialF64(t, c, q, Plan{K: k}).Items
 			if got := execI8(t, nil, c, q, k, 0); !reflect.DeepEqual(want, got) {
 				t.Logf("serial int8 naive diverged (k=%d):\nwant %v\ngot  %v", k, want, got)
 				return false
@@ -92,7 +92,7 @@ func TestQuickMultiI8MatchesF64(t *testing.T) {
 				return false
 			}
 			for i := range results {
-				if want := Naive(c, qs[i], pls[i].K); !reflect.DeepEqual(want, results[i].Items) {
+				if want := serialF64(t, c, qs[i], pls[i]).Items; !reflect.DeepEqual(want, results[i].Items) {
 					t.Logf("int8 batch query %d diverged (pool=%v)", i, p != nil)
 					return false
 				}
@@ -134,7 +134,7 @@ func TestI8EscalationNearTiesStaysExact(t *testing.T) {
 	c.Index.SetShardItems(37)
 	q := []float64{0.8, -0.5, 0.9, 0.33}
 	before := I8Escalations()
-	want := Naive(c, q, 10)
+	want := serialF64(t, c, q, Plan{K: 10}).Items
 	got := execI8(t, nil, c, q, 10, 0)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("escalated int8 ranking diverged:\nwant %v\ngot  %v", want, got)

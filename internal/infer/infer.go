@@ -12,9 +12,6 @@
 // Queries are described by a Plan — strategy, precision, result page,
 // worker cap, and an optional item Filter — validated once and run by the
 // single Execute path (plan.go), which composes the engines of exec.go.
-// The strategy-specific functions in this file and its siblings predate
-// the plan executor and remain as thin deprecated wrappers so existing
-// callers and the byte-identity pinning suites keep compiling unchanged.
 package infer
 
 import (
@@ -38,21 +35,11 @@ const blockItems = 256
 // vecmath fast path supports up to groups of eight).
 const qBlock = 8
 
-// NaiveInto streams every item's score through the scoring index into an
-// armed TopKStream. It performs no heap allocation, making it the
-// zero-garbage serving core; pair it with a pooled collector and read the
-// ranking with Ranked.
-//
-// Deprecated: build a Plan and call ExecuteInto.
-func NaiveInto(c *model.Composed, q []float64, st *vecmath.TopKStream) {
-	var block [blockItems]float64
-	sweepRangeInto(c.Index, q, 0, c.Index.NumItems(), block[:], st)
-}
-
 // sweepRangeInto scores the item range [rangeLo, rangeHi) in block-sized
 // steps into an armed TopKStream, sharing the caller's block buffer so
 // the whole sweep is allocation-free. It is the per-shard unit of work of
-// the parallel pool and the whole-catalog body of NaiveInto.
+// the f64 sweeps and, over the whole catalog, the exact pass of
+// Structured and of the batched finish stages.
 func sweepRangeInto(ix *model.ScoringIndex, q []float64, rangeLo, rangeHi int, block []float64, st *vecmath.TopKStream) {
 	th, full := st.Threshold()
 	for lo := rangeLo; lo < rangeHi; lo += len(block) {
@@ -73,16 +60,6 @@ func sweepRangeInto(ix *model.ScoringIndex, q []float64, rangeLo, rangeHi int, b
 			th, full = st.Threshold()
 		}
 	}
-}
-
-// Naive scores every item and returns the top-k, the baseline the paper's
-// cascaded inference is measured against.
-//
-// Deprecated: build a Plan and call Execute.
-func Naive(c *model.Composed, q []float64, k int) []vecmath.Scored {
-	st := vecmath.NewTopKStream(k)
-	NaiveInto(c, q, st)
-	return st.Ranked()
 }
 
 // CascadeConfig sets the per-level keep fractions k_i of §5.1:
@@ -163,20 +140,11 @@ func walk(c *model.Composed, q []float64, cfg CascadeConfig) ([]int32, *Stats, e
 	return frontier, stats, nil
 }
 
-// Cascade runs §5.1 top-down inference and returns the top-k items among
-// the reached leaves together with work statistics. This is the production
-// serving path: it touches only the beam's nodes, never the full catalog,
-// and streams the reached leaves straight into a bounded heap.
-//
-// Deprecated: build a Plan with StrategyCascade and call Execute.
-func Cascade(c *model.Composed, q []float64, cfg CascadeConfig, k int) ([]vecmath.Scored, *Stats, error) {
-	return (*Pool)(nil).Cascade(c, q, cfg, k, 1)
-}
-
 // CascadeScores runs the cascade and returns a full score array: reached
 // items carry their affinity, unreached items are −Inf. Evaluation uses
 // this to compute the Figure 8(c,d) accuracy ratio (eval.PrunedAUC); the
-// serving path is Cascade, which never materializes the full array.
+// serving path is a StrategyCascade plan, which never materializes the
+// full array.
 func CascadeScores(c *model.Composed, q []float64, cfg CascadeConfig) ([]float64, *Stats, error) {
 	frontier, stats, err := walk(c, q, cfg)
 	if err != nil {
@@ -193,31 +161,6 @@ func CascadeScores(c *model.Composed, q []float64, cfg CascadeConfig) ([]float64
 	stats.NodesScored += len(frontier)
 	stats.LeavesScored = len(frontier)
 	return scores, stats, nil
-}
-
-// Diversified returns a top-k ranking with at most maxPerCategory items
-// from any single category at taxonomy depth catDepth. Section 1 of the
-// paper motivates exactly this use of the taxonomy: "reduce duplication of
-// items of similar type" in the recommendation list.
-//
-// The selection streams over the index once, keeping a bounded min-heap of
-// the best min(maxPerCategory, k) items per touched category: an item
-// outside its category's per-quota top can never be chosen by the greedy
-// score-ordered scan, so the global top-k of the retained union is exactly
-// the ranking the old full-catalog sort-then-scan produced — without ever
-// sorting the catalog.
-//
-// Deprecated: build a Plan with StrategyDiversified and call Execute.
-func Diversified(c *model.Composed, q []float64, k, maxPerCategory, catDepth int) ([]vecmath.Scored, error) {
-	return (*Pool)(nil).Diversified(c, q, k, maxPerCategory, catDepth, 1)
-}
-
-func errMaxPerCategory(got int) error {
-	return fmt.Errorf("infer: maxPerCategory must be positive, got %d", got)
-}
-
-func errCatDepth(got, depth int) error {
-	return fmt.Errorf("infer: catDepth %d outside (0,%d)", got, depth)
 }
 
 // StructuredRanking is the per-level output the paper motivates in §1:
@@ -241,6 +184,9 @@ func Structured(c *model.Composed, q []float64, k int) *StructuredRanking {
 		level := c.LevelScores(q, d)
 		out.Levels = append(out.Levels, vecmath.TopK(level, len(level)))
 	}
-	out.Items = Naive(c, q, k)
+	st := vecmath.NewTopKStream(k)
+	var block [blockItems]float64
+	sweepRangeInto(c.Index, q, 0, c.Index.NumItems(), block[:], st)
+	out.Items = st.Ranked()
 	return out
 }

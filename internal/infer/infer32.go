@@ -38,8 +38,7 @@ import (
 // The pipeline itself lives in exec.go (naiveF32, executeCascade,
 // executeDiversified, executeMulti); this file keeps the shared f32
 // plumbing — scratch pools, the rescore stage, the separation
-// certificates — and the legacy serial F32 entry points as deprecated
-// wrappers.
+// certificates.
 
 // f32Escalations counts boundary-separation failures across all f32
 // pipelines (naive, cascade, diversified, batched; serial and pooled).
@@ -220,63 +219,19 @@ func separated(st *vecmath.TopKStream, cand *vecmath.TopKStream32, eps float64) 
 	return full && boundary > tau64+eps
 }
 
-// NaiveF32Into is the two-stage counterpart of NaiveInto: it fills the
-// armed collector with the exact f64 top-K ranking via an f32 slab sweep
-// plus rescore. The collector is Reset internally (it must arrive
-// dedicated to this query, as every current caller's does). Steady-state
-// calls perform no heap allocation.
-//
-// Deprecated: build a Plan with model.PrecisionF32 and call
-// Execute/ExecuteInto.
-func NaiveF32Into(c *model.Composed, q []float64, st *vecmath.TopKStream) {
-	(*Pool)(nil).executeNaive(nil, c, q, model.PrecisionF32, 1, nil, c.Index.NumItems(), st, false)
-}
-
-// NaiveF32 scores every item through the two-stage pipeline and returns
-// the exact top-k — same ranking as Naive, roughly half the sweep
-// bandwidth.
-//
-// Deprecated: build a Plan with model.PrecisionF32 and call Execute.
-func NaiveF32(c *model.Composed, q []float64, k int) []vecmath.Scored {
-	st := vecmath.NewTopKStream(k)
-	NaiveF32Into(c, q, st)
-	return st.Ranked()
-}
-
-// CascadeF32 is Cascade with the surviving leaf frontier ranked through
-// the two-stage pipeline. The beam walk itself stays on the f64 node
-// slab — category levels are tiny and the walk decides WHICH leaves are
-// reached, which must match the f64 cascade exactly — so items, order and
-// Stats are all identical to Cascade's.
-//
-// Deprecated: build a Plan with StrategyCascade and model.PrecisionF32
-// and call Execute.
-func CascadeF32(c *model.Composed, q []float64, cfg CascadeConfig, k int) ([]vecmath.Scored, *Stats, error) {
-	return (*Pool)(nil).CascadeF32(c, q, cfg, k, 1)
-}
-
-// DiversifiedF32 is Diversified through the two-stage pipeline: the f32
-// sweep keeps an over-fetched candidate heap per touched category, the
-// candidates are rescored exactly into per-category quota heaps, and the
-// final top-k is selected from those. Exactness needs a per-category
-// certificate: for every category whose f32 heap filled, the excluded
-// items of that category score at most τ_cat + ε exactly — if that stays
-// strictly below the final k-th score, an excluded item can neither enter
-// the final ranking nor displace a quota entry that the final ranking
-// uses (any quota entry it would displace also scores below the boundary
-// and so was not selected anyway). Any category failing the certificate
-// escalates the whole sweep with a doubled per-category budget.
-//
-// Deprecated: build a Plan with StrategyDiversified and
-// model.PrecisionF32 and call Execute.
-func DiversifiedF32(c *model.Composed, q []float64, k, maxPerCategory, catDepth int) ([]vecmath.Scored, error) {
-	return (*Pool)(nil).DiversifiedF32(c, q, k, maxPerCategory, catDepth, 1)
-}
-
 // rescoreDiversified rescores every retained candidate exactly into
 // per-category quota heaps, selects the final top-k into final (which is
-// Reset to k), and checks the per-category separation certificate of
-// DiversifiedF32. It reports whether the result is certified exact.
+// Reset to k), and checks the per-category separation certificate. It
+// reports whether the result is certified exact.
+//
+// The certificate: for every category whose f32 heap filled, the
+// excluded items of that category score at most τ_cat + ε exactly — if
+// that stays strictly below the final k-th score, an excluded item can
+// neither enter the final ranking nor displace a quota entry that the
+// final ranking uses (any quota entry it would displace also scores below
+// the boundary and so was not selected anyway). Any category failing the
+// certificate escalates the whole sweep with a doubled per-category
+// budget.
 func rescoreDiversified(done <-chan struct{}, ix *model.ScoringIndex, q []float64, cats32 []vecmath.TopKStream32, cats []vecmath.TopKStream, armed []bool, perCat, k int, eps float64, final *vecmath.TopKStream) bool {
 	for pos := range cats32 {
 		if !armed[pos] {
@@ -365,21 +320,12 @@ func getMultiF32Scratch(qs [][]float64, outs []*vecmath.TopKStream) *multiF32Scr
 	return sc
 }
 
-// MultiNaiveF32Into is the two-stage counterpart of MultiNaiveInto: one
-// query-major pass over each cache-resident f32 shard collects every
-// query's candidate heap, then each query rescores independently. A query
-// whose margin fails to separate escalates alone through the serial
-// pipeline at the next budget doubling — the shared sweep is not
-// repeated for the batch.
-//
-// Deprecated: use ExecuteBatch with model.PrecisionF32 plans.
-func MultiNaiveF32Into(c *model.Composed, qs [][]float64, outs []*vecmath.TopKStream) {
-	(*Pool)(nil).executeMulti(nil, c, qs, model.PrecisionF32, 1, outs)
-}
-
 // finishMultiF32 runs the per-query rescore stage of a batched f32 sweep.
-// The done channel gates the per-query escalation re-sweeps; a fired
-// deadline abandons the remaining queries (the caller discards the batch).
+// A query whose margin fails to separate escalates alone through the
+// serial pipeline at the next budget doubling — the shared sweep is not
+// repeated for the batch. The done channel gates the per-query escalation
+// re-sweeps; a fired deadline abandons the remaining queries (the caller
+// discards the batch).
 func finishMultiF32(done <-chan struct{}, c *model.Composed, qs [][]float64, outs []*vecmath.TopKStream, cands []vecmath.TopKStream32) {
 	ix := c.Index
 	n := ix.NumItems()
@@ -394,7 +340,8 @@ func finishMultiF32(done <-chan struct{}, c *model.Composed, qs [][]float64, out
 		if cands[i].K() >= n {
 			// the candidate heap saw every item; rescore is the whole input
 			outs[i].Reset(k)
-			NaiveInto(c, q, outs[i])
+			var block [blockItems]float64
+			sweepRangeInto(ix, q, 0, n, block[:], outs[i])
 			continue
 		}
 		eps := ix.ItemErrBound32(q)

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,10 +33,23 @@ func query(k int) []float64 {
 	return q
 }
 
+// serialF64 runs pl as a serial f64 plan — the plain exact sweep — and
+// returns its result: the bitwise reference every faster precision tier,
+// fan-out and batch shape must reproduce, tie-breaks included.
+func serialF64(t *testing.T, c *model.Composed, q []float64, pl Plan) Result {
+	t.Helper()
+	pl.Precision, pl.MaxWorkers = model.PrecisionF64, 1
+	res, err := Execute(context.Background(), c, q, pl)
+	if err != nil {
+		t.Fatalf("serial f64 %v plan: %v", pl.Strategy, err)
+	}
+	return res
+}
+
 func TestNaiveTopKOrdering(t *testing.T) {
 	c := composed(t)
 	q := query(c.K())
-	top := Naive(c, q, 10)
+	top := serialF64(t, c, q, Plan{K: 10}).Items
 	if len(top) != 10 {
 		t.Fatalf("len = %d", len(top))
 	}
@@ -57,11 +71,9 @@ func TestCascadeFullKeepMatchesNaive(t *testing.T) {
 	c := composed(t)
 	q := query(c.K())
 	cfg := UniformCascade(c.Tree.Depth(), 1.0)
-	cascTop, stats, err := Cascade(c, q, cfg, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naiveTop := Naive(c, q, 20)
+	casc := serialF64(t, c, q, Plan{Strategy: StrategyCascade, K: 20, Cascade: &cfg})
+	cascTop, stats := casc.Items, casc.Stats
+	naiveTop := serialF64(t, c, q, Plan{K: 20}).Items
 	if len(cascTop) != len(naiveTop) {
 		t.Fatalf("lengths differ: %d vs %d", len(cascTop), len(naiveTop))
 	}
@@ -85,11 +97,9 @@ func TestCascadePrunesWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, statsFull, _ := Cascade(c, q, UniformCascade(c.Tree.Depth(), 1.0), 10)
-	_, statsSmall, err := Cascade(c, q, UniformCascade(c.Tree.Depth(), 0.2), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fullCfg, smallCfg := UniformCascade(c.Tree.Depth(), 1.0), UniformCascade(c.Tree.Depth(), 0.2)
+	statsFull := serialF64(t, c, q, Plan{Strategy: StrategyCascade, K: 10, Cascade: &fullCfg}).Stats
+	statsSmall := serialF64(t, c, q, Plan{Strategy: StrategyCascade, K: 10, Cascade: &smallCfg}).Stats
 	if statsSmall.NodesScored >= statsFull.NodesScored {
 		t.Fatalf("k=20%% should do less work: %d vs %d", statsSmall.NodesScored, statsFull.NodesScored)
 	}
@@ -132,10 +142,7 @@ func TestCascadeMonotoneCandidates(t *testing.T) {
 	for _, k3 := range []float64{0.1, 0.3, 0.6, 1.0} {
 		cfg := UniformCascade(depth, 1.0)
 		cfg.KeepFrac[depth-2] = k3
-		_, stats, err := Cascade(c, q, cfg, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
+		stats := serialF64(t, c, q, Plan{Strategy: StrategyCascade, K: 10, Cascade: &cfg}).Stats
 		if stats.LeavesScored < prevReached {
 			t.Fatalf("candidate set shrank as k3 grew: %d -> %d", prevReached, stats.LeavesScored)
 		}
@@ -169,24 +176,23 @@ func TestCascadeBeamContainsTopCategoriesChildren(t *testing.T) {
 func TestCascadeConfigValidation(t *testing.T) {
 	c := composed(t)
 	q := query(c.K())
-	if _, _, err := Cascade(c, q, CascadeConfig{KeepFrac: []float64{0.5}}, 5); err == nil {
-		t.Fatal("expected length error")
-	}
-	if _, _, err := Cascade(c, q, CascadeConfig{KeepFrac: []float64{0.5, 0, 0.5}}, 5); err == nil {
-		t.Fatal("expected range error for 0")
-	}
-	if _, _, err := Cascade(c, q, CascadeConfig{KeepFrac: []float64{0.5, 1.5, 0.5}}, 5); err == nil {
-		t.Fatal("expected range error for > 1")
+	for want, kf := range map[string][]float64{
+		"length error":        {0.5},
+		"range error for 0":   {0.5, 0, 0.5},
+		"range error for > 1": {0.5, 1.5, 0.5},
+	} {
+		pl := Plan{Strategy: StrategyCascade, K: 5, Cascade: &CascadeConfig{KeepFrac: kf}}
+		if _, err := Execute(context.Background(), c, q, pl); err == nil {
+			t.Fatalf("expected %s", want)
+		}
 	}
 }
 
 func TestCascadeKeepsAtLeastOneNodePerLevel(t *testing.T) {
 	c := composed(t)
 	q := query(c.K())
-	_, stats, err := Cascade(c, q, UniformCascade(c.Tree.Depth(), 0.001), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := UniformCascade(c.Tree.Depth(), 0.001)
+	stats := serialF64(t, c, q, Plan{Strategy: StrategyCascade, K: 5, Cascade: &cfg}).Stats
 	for lvl, kept := range stats.KeptPerLevel {
 		if kept < 1 {
 			t.Fatalf("level %d kept %d nodes", lvl, kept)
@@ -218,7 +224,7 @@ func TestStructuredRanking(t *testing.T) {
 		t.Fatalf("Items = %d", len(sr.Items))
 	}
 	// structured item list must equal naive
-	naive := Naive(c, q, 15)
+	naive := serialF64(t, c, q, Plan{K: 15}).Items
 	for i := range naive {
 		if sr.Items[i].ID != naive[i].ID {
 			t.Fatal("structured items differ from naive")

@@ -400,7 +400,8 @@ func finishMultiI8(done <-chan struct{}, c *model.Composed, qs [][]float64, outs
 		if sc.cands[i].K() >= n {
 			// the candidate heap saw every item; rescore is the whole input
 			outs[i].Reset(k)
-			NaiveInto(c, q, outs[i])
+			var block [blockItems]float64
+			sweepRangeInto(ix, q, 0, n, block[:], outs[i])
 			continue
 		}
 		eps := ix.ItemErrBoundI8(q, sc.sumAbsErrs[i])

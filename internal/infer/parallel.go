@@ -29,9 +29,7 @@ import (
 // allocation: tasks and scratch heaps are recycled via sync.Pool and
 // per-worker state persists across queries.
 //
-// Queries enter through Execute/ExecuteInto/ExecuteBatch (plan.go); the
-// strategy-specific methods below are the legacy pre-plan surface, kept
-// as thin wrappers.
+// Queries enter through Execute/ExecuteInto/ExecuteBatch (plan.go).
 type Pool struct {
 	workers   int
 	tasks     chan task
@@ -267,50 +265,6 @@ func (p *Pool) getSweepTask() *sweepTask {
 	return t
 }
 
-// NaiveInto is the sharded parallel counterpart of NaiveInto: it streams
-// every item's score into the armed collector st using up to maxWorkers
-// participants (0 = the whole pool). Results are byte-identical to the
-// serial path; steady-state calls allocate nothing.
-//
-// Deprecated: build a Plan and call Execute/ExecuteInto.
-func (p *Pool) NaiveInto(c *model.Composed, q []float64, st *vecmath.TopKStream, maxWorkers int) {
-	p.executeNaive(nil, c, q, model.PrecisionF64, maxWorkers, nil, c.Index.NumItems(), st, false)
-}
-
-// Naive returns the top-k items by parallel full sweep — the drop-in
-// multi-core replacement for Naive. maxWorkers caps the fan-out (0 = the
-// whole pool).
-//
-// Deprecated: build a Plan and call Execute.
-func (p *Pool) Naive(c *model.Composed, q []float64, k, maxWorkers int) []vecmath.Scored {
-	st := vecmath.NewTopKStream(k)
-	p.NaiveInto(c, q, st, maxWorkers)
-	return st.Ranked()
-}
-
-// NaiveF32Into is the sharded two-stage pipeline: participants sweep f32
-// shards into per-worker candidate heaps which merge into one k'
-// candidate set — identical to the serial f32 sweep's, since a bounded
-// heap's retained set is exactly the k' best under the f32 total order —
-// and the submitting goroutine rescores it exactly. Escalation
-// re-dispatches the sweep with a doubled budget; results are
-// byte-identical to NaiveInto for any shard size and worker count.
-//
-// Deprecated: build a Plan with model.PrecisionF32 and call
-// Execute/ExecuteInto.
-func (p *Pool) NaiveF32Into(c *model.Composed, q []float64, st *vecmath.TopKStream, maxWorkers int) {
-	p.executeNaive(nil, c, q, model.PrecisionF32, maxWorkers, nil, c.Index.NumItems(), st, false)
-}
-
-// NaiveF32 returns the exact top-k via the sharded two-stage pipeline.
-//
-// Deprecated: build a Plan with model.PrecisionF32 and call Execute.
-func (p *Pool) NaiveF32(c *model.Composed, q []float64, k, maxWorkers int) []vecmath.Scored {
-	st := vecmath.NewTopKStream(k)
-	p.NaiveF32Into(c, q, st, maxWorkers)
-	return st.Ranked()
-}
-
 // ---- cascaded inference: parallel leaf frontier -------------------------
 
 // leafChunk is the unit of work when scoring a cascade's leaf frontier in
@@ -388,38 +342,6 @@ func (p *Pool) getLeafTask() *leafTask {
 		t = new(leafTask)
 	}
 	return t
-}
-
-// Cascade runs §5.1 top-down inference with the surviving leaf frontier
-// scored across the pool. The beam walk itself stays serial — category
-// levels are tiny compared to the catalog — but the frontier, which can
-// approach catalog size at high keep fractions, is chunked over the
-// workers. Ranking and stats match the serial Cascade exactly.
-//
-// Deprecated: build a Plan with StrategyCascade and call Execute.
-func (p *Pool) Cascade(c *model.Composed, q []float64, cfg CascadeConfig, k, maxWorkers int) ([]vecmath.Scored, *Stats, error) {
-	st := vecmath.NewTopKStream(k)
-	stats, err := p.executeCascade(nil, c, q, cfg, model.PrecisionF64, maxWorkers, nil, st)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st.Ranked(), stats, nil
-}
-
-// CascadeF32 is Pool.Cascade with the leaf frontier ranked through the
-// two-stage pipeline: the frontier's f32 scores are gathered across the
-// pool into one merged candidate heap, then rescored exactly by the
-// submitting goroutine. Items, order and Stats match the serial Cascade.
-//
-// Deprecated: build a Plan with StrategyCascade and model.PrecisionF32
-// and call Execute.
-func (p *Pool) CascadeF32(c *model.Composed, q []float64, cfg CascadeConfig, k, maxWorkers int) ([]vecmath.Scored, *Stats, error) {
-	st := vecmath.NewTopKStream(k)
-	stats, err := p.executeCascade(nil, c, q, cfg, model.PrecisionF32, maxWorkers, nil, st)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st.Ranked(), stats, nil
 }
 
 // ---- diversified inference: sharded per-category quota heaps ------------
@@ -573,38 +495,6 @@ func (sc *scratch) armedSlice(width int) []bool {
 		armed[i] = false
 	}
 	return armed
-}
-
-// Diversified is the sharded parallel counterpart of Diversified: each
-// participant keeps per-category quota heaps over its claimed shards, the
-// per-category heaps are merged (a bounded-heap union preserves each
-// category's exact quota top), and the final ranking is selected from the
-// merged category heaps — identical to the serial result.
-//
-// Deprecated: build a Plan with StrategyDiversified and call Execute.
-func (p *Pool) Diversified(c *model.Composed, q []float64, k, maxPerCategory, catDepth, maxWorkers int) ([]vecmath.Scored, error) {
-	final := vecmath.NewTopKStream(k)
-	if err := p.executeDiversified(nil, c, q, maxPerCategory, catDepth, model.PrecisionF64, maxWorkers, nil, final); err != nil {
-		return nil, err
-	}
-	return final.Ranked(), nil
-}
-
-// DiversifiedF32 is the sharded two-stage Diversified: per-worker
-// per-category f32 candidate heaps (over-fetched to perCat' = perCat +
-// margin) merge into global category heaps, the submitting goroutine
-// rescores every retained candidate exactly, and the per-category
-// separation certificate of rescoreDiversified decides whether to
-// escalate. Results are byte-identical to the serial Diversified.
-//
-// Deprecated: build a Plan with StrategyDiversified and
-// model.PrecisionF32 and call Execute.
-func (p *Pool) DiversifiedF32(c *model.Composed, q []float64, k, maxPerCategory, catDepth, maxWorkers int) ([]vecmath.Scored, error) {
-	final := vecmath.NewTopKStream(k)
-	if err := p.executeDiversified(nil, c, q, maxPerCategory, catDepth, model.PrecisionF32, maxWorkers, nil, final); err != nil {
-		return nil, err
-	}
-	return final.Ranked(), nil
 }
 
 // ---- batched multi-query sweep ------------------------------------------
@@ -768,35 +658,4 @@ func (t *multiTask) runI8(sc *scratch) {
 		}
 	}
 	t.mu.Unlock()
-}
-
-// MultiNaiveInto scores a batch of queries in one pass over the shared
-// item slab: each cache-sized shard is swept once and scored against
-// every query before moving on, so a coalesced batch of B requests reads
-// the catalog's factors once instead of B times. Each query's collector
-// receives exactly the ranking the serial single-query sweep produces.
-//
-// Deprecated: use ExecuteBatch.
-func MultiNaiveInto(c *model.Composed, qs [][]float64, outs []*vecmath.TopKStream) {
-	(*Pool)(nil).executeMulti(nil, c, qs, model.PrecisionF64, 1, outs)
-}
-
-// MultiNaiveInto fans the batched sweep across the pool: participants
-// claim shards and score the whole batch against each claimed shard.
-//
-// Deprecated: use ExecuteBatch.
-func (p *Pool) MultiNaiveInto(c *model.Composed, qs [][]float64, outs []*vecmath.TopKStream, maxWorkers int) {
-	p.executeMulti(nil, c, qs, model.PrecisionF64, maxWorkers, outs)
-}
-
-// MultiNaiveF32Into fans the batched two-stage sweep across the pool:
-// participants claim compact-slab shards and score the whole batch
-// against each, the per-query candidate sets are merged, and the
-// submitting goroutine rescores each query exactly. A query whose margin
-// fails escalates alone through the serial pipeline; every collector ends
-// up byte-identical to its serial single-query f64 ranking.
-//
-// Deprecated: use ExecuteBatch with model.PrecisionF32 plans.
-func (p *Pool) MultiNaiveF32Into(c *model.Composed, qs [][]float64, outs []*vecmath.TopKStream, maxWorkers int) {
-	p.executeMulti(nil, c, qs, model.PrecisionF32, maxWorkers, outs)
 }

@@ -110,8 +110,7 @@ type Diversify struct {
 // (Strategy plus its config), over which items (Filter), how much of the
 // ranking to return (K results after skipping Offset), and how to spend
 // hardware doing it (Precision, MaxWorkers). A Plan is validated once and
-// executed by the single Execute path; every legacy entry point of this
-// package is now a thin wrapper that builds the equivalent plan.
+// executed by the single Execute path.
 type Plan struct {
 	// Strategy picks the ranking shape; the zero value is the naive sweep.
 	Strategy Strategy
@@ -178,13 +177,13 @@ func (pl Plan) Validate(c *model.Composed) error {
 			return fmt.Errorf("infer: diversified plan needs a Diversify config")
 		}
 		if pl.Diversify.MaxPerCategory <= 0 {
-			return errMaxPerCategory(pl.Diversify.MaxPerCategory)
+			return fmt.Errorf("infer: maxPerCategory must be positive, got %d", pl.Diversify.MaxPerCategory)
 		}
 		// check the depth the executor will actually use: on a flat
 		// taxonomy even the CatDepth=0 default resolves to an invalid
 		// level, and a validated plan must not fail during execution
 		if d := pl.diversifyDepth(c); d < 1 || d >= c.Tree.Depth() {
-			return errCatDepth(d, c.Tree.Depth())
+			return fmt.Errorf("infer: catDepth %d outside (0,%d)", d, c.Tree.Depth())
 		}
 	default:
 		return fmt.Errorf("infer: unknown strategy %v", pl.Strategy)
@@ -296,9 +295,7 @@ func (p *Pool) execInto(ctx context.Context, c *model.Composed, q []float64, pl 
 		}
 		res.Stats = stats
 	case StrategyDiversified:
-		if err := p.executeDiversified(done, c, q, pl.Diversify.MaxPerCategory, pl.diversifyDepth(c), pl.Precision, pl.MaxWorkers, cf, st); err != nil {
-			return Result{}, err
-		}
+		p.executeDiversified(done, c, q, pl.Diversify.MaxPerCategory, pl.diversifyDepth(c), pl.Precision, pl.MaxWorkers, cf, st)
 	default:
 		p.executeNaive(done, c, q, pl.Precision, pl.MaxWorkers, mask, eligible, st, pl.Pruned)
 	}

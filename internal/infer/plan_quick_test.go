@@ -3,7 +3,6 @@ package infer
 import (
 	"context"
 	"math"
-	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -271,43 +270,6 @@ func TestQuickFilteredCascadePlanMatchesOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Unfiltered plans must stay byte-identical to the legacy entry points
-// they deprecate — the pinning the refactor's wrappers stand on.
-func TestPlanMatchesLegacyEntryPoints(t *testing.T) {
-	pool := NewPool(3)
-	defer pool.Close()
-	c, q := f32World(t, 97, 31, 5, 3, 0)
-	k := 9
-
-	res, err := Execute(context.Background(), c, q, Plan{K: k, Precision: model.PrecisionF64})
-	if err != nil || !reflect.DeepEqual(res.Items, Naive(c, q, k)) {
-		t.Fatalf("naive plan diverged from Naive (err %v)", err)
-	}
-	res, err = pool.Execute(context.Background(), c, q, Plan{K: k})
-	if err != nil || !reflect.DeepEqual(res.Items, NaiveF32(c, q, k)) {
-		t.Fatalf("f32 plan diverged from NaiveF32 (err %v)", err)
-	}
-
-	cfg := UniformCascade(c.Tree.Depth(), 0.4)
-	wantItems, wantStats, err := Cascade(c, q, cfg, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = pool.Execute(context.Background(), c, q, Plan{Strategy: StrategyCascade, K: k, Cascade: &cfg})
-	if err != nil || !reflect.DeepEqual(res.Items, wantItems) || !reflect.DeepEqual(res.Stats, wantStats) {
-		t.Fatalf("cascade plan diverged (err %v)", err)
-	}
-
-	wantDiv, err := Diversified(c, q, k, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err = pool.Execute(context.Background(), c, q, Plan{Strategy: StrategyDiversified, K: k, Diversify: &Diversify{MaxPerCategory: 2, CatDepth: 1}})
-	if err != nil || !reflect.DeepEqual(res.Items, wantDiv) {
-		t.Fatalf("diversified plan diverged (err %v)", err)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestPrunedSkewedWorldPrunesAndMatches(t *testing.T) {
 func TestPrunedFallbackCounter(t *testing.T) {
 	c, q := f32World(t, 5150, 7, 3, 2, 0)
 	k := c.NumItems() + 1
-	want := Naive(c, q, k)
+	want := serialF64(t, c, q, Plan{K: k}).Items
 	before := PruneCounters()
 	st := vecmath.NewTopKStream(k)
 	var p *Pool

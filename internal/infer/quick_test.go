@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -68,11 +69,10 @@ func TestQuickShardedMergeMatchesSerial(t *testing.T) {
 			vecmath.Zero(q) // zero query: every score collapses to the bias
 		}
 		for _, k := range []int{1, 1 + int(kRaw)%10, tree.NumItems(), tree.NumItems() + 5} {
-			want := Naive(c, q, k)
+			want := serialF64(t, c, q, Plan{K: k}).Items
 			for _, workers := range []int{2, 3, 4} {
-				st := vecmath.NewTopKStream(k)
-				pool.NaiveInto(c, q, st, workers)
-				if !reflect.DeepEqual(want, st.Ranked()) {
+				res, err := pool.Execute(context.Background(), c, q, Plan{K: k, Precision: model.PrecisionF64, MaxWorkers: workers})
+				if err != nil || !reflect.DeepEqual(want, res.Items) {
 					return false
 				}
 			}
@@ -108,33 +108,26 @@ func TestQuickMultiQuerySweepMatchesSerial(t *testing.T) {
 		c.Index.SetShardItems(1 + int(shardRaw)%31)
 		batch := 1 + int(batchRaw)%6
 		qs := make([][]float64, batch)
-		outs := make([]*vecmath.TopKStream, batch)
-		ks := make([]int, batch)
+		pls := make([]Plan, batch)
 		for i := range qs {
 			qs[i] = make([]float64, p.K)
 			for j := range qs[i] {
 				qs[i][j] = rng.NormFloat64()
 			}
-			ks[i] = 1 + (int(kRaw)+i)%12
-			outs[i] = vecmath.NewTopKStream(ks[i])
+			pls[i] = Plan{K: 1 + (int(kRaw)+i)%12, Precision: model.PrecisionF64}
 		}
-		check := func() bool {
-			for i := range qs {
-				if !reflect.DeepEqual(Naive(c, qs[i], ks[i]), outs[i].Ranked()) {
+		for _, exec := range []*Pool{nil, pool} {
+			results, err := exec.ExecuteBatch(context.Background(), c, qs, pls)
+			if err != nil {
+				return false
+			}
+			for i := range results {
+				if !reflect.DeepEqual(serialF64(t, c, qs[i], pls[i]).Items, results[i].Items) {
 					return false
 				}
 			}
-			return true
 		}
-		MultiNaiveInto(c, qs, outs)
-		if !check() {
-			return false
-		}
-		for i := range outs {
-			outs[i].Reset(ks[i])
-		}
-		pool.MultiNaiveInto(c, qs, outs, 0)
-		return check()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -172,32 +165,31 @@ func TestQuickParallelCascadeDiversifiedMatchSerial(t *testing.T) {
 
 		keep := 0.2 + float64(cfgRaw%8)/10
 		cfg := UniformCascade(tree.Depth(), keep)
-		wantItems, wantStats, err := Cascade(c, q, cfg, k)
-		if err != nil {
-			return false
-		}
+		casc := Plan{Strategy: StrategyCascade, K: k, Cascade: &cfg}
+		want := serialF64(t, c, q, casc)
 		// override leaf chunking implicitly via small frontiers: parallel
 		// path must agree whether or not it actually fanned out
-		gotItems, gotStats, err := pool.Cascade(c, q, cfg, k, 0)
+		casc.Precision = model.PrecisionF64
+		got, err := pool.Execute(context.Background(), c, q, casc)
 		if err != nil {
 			return false
 		}
-		if !reflect.DeepEqual(wantItems, gotItems) || !reflect.DeepEqual(wantStats, gotStats) {
+		if !reflect.DeepEqual(want.Items, got.Items) || !reflect.DeepEqual(want.Stats, got.Stats) {
 			return false
 		}
 
 		maxPer := 1 + int(cfgRaw)%4
 		catDepth := 1 + int(cfgRaw)%(tree.Depth()-1)
-		wantDiv, err := Diversified(c, q, k, maxPer, catDepth)
-		if err != nil {
-			return false
-		}
+		div := Plan{Strategy: StrategyDiversified, K: k, Precision: model.PrecisionF64,
+			Diversify: &Diversify{MaxPerCategory: maxPer, CatDepth: catDepth}}
+		wantDiv := serialF64(t, c, q, div).Items
 		for _, workers := range []int{2, 4} {
-			gotDiv, err := pool.Diversified(c, q, k, maxPer, catDepth, workers)
+			div.MaxWorkers = workers
+			gotDiv, err := pool.Execute(context.Background(), c, q, div)
 			if err != nil {
 				return false
 			}
-			if !reflect.DeepEqual(wantDiv, gotDiv) {
+			if !reflect.DeepEqual(wantDiv, gotDiv.Items) {
 				return false
 			}
 		}

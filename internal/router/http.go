@@ -26,11 +26,10 @@ type cachedResult struct {
 }
 
 // HTTP is the router's serving layer. It exposes exactly the endpoint
-// surface of a single tfrec-serve node — the unified plan route, the
-// four deprecated per-shape adapters (same Deprecation/Link headers,
-// same legacy counter), /v1/stats and /healthz — so clients, load
-// generators and dashboards cannot tell a router from a node without
-// reading the stats body.
+// surface of a single tfrec-serve node — POST /v1/recommend, /v1/stats,
+// /healthz, and the same typed 404 envelope for every other path — so
+// clients, load generators and dashboards cannot tell a router from a
+// node without reading the stats body.
 type HTTP struct {
 	r       *Router
 	adm     *serve.Admission
@@ -57,12 +56,7 @@ func NewHTTP(r *Router) *HTTP {
 // Handler returns the route table.
 func (h *HTTP) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, ep := range []api.Endpoint{
-		api.EndpointUnified, api.EndpointUser, api.EndpointSession,
-		api.EndpointCascade, api.EndpointDiversified,
-	} {
-		mux.HandleFunc("POST "+ep.Path(), h.recommend(ep))
-	}
+	mux.HandleFunc("POST "+api.EndpointUnified.Path(), h.recommend)
 	mux.HandleFunc("GET /v1/stats", h.stats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))
@@ -116,102 +110,93 @@ func foldQuery(q url.Values, wr *api.RecommendRequest) (string, error) {
 	return q.Encode(), nil
 }
 
-func (h *HTTP) recommend(ep api.Endpoint) http.HandlerFunc {
-	legacy := ep != api.EndpointUnified
-	return func(w http.ResponseWriter, r *http.Request) {
-		if legacy {
-			h.r.legacy.Add(1)
-			w.Header().Set("Deprecation", serve.DeprecationDate)
-			w.Header().Set("Link", serve.SuccessorLink)
-		}
-		ctx := r.Context()
-		if h.r.cfg.Timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, h.r.cfg.Timeout)
-			defer cancel()
-		}
-		if h.adm != nil {
-			release, code := h.adm.Acquire(ctx)
-			if release == nil {
-				h.r.shed.Add(1)
-				api.WriteError(w, api.ErrorDetail{Code: code, Message: "router overloaded, retry later", RetryAfter: 1})
-				return
-			}
-			defer release()
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, h.maxBody)
-		var wr api.RecommendRequest
-		if err := json.NewDecoder(r.Body).Decode(&wr); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				h.fail(w, api.CodeBodyTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-				return
-			}
-			h.fail(w, api.CodeBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		wr.RewriteLegacy(ep)
-		passQuery, err := foldQuery(r.URL.Query(), &wr)
-		if err != nil {
-			h.fail(w, api.CodeBadRequest, err)
-			return
-		}
-		t := h.r.topo.Load()
-		// reject what every shard would reject before paying the fan-out —
-		// wording identical to a single node's validation, because error
-		// envelopes are part of the byte-identity contract too; anything
-		// subtler (unknown user, bad strategy, bad keep_frac) the shards
-		// validate and the router propagates verbatim. The K/Offset bounds
-		// must run here regardless: the scatter rewrite clamps k' to the
-		// catalog, so the shards would never see the oversized original.
-		if wr.K <= 0 {
-			h.fail(w, api.CodeBadRequest, fmt.Errorf("serve: K must be positive, got %d", wr.K))
-			return
-		}
-		if wr.K > t.model.Items {
-			h.fail(w, api.CodeBadRequest, fmt.Errorf("serve: K %d exceeds the catalog size %d", wr.K, t.model.Items))
-			return
-		}
-		if wr.Offset < 0 {
-			h.fail(w, api.CodeBadRequest, fmt.Errorf("serve: offset must be non-negative, got %d", wr.Offset))
-			return
-		}
-		if wr.Offset > t.model.Items {
-			h.fail(w, api.CodeBadRequest, fmt.Errorf("serve: offset %d beyond the catalog size %d", wr.Offset, t.model.Items))
-			return
-		}
-
-		var key string
-		cacheEpoch, cacheID, cacheable := t.cacheVersion()
-		cacheable = cacheable && h.cache != nil
-		if cacheable {
-			key = cacheKey(wr)
-			// the cache version is the minimum epoch across the shard set:
-			// the instant the router sees a response (or a Refresh) from a
-			// reloaded shard, the minimum rises and every merged entry
-			// stamped under the old one reads as stale. The model-id gate
-			// covers the rolling-reload windows the scalar cannot: while
-			// the tracked fingerprints disagree the cache is bypassed, and
-			// an entry whose fingerprint is not the agreed one is a miss.
-			if v, ok := h.cache.Get(cacheEpoch, key); ok && v.modelID == cacheID {
-				h.r.cacheHits.Add(1)
-				h.r.requests.Add(1)
-				h.writeJSON(w, api.RecommendResponse{Items: v.items, Epoch: cacheEpoch, ModelID: v.modelID})
-				return
-			}
-		}
-		resp, errDetail := h.r.route(ctx, t, wr, passQuery)
-		if errDetail != nil {
-			h.r.errors.Add(1)
-			api.WriteError(w, *errDetail)
-			return
-		}
-		if cacheable && !resp.Degraded {
-			h.cache.Put(resp.Epoch, key, cachedResult{items: resp.Items, modelID: resp.ModelID})
-		}
-		h.r.requests.Add(1)
-		h.writeJSON(w, resp)
+func (h *HTTP) recommend(w http.ResponseWriter, r *http.Request) {
+	ctx := r.Context()
+	if h.r.cfg.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, h.r.cfg.Timeout)
+		defer cancel()
 	}
+	if h.adm != nil {
+		release, code := h.adm.Acquire(ctx)
+		if release == nil {
+			h.r.shed.Add(1)
+			api.WriteError(w, api.ErrorDetail{Code: code, Message: "router overloaded, retry later", RetryAfter: 1})
+			return
+		}
+		defer release()
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, h.maxBody)
+	var wr api.RecommendRequest
+	if err := json.NewDecoder(r.Body).Decode(&wr); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			h.fail(w, api.CodeBodyTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
+		h.fail(w, api.CodeBadRequest, fmt.Errorf("bad request body: %w", err))
+		return
+	}
+	passQuery, err := foldQuery(r.URL.Query(), &wr)
+	if err != nil {
+		h.fail(w, api.CodeBadRequest, err)
+		return
+	}
+	t := h.r.topo.Load()
+	// reject what every shard would reject before paying the fan-out —
+	// wording identical to a single node's validation, because error
+	// envelopes are part of the byte-identity contract too; anything
+	// subtler (unknown user, bad strategy, bad keep_frac) the shards
+	// validate and the router propagates verbatim. The K/Offset bounds
+	// must run here regardless: the scatter rewrite clamps k' to the
+	// catalog, so the shards would never see the oversized original.
+	if wr.K <= 0 {
+		h.fail(w, api.CodeBadRequest, fmt.Errorf("serve: K must be positive, got %d", wr.K))
+		return
+	}
+	if wr.K > t.model.Items {
+		h.fail(w, api.CodeBadRequest, fmt.Errorf("serve: K %d exceeds the catalog size %d", wr.K, t.model.Items))
+		return
+	}
+	if wr.Offset < 0 {
+		h.fail(w, api.CodeBadRequest, fmt.Errorf("serve: offset must be non-negative, got %d", wr.Offset))
+		return
+	}
+	if wr.Offset > t.model.Items {
+		h.fail(w, api.CodeBadRequest, fmt.Errorf("serve: offset %d beyond the catalog size %d", wr.Offset, t.model.Items))
+		return
+	}
+
+	var key string
+	cacheEpoch, cacheID, cacheable := t.cacheVersion()
+	cacheable = cacheable && h.cache != nil
+	if cacheable {
+		key = cacheKey(wr)
+		// the cache version is the minimum epoch across the shard set:
+		// the instant the router sees a response (or a Refresh) from a
+		// reloaded shard, the minimum rises and every merged entry
+		// stamped under the old one reads as stale. The model-id gate
+		// covers the rolling-reload windows the scalar cannot: while
+		// the tracked fingerprints disagree the cache is bypassed, and
+		// an entry whose fingerprint is not the agreed one is a miss.
+		if v, ok := h.cache.Get(cacheEpoch, key); ok && v.modelID == cacheID {
+			h.r.cacheHits.Add(1)
+			h.r.requests.Add(1)
+			h.writeJSON(w, api.RecommendResponse{Items: v.items, Epoch: cacheEpoch, ModelID: v.modelID})
+			return
+		}
+	}
+	resp, errDetail := h.r.route(ctx, t, wr, passQuery)
+	if errDetail != nil {
+		h.r.errors.Add(1)
+		api.WriteError(w, *errDetail)
+		return
+	}
+	if cacheable && !resp.Degraded {
+		h.cache.Put(resp.Epoch, key, cachedResult{items: resp.Items, modelID: resp.ModelID})
+	}
+	h.r.requests.Add(1)
+	h.writeJSON(w, resp)
 }
 
 func (h *HTTP) fail(w http.ResponseWriter, code api.Code, err error) {
@@ -263,7 +248,6 @@ func (h *HTTP) stats(w http.ResponseWriter, r *http.Request) {
 		Hedges:        h.r.hedges.Load(),
 		HedgeWins:     h.r.hedgeWins.Load(),
 		EpochMismatch: h.r.epochMismatch.Load(),
-		Legacy:        h.r.legacy.Load(),
 		CacheHits:     h.r.cacheHits.Load(),
 		HedgeDelayMS:  h.r.cfg.HedgeDelay.Milliseconds(),
 		DegradedMode:  mode,

@@ -128,7 +128,6 @@ type Router struct {
 	hedges        atomic.Int64
 	hedgeWins     atomic.Int64
 	epochMismatch atomic.Int64
-	legacy        atomic.Int64
 	cacheHits     atomic.Int64
 	deadlines     atomic.Int64
 

@@ -164,7 +164,9 @@ func post(t *testing.T, url, body string) (int, string) {
 // catalog answers every request with the byte-identical response of a
 // single full-catalog node — status, items, scores, tie-breaks, epoch,
 // fingerprint, every JSON byte — across strategies, filters, precision
-// overrides, pagination and the branch-and-bound engine.
+// overrides, pagination and the branch-and-bound engine. The retired
+// per-shape routes are rows too: both sides must answer them with the
+// same typed 404 not_found envelope.
 func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 	requests := []struct {
 		path, query, body string
@@ -183,6 +185,7 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 		{"/v1/recommend", "?pruned=true", `{"user":9,"k":9}`},
 		{"/v1/recommend", "?offset=6&category=1,3", `{"user":10,"k":8}`},
 		{"/v1/recommend", "", `{"user":99999,"k":5}`}, // shard 400, propagated verbatim
+		// retired routes
 		{"/v1/recommend/user", "", `{"user":13,"k":7}`},
 		{"/v1/recommend/session", "", `{"k":7,"recent":[[20,21,22]]}`},
 		{"/v1/recommend/cascade", "", `{"user":14,"k":7,"keep":4}`},
@@ -202,42 +205,15 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 					t.Errorf("%s%s %s:\nrouter (%d): %s\nsingle (%d): %s",
 						rq.path, rq.query, rq.body, gotCode, got, wantCode, want)
 				}
+				if rq.path != api.EndpointUnified.Path() {
+					var eb api.ErrorBody
+					if err := json.Unmarshal([]byte(got), &eb); err != nil ||
+						gotCode != http.StatusNotFound || eb.Err.Code != api.CodeNotFound {
+						t.Errorf("retired route %s answered %d %s, want 404 not_found", rq.path, gotCode, got)
+					}
+				}
 			}
 		})
-	}
-}
-
-// The legacy per-shape routes must answer through the router with the
-// same deprecation headers a single node sends.
-func TestRouterLegacyHeaders(t *testing.T) {
-	tp := newTopology(t, []api.ItemRange{{Lo: 0, Hi: 100}, {Lo: 100, Hi: 270}}, Config{})
-	defer tp.close()
-	resp, err := http.Post(tp.front.URL+"/v1/recommend/user", "application/json",
-		strings.NewReader(`{"user":3,"k":5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get("Deprecation"); got != serve.DeprecationDate {
-		t.Fatalf("Deprecation header %q, want %q", got, serve.DeprecationDate)
-	}
-	if got := resp.Header.Get("Link"); got != serve.SuccessorLink {
-		t.Fatalf("Link header %q, want %q", got, serve.SuccessorLink)
-	}
-	var rs api.RouterStats
-	statsResp, err := http.Get(tp.front.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer statsResp.Body.Close()
-	if err := json.NewDecoder(statsResp.Body).Decode(&rs); err != nil {
-		t.Fatal(err)
-	}
-	if rs.Router.Legacy != 1 {
-		t.Fatalf("legacy_requests = %d, want 1", rs.Router.Legacy)
-	}
-	if rs.Model.Items != 270 || len(rs.Shards) != 2 {
-		t.Fatalf("stats model/shards wrong: %+v", rs)
 	}
 }
 
@@ -324,6 +300,10 @@ func TestRouterSnapshotMixing(t *testing.T) {
 	decodeStats(t, tp.front.URL, &rs)
 	if rs.Router.CacheHits != 1 {
 		t.Fatalf("cache_hits = %d, want 1", rs.Router.CacheHits)
+	}
+	// the aggregate catalog shape and the shard rows
+	if rs.Model.Items != 270 || len(rs.Shards) != 2 {
+		t.Fatalf("stats model/shards wrong: %+v", rs)
 	}
 
 	// reload only shard 0 with different content: merges must refuse

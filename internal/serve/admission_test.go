@@ -88,7 +88,7 @@ func TestHTTPAdmissionSheds(t *testing.T) {
 
 	// occupy the only slot directly, then hit the endpoint
 	h.adm.slots <- struct{}{}
-	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user", `{"user":1,"k":3}`)
+	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":1,"k":3}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated: status %d, want 429", resp.StatusCode)
 	}
@@ -97,7 +97,7 @@ func TestHTTPAdmissionSheds(t *testing.T) {
 	}
 	<-h.adm.slots
 
-	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user", `{"user":1,"k":3}`)
+	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":1,"k":3}`)
 	if resp.StatusCode != http.StatusOK || len(out.Items) != 3 {
 		t.Fatalf("after release: status %d items %d", resp.StatusCode, len(out.Items))
 	}
@@ -128,7 +128,7 @@ func TestHTTPTimeoutSheds(t *testing.T) {
 	ts := httptest.NewServer(h.Handler())
 	defer ts.Close()
 
-	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user", `{"user":1,"k":3}`)
+	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":1,"k":3}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("timed-out request: status %d, want 503", resp.StatusCode)
 	}
@@ -140,7 +140,7 @@ func TestHTTPTimeoutSheds(t *testing.T) {
 	}
 
 	h.SetTimeout(10 * time.Second)
-	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user", `{"user":1,"k":3}`)
+	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":1,"k":3}`)
 	if resp.StatusCode != http.StatusOK || len(out.Items) != 3 {
 		t.Fatalf("generous timeout: status %d items %d", resp.StatusCode, len(out.Items))
 	}

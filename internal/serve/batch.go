@@ -14,7 +14,7 @@ import (
 // Batcher coalesces concurrent Recommend calls into one multi-query sweep
 // over the shared factor slab. Full-scan requests arriving within a short
 // window are collected into a micro-batch and executed by
-// infer.MultiNaiveInto (through the server's pool when it has one): each
+// infer.Pool.ExecuteBatch (through the server's pool when it has one): each
 // cache-sized shard of the item slab is read once and scored against
 // every query in the batch, so B coalesced requests stream the catalog's
 // factors through memory once instead of B times. Cascaded and

@@ -42,7 +42,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 
 	t.Run("malformed JSON", func(t *testing.T) {
-		resp, err := ts.Client().Post(ts.URL+"/v1/recommend/user", "application/json",
+		resp, err := ts.Client().Post(ts.URL+"/v1/recommend", "application/json",
 			strings.NewReader(`{"user": 3, "k": `))
 		if err != nil {
 			t.Fatal(err)
@@ -54,7 +54,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 	})
 
 	t.Run("unknown user", func(t *testing.T) {
-		resp, err := ts.Client().Post(ts.URL+"/v1/recommend/user", "application/json",
+		resp, err := ts.Client().Post(ts.URL+"/v1/recommend", "application/json",
 			strings.NewReader(`{"user": 99999, "k": 5}`))
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 
 	t.Run("oversize body gets 413", func(t *testing.T) {
 		big := `{"user":3,"k":5,"recent":[[` + strings.Repeat("1,", 400) + `1]]}`
-		resp, err := ts.Client().Post(ts.URL+"/v1/recommend/user", "application/json",
+		resp, err := ts.Client().Post(ts.URL+"/v1/recommend", "application/json",
 			strings.NewReader(big))
 		if err != nil {
 			t.Fatal(err)
@@ -84,7 +84,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 
 	t.Run("bad workers parameter", func(t *testing.T) {
 		for _, ws := range []string{"abc", "-1", "1.5"} {
-			resp, err := ts.Client().Post(ts.URL+"/v1/recommend/user?workers="+ws,
+			resp, err := ts.Client().Post(ts.URL+"/v1/recommend?workers="+ws,
 				"application/json", strings.NewReader(`{"user":3,"k":5}`))
 			if err != nil {
 				t.Fatal(err)
@@ -98,7 +98,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 
 	t.Run("bad precision parameter", func(t *testing.T) {
 		for _, ps := range []string{"f16", "float64", "exact"} {
-			resp, err := ts.Client().Post(ts.URL+"/v1/recommend/user?precision="+ps,
+			resp, err := ts.Client().Post(ts.URL+"/v1/recommend?precision="+ps,
 				"application/json", strings.NewReader(`{"user":3,"k":5}`))
 			if err != nil {
 				t.Fatal(err)
@@ -122,9 +122,9 @@ func TestHTTPPrecisionKnob(t *testing.T) {
 	ts := httptest.NewServer(h.Handler())
 	defer ts.Close()
 
-	resp32, out32 := postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user?precision=f32", `{"user":3,"k":8}`)
-	resp64, out64 := postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user?precision=f64", `{"user":3,"k":8}`)
-	respI8, outI8 := postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user?precision=int8", `{"user":3,"k":8}`)
+	resp32, out32 := postJSON(t, ts.Client(), ts.URL+"/v1/recommend?precision=f32", `{"user":3,"k":8}`)
+	resp64, out64 := postJSON(t, ts.Client(), ts.URL+"/v1/recommend?precision=f64", `{"user":3,"k":8}`)
+	respI8, outI8 := postJSON(t, ts.Client(), ts.URL+"/v1/recommend?precision=int8", `{"user":3,"k":8}`)
 	if resp32.StatusCode != http.StatusOK || resp64.StatusCode != http.StatusOK || respI8.StatusCode != http.StatusOK {
 		t.Fatalf("statuses %d/%d/%d", resp32.StatusCode, resp64.StatusCode, respI8.StatusCode)
 	}

@@ -21,22 +21,14 @@ import (
 // HTTP exposes a Server over JSON endpoints — the network-facing
 // deployment shape of the recommender. Endpoints:
 //
-//	POST /v1/recommend             {"user":17,"k":10,"strategy":"cascade","keep":0.2,...}
-//	POST /v1/recommend/user        deprecated alias (strategy fixed to naive)
-//	POST /v1/recommend/session     deprecated alias (naive, user forced to -1)
-//	POST /v1/recommend/cascade     deprecated alias (strategy fixed to cascade)
-//	POST /v1/recommend/diversified deprecated alias (strategy fixed to diversified)
+//	POST /v1/recommend  {"user":17,"k":10,"strategy":"cascade","keep":0.2,...}
 //	GET  /v1/stats
 //	GET  /healthz
 //
 // The wire shapes are the internal/api types (see docs/API.md).
-// /v1/recommend is the unified plan endpoint: "strategy" picks naive
-// (default), cascade or diversified. The four per-shape routes are thin
-// adapters — each rewrites its body into the unified form
-// (api.RecommendRequest.RewriteLegacy) and runs the exact same plan
-// path, answering with Deprecation and Link (successor-version) headers
-// and counting into the legacy_requests stat so their removal can be
-// data-driven.
+// /v1/recommend is the one recommend route: "strategy" picks naive
+// (default), cascade or diversified, and "user":-1 makes a session
+// request. Every other path answers the typed 404 not_found envelope.
 //
 // Responses are api.RecommendResponse: the ranked items (with the quota
 // category annotated on diversified rankings), the snapshot epoch the
@@ -69,16 +61,11 @@ type HTTP struct {
 	adm        *Admission
 	timeout    time.Duration
 
-	users       atomic.Int64
-	sessions    atomic.Int64
-	cascades    atomic.Int64
-	diversified atomic.Int64
-	plans       atomic.Int64
-	legacy      atomic.Int64
-	errors      atomic.Int64
-	reloads     atomic.Int64
-	cacheHits   atomic.Int64
-	deadlines   atomic.Int64
+	plans     atomic.Int64
+	errors    atomic.Int64
+	reloads   atomic.Int64
+	cacheHits atomic.Int64
+	deadlines atomic.Int64
 }
 
 // DefaultMaxBodyBytes caps request bodies unless SetMaxBodyBytes chooses
@@ -86,16 +73,6 @@ type HTTP struct {
 // three orders of magnitude of headroom while keeping a hostile client
 // from streaming gigabytes into the JSON decoder.
 const DefaultMaxBodyBytes = 1 << 20
-
-// DeprecationDate is the RFC 9745 Deprecation header value the legacy
-// per-shape endpoints answer with: the date their deprecation was
-// announced (the unified plan endpoint became the only documented
-// route), as "@" + Unix seconds.
-const DeprecationDate = "@1785542400" // 2026-08-01
-
-// SuccessorLink is the RFC 8288 Link header pointing legacy-endpoint
-// clients at the unified route.
-const SuccessorLink = `</v1/recommend>; rel="successor-version"`
 
 // NewHTTP wraps srv. reload, which may be nil, produces a fresh model for
 // Reload (typically by re-reading the model file).
@@ -201,11 +178,7 @@ func (h *HTTP) Reload() error {
 // Handler returns the route table.
 func (h *HTTP) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/recommend", h.recommend(&h.plans, api.EndpointUnified))
-	mux.HandleFunc("POST /v1/recommend/user", h.recommend(&h.users, api.EndpointUser))
-	mux.HandleFunc("POST /v1/recommend/session", h.recommend(&h.sessions, api.EndpointSession))
-	mux.HandleFunc("POST /v1/recommend/cascade", h.recommend(&h.cascades, api.EndpointCascade))
-	mux.HandleFunc("POST /v1/recommend/diversified", h.recommend(&h.diversified, api.EndpointDiversified))
+	mux.HandleFunc("POST "+api.EndpointUnified.Path(), h.recommend)
 	mux.HandleFunc("GET /v1/stats", h.stats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -216,9 +189,9 @@ func (h *HTTP) Handler() http.Handler {
 	return mux
 }
 
-// toRequest translates the (already legacy-rewritten) wire form against
-// the current snapshot: the strategy string resolves the plan shape and
-// the shape-specific fields are validated for it.
+// toRequest translates the wire form against the current snapshot: the
+// strategy string resolves the plan shape and the shape-specific fields
+// are validated for it.
 func toRequest(wr api.RecommendRequest, c *model.Composed) (Request, error) {
 	req := Request{
 		User:              wr.User,
@@ -318,133 +291,121 @@ func queryParams(r *http.Request, req *Request) error {
 	return nil
 }
 
-func (h *HTTP) recommend(counter *atomic.Int64, ep api.Endpoint) http.HandlerFunc {
-	legacy := ep != api.EndpointUnified
-	return func(w http.ResponseWriter, r *http.Request) {
-		if legacy {
-			h.legacy.Add(1)
-			w.Header().Set("Deprecation", DeprecationDate)
-			w.Header().Set("Link", SuccessorLink)
-		}
-		// the per-request budget is armed before admission so the queue
-		// wait spends it too — "-timeout 2s" bounds the request, not just
-		// its sweep; admission still comes before the body parse so a
-		// shed request costs a channel poll and a JSON error, not decoder
-		// garbage
-		ctx := r.Context()
-		if h.timeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, h.timeout)
-			defer cancel()
-		}
-		if h.adm != nil {
-			release, code := h.adm.Acquire(ctx)
-			if release == nil {
-				h.shed(w, code)
-				return
-			}
-			defer release()
-		}
-		// bound the body before the decoder touches it: a streamed
-		// gigabyte must die at the limit, not in the decoder's buffers
-		r.Body = http.MaxBytesReader(w, r.Body, h.maxBody)
-		var wr api.RecommendRequest
-		if err := json.NewDecoder(r.Body).Decode(&wr); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				h.fail(w, api.CodeBodyTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-				return
-			}
-			h.fail(w, api.CodeBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		// the legacy adapters ARE this rewrite: after it, a legacy request
-		// is indistinguishable from its unified equivalent and takes the
-		// identical plan path below
-		wr.RewriteLegacy(ep)
-		// pin one (epoch, snapshot) pair for request translation, cache
-		// identity and execution, so a concurrent hot swap (which may
-		// change taxonomy depth) cannot invalidate a request between the
-		// steps — or stamp its result under the wrong cache epoch. The
-		// reference also keeps a memory-mapped snapshot mapped until this
-		// request finishes with it.
-		epoch, ref := h.srv.pin()
-		defer ref.release()
-		c := ref.c
-		req, err := toRequest(wr, c)
-		if err != nil {
-			h.fail(w, api.CodeBadRequest, err)
-			return
-		}
-		if err := queryParams(r, &req); err != nil {
-			h.fail(w, api.CodeBadRequest, err)
-			return
-		}
-		// a request pinning a non-zero fan-out opts out of coalescing, as
-		// do item filters (the shared sweep is one visitation pattern; the
-		// batcher would only sub-group them back onto the per-request
-		// path after the window wait), a shard-scoped server (whose range
-		// mask is a filter on every plan) and a precision override the
-		// batch would not honor; pinning the precision the batch already
-		// runs at keeps the coalescing win
-		var resp Response
-		batchable := req.Precision == model.PrecisionDefault ||
-			req.Precision == h.srv.effectivePrecision(c, Request{})
-		if h.batcher != nil && req.Workers == 0 && batchable && !req.hasFilter() &&
-			req.Cascade == nil && req.MaxPerCategory <= 0 &&
-			!req.Pruned && !h.srv.pruned && !h.srv.ranged() {
-			// probe the cache before joining a batch: a hot key must not
-			// pay the coalescing window for a result that is already sitting
-			// in memory (the batcher fills the same epoch-stamped cache)
-			if items, ok := h.srv.cached(epoch, req); ok {
-				resp = Response{Items: items, Cached: true}
-			} else {
-				items, err := h.batcher.RecommendContext(ctx, req)
-				resp = Response{Items: items, Err: err}
-			}
-		} else {
-			resp = h.srv.run(ctx, epoch, c, req)
-		}
-		if resp.Err != nil {
-			// a deadline expired — the armed per-request budget or a
-			// middleware deadline — whether mid-sweep (infer.ErrDeadline)
-			// or while waiting on a coalesced batch (bare
-			// DeadlineExceeded; the shared sweep finishes for the other
-			// waiters). That is load, not client error: shed with
-			// Retry-After so well-behaved clients back off, and count it
-			// so /v1/stats shows deadline pressure. The check is on the
-			// wrapped cause, NOT on ErrDeadline alone: a client that hung
-			// up mid-sweep also surfaces as ErrDeadline (wrapping
-			// context.Canceled) and must not inflate the deadline stat.
-			if errors.Is(resp.Err, context.DeadlineExceeded) {
-				h.deadlines.Add(1)
-				h.shed(w, api.CodeDeadlineExceeded)
-				return
-			}
-			// a cancellation means the client went away (mid-batch-wait or
-			// mid-sweep) — not a serving error worth alerting on. Still
-			// write 503 in case the connection is alive, so nothing reads
-			// as an empty 200.
-			if errors.Is(resp.Err, context.Canceled) {
-				w.WriteHeader(http.StatusServiceUnavailable)
-				return
-			}
-			// request validation failures are typed; anything else that
-			// escapes the executor is a server fault, not a client error
-			code := api.CodeInternal
-			var reqErr *RequestError
-			if errors.As(resp.Err, &reqErr) {
-				code = api.CodeBadRequest
-			}
-			h.fail(w, code, resp.Err)
-			return
-		}
-		if resp.Cached {
-			h.cacheHits.Add(1)
-		}
-		counter.Add(1)
-		h.writeJSON(w, toWire(c, ref.gen, req, resp.Items))
+func (h *HTTP) recommend(w http.ResponseWriter, r *http.Request) {
+	// the per-request budget is armed before admission so the queue
+	// wait spends it too — "-timeout 2s" bounds the request, not just
+	// its sweep; admission still comes before the body parse so a
+	// shed request costs a channel poll and a JSON error, not decoder
+	// garbage
+	ctx := r.Context()
+	if h.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, h.timeout)
+		defer cancel()
 	}
+	if h.adm != nil {
+		release, code := h.adm.Acquire(ctx)
+		if release == nil {
+			h.shed(w, code)
+			return
+		}
+		defer release()
+	}
+	// bound the body before the decoder touches it: a streamed
+	// gigabyte must die at the limit, not in the decoder's buffers
+	r.Body = http.MaxBytesReader(w, r.Body, h.maxBody)
+	var wr api.RecommendRequest
+	if err := json.NewDecoder(r.Body).Decode(&wr); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			h.fail(w, api.CodeBodyTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
+		h.fail(w, api.CodeBadRequest, fmt.Errorf("bad request body: %w", err))
+		return
+	}
+	// pin one (epoch, snapshot) pair for request translation, cache
+	// identity and execution, so a concurrent hot swap (which may
+	// change taxonomy depth) cannot invalidate a request between the
+	// steps — or stamp its result under the wrong cache epoch. The
+	// reference also keeps a memory-mapped snapshot mapped until this
+	// request finishes with it.
+	epoch, ref := h.srv.pin()
+	defer ref.release()
+	c := ref.c
+	req, err := toRequest(wr, c)
+	if err != nil {
+		h.fail(w, api.CodeBadRequest, err)
+		return
+	}
+	if err := queryParams(r, &req); err != nil {
+		h.fail(w, api.CodeBadRequest, err)
+		return
+	}
+	// a request pinning a non-zero fan-out opts out of coalescing, as
+	// do item filters (the shared sweep is one visitation pattern; the
+	// batcher would only sub-group them back onto the per-request
+	// path after the window wait), a shard-scoped server (whose range
+	// mask is a filter on every plan) and a precision override the
+	// batch would not honor; pinning the precision the batch already
+	// runs at keeps the coalescing win
+	var resp Response
+	batchable := req.Precision == model.PrecisionDefault ||
+		req.Precision == h.srv.effectivePrecision(c, Request{})
+	if h.batcher != nil && req.Workers == 0 && batchable && !req.hasFilter() &&
+		req.Cascade == nil && req.MaxPerCategory <= 0 &&
+		!req.Pruned && !h.srv.pruned && !h.srv.ranged() {
+		// probe the cache before joining a batch: a hot key must not
+		// pay the coalescing window for a result that is already sitting
+		// in memory (the batcher fills the same epoch-stamped cache)
+		if items, ok := h.srv.cached(epoch, req); ok {
+			resp = Response{Items: items, Cached: true}
+		} else {
+			items, err := h.batcher.RecommendContext(ctx, req)
+			resp = Response{Items: items, Err: err}
+		}
+	} else {
+		resp = h.srv.run(ctx, epoch, c, req)
+	}
+	if resp.Err != nil {
+		// a deadline expired — the armed per-request budget or a
+		// middleware deadline — whether mid-sweep (infer.ErrDeadline)
+		// or while waiting on a coalesced batch (bare
+		// DeadlineExceeded; the shared sweep finishes for the other
+		// waiters). That is load, not client error: shed with
+		// Retry-After so well-behaved clients back off, and count it
+		// so /v1/stats shows deadline pressure. The check is on the
+		// wrapped cause, NOT on ErrDeadline alone: a client that hung
+		// up mid-sweep also surfaces as ErrDeadline (wrapping
+		// context.Canceled) and must not inflate the deadline stat.
+		if errors.Is(resp.Err, context.DeadlineExceeded) {
+			h.deadlines.Add(1)
+			h.shed(w, api.CodeDeadlineExceeded)
+			return
+		}
+		// a cancellation means the client went away (mid-batch-wait or
+		// mid-sweep) — not a serving error worth alerting on. Still
+		// write 503 in case the connection is alive, so nothing reads
+		// as an empty 200.
+		if errors.Is(resp.Err, context.Canceled) {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		// request validation failures are typed; anything else that
+		// escapes the executor is a server fault, not a client error
+		code := api.CodeInternal
+		var reqErr *RequestError
+		if errors.As(resp.Err, &reqErr) {
+			code = api.CodeBadRequest
+		}
+		h.fail(w, code, resp.Err)
+		return
+	}
+	if resp.Cached {
+		h.cacheHits.Add(1)
+	}
+	h.plans.Add(1)
+	h.writeJSON(w, toWire(c, ref.gen, req, resp.Items))
 }
 
 // shed answers a load-shedding rejection: 429 (wait queue full) or 503
@@ -517,13 +478,8 @@ func (h *HTTP) stats(w http.ResponseWriter, r *http.Request) {
 		// contiguous catalog slice this process answers for
 		out.Model.ItemRange = &api.ItemRange{Lo: lo, Hi: hi}
 	}
-	out.Served.User = h.users.Load()
-	out.Served.Session = h.sessions.Load()
-	out.Served.Cascade = h.cascades.Load()
-	out.Served.Diversified = h.diversified.Load()
 	out.Served.Plan = h.plans.Load()
 	out.Served.Errors = h.errors.Load()
-	out.Served.Legacy = h.legacy.Load()
 	out.Inference.PoolWorkers = h.srv.Pool().Workers()
 	out.Inference.Precision = h.srv.Precision().String()
 	out.Inference.F32Escalations = infer.F32Escalations()

@@ -39,7 +39,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	defer ts.Close()
 
 	// user recommendations match the in-process path
-	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user", `{"user":3,"k":5}`)
+	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":5}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("user: status %d", resp.StatusCode)
 	}
@@ -58,20 +58,20 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	// recent baskets round-trip through JSON
 	recent, _ := json.Marshal(data.Users[3].Baskets)
-	resp, out = postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user",
+	resp, out = postJSON(t, ts.Client(), ts.URL+"/v1/recommend",
 		fmt.Sprintf(`{"user":3,"recent":%s,"k":4}`, recent))
 	if resp.StatusCode != http.StatusOK || len(out.Items) != 4 {
 		t.Fatalf("user+recent: status %d items %d", resp.StatusCode, len(out.Items))
 	}
 
-	// session ignores any user field
-	resp, out = postJSON(t, ts.Client(), ts.URL+"/v1/recommend/session", `{"user":99999,"recent":[[7]],"k":5}`)
+	// user -1 is a session request, ranked on the recent baskets alone
+	resp, out = postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":-1,"recent":[[7]],"k":5}`)
 	if resp.StatusCode != http.StatusOK || len(out.Items) != 5 {
 		t.Fatalf("session: status %d items %d", resp.StatusCode, len(out.Items))
 	}
 
 	// full-keep cascade equals the naive user ranking
-	resp, out = postJSON(t, ts.Client(), ts.URL+"/v1/recommend/cascade", `{"user":3,"k":5,"keep":1}`)
+	resp, out = postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":5,"strategy":"cascade","keep":1}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cascade: status %d", resp.StatusCode)
 	}
@@ -82,7 +82,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 
 	// diversified respects the quota
-	resp, out = postJSON(t, ts.Client(), ts.URL+"/v1/recommend/diversified", `{"user":3,"k":5,"max_per_category":1}`)
+	resp, out = postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":5,"strategy":"diversified","max_per_category":1}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("diversified: status %d", resp.StatusCode)
 	}
@@ -96,6 +96,32 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// The per-shape routes retired in favour of POST /v1/recommend answer the
+// same typed 404 envelope as any unknown path, and count nowhere.
+func TestHTTPRetiredRoutesNotFound(t *testing.T) {
+	m, _ := trainedModel(t)
+	h := NewHTTP(New(m), nil)
+	ts := httptest.NewServer(h.Handler())
+	defer ts.Close()
+
+	for _, shape := range []string{"user", "session", "cascade", "diversified"} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/recommend/"+shape, "application/json",
+			bytes.NewReader([]byte(`{"user":3,"k":5}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb api.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusNotFound || eb.Err.Code != api.CodeNotFound {
+			t.Fatalf("%s: status %d, envelope %+v (%v), want 404 not_found", shape, resp.StatusCode, eb, err)
+		}
+	}
+	if h.plans.Load() != 0 || h.errors.Load() != 0 {
+		t.Fatalf("retired routes moved the counters: plan %d, errors %d", h.plans.Load(), h.errors.Load())
+	}
+}
+
 func TestHTTPErrors(t *testing.T) {
 	m, _ := trainedModel(t)
 	h := NewHTTP(New(m), nil)
@@ -103,11 +129,11 @@ func TestHTTPErrors(t *testing.T) {
 	defer ts.Close()
 
 	for name, probe := range map[string]struct{ path, body string }{
-		"bad json":       {"/v1/recommend/user", `{"user":`},
-		"bad user":       {"/v1/recommend/user", `{"user":99999,"k":5}`},
-		"zero k":         {"/v1/recommend/user", `{"user":1}`},
-		"cascade nokeep": {"/v1/recommend/cascade", `{"user":1,"k":5}`},
-		"div noquota":    {"/v1/recommend/diversified", `{"user":1,"k":5}`},
+		"bad json":       {"/v1/recommend", `{"user":`},
+		"bad user":       {"/v1/recommend", `{"user":99999,"k":5}`},
+		"zero k":         {"/v1/recommend", `{"user":1}`},
+		"cascade nokeep": {"/v1/recommend", `{"user":1,"k":5,"strategy":"cascade"}`},
+		"div noquota":    {"/v1/recommend", `{"user":1,"k":5,"strategy":"diversified"}`},
 	} {
 		resp, _ := postJSON(t, ts.Client(), ts.URL+probe.path, probe.body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -135,8 +161,8 @@ func TestHTTPStats(t *testing.T) {
 	ts := httptest.NewServer(h.Handler())
 	defer ts.Close()
 
-	postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user", `{"user":1,"k":3}`)
-	postJSON(t, ts.Client(), ts.URL+"/v1/recommend/session", `{"recent":[[2]],"k":3}`)
+	postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":1,"k":3}`)
+	postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":-1,"recent":[[2]],"k":3}`)
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -150,7 +176,7 @@ func TestHTTPStats(t *testing.T) {
 	if st.Model.Items != m.Tree.NumItems() || st.Model.K != m.P.K || st.Model.Depth != m.Tree.Depth() {
 		t.Fatalf("stats model block wrong: %+v", st.Model)
 	}
-	if st.Served.User != 1 || st.Served.Session != 1 {
+	if st.Served.Plan != 2 {
 		t.Fatalf("stats counters wrong: %+v", st.Served)
 	}
 	// the kernels section must mirror the process-wide vecmath dispatch
@@ -198,7 +224,7 @@ func TestHTTPHotSwap(t *testing.T) {
 				default:
 				}
 				body := fmt.Sprintf(`{"user":%d,"k":3}`, (w*13+i)%data.NumUsers())
-				resp, err := ts.Client().Post(ts.URL+"/v1/recommend/user", "application/json", bytes.NewReader([]byte(body)))
+				resp, err := ts.Client().Post(ts.URL+"/v1/recommend", "application/json", bytes.NewReader([]byte(body)))
 				if err != nil {
 					t.Error(err)
 					return
@@ -249,7 +275,7 @@ func TestHTTPWorkersKnobAndBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, suffix := range []string{"", "?workers=0", "?workers=1", "?workers=2"} {
-		resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user"+suffix, `{"user":3,"k":5}`)
+		resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/recommend"+suffix, `{"user":3,"k":5}`)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%q: status %d", suffix, resp.StatusCode)
 		}
@@ -263,12 +289,12 @@ func TestHTTPWorkersKnobAndBatching(t *testing.T) {
 		}
 	}
 	// cascaded requests bypass the batcher but honor the pool
-	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend/cascade?workers=2", `{"user":3,"k":5,"keep":0.6}`)
+	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend?workers=2", `{"user":3,"k":5,"strategy":"cascade","keep":0.6}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cascade with workers: status %d", resp.StatusCode)
 	}
 	// malformed knob is a client error
-	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user?workers=lots", `{"user":3,"k":5}`)
+	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/recommend?workers=lots", `{"user":3,"k":5}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad workers value: status %d, want 400", resp.StatusCode)
 	}

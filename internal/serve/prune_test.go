@@ -74,11 +74,11 @@ func TestHTTPPruned(t *testing.T) {
 	}
 	before := infer.PruneCounters()
 	for _, url := range []string{
-		ts.URL + "/v1/recommend/user",
-		ts.URL + "/v1/recommend/user?pruned=true",
+		ts.URL + "/v1/recommend",
+		ts.URL + "/v1/recommend?pruned=true",
 	} {
 		body := `{"user":3,"k":5}`
-		if url == ts.URL+"/v1/recommend/user" {
+		if url == ts.URL+"/v1/recommend" {
 			body = `{"user":3,"k":5,"pruned":true}`
 		}
 		resp, out := postJSON(t, ts.Client(), url, body)
@@ -95,7 +95,7 @@ func TestHTTPPruned(t *testing.T) {
 		t.Fatal("pruned requests evaluated no bounds")
 	}
 
-	if resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend/user?pruned=maybe", `{"user":3,"k":5}`); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend?pruned=maybe", `{"user":3,"k":5}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad pruned parameter: status %d", resp.StatusCode)
 	}
 

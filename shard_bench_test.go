@@ -10,6 +10,7 @@ package tfrec
 // pool path must stay allocation-free.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -40,18 +41,69 @@ func benchShardedWorld(b *testing.B) (*model.Composed, []float64) {
 	return c, q
 }
 
+// f64Top10 is the exact f64 top-10 plan the f64 sweep benches execute.
+var f64Top10 = infer.Plan{K: 10, Precision: model.PrecisionF64}
+
+// runExecuteInto times pl on one reused collector (through p's workers; a
+// nil pool runs serially) after one warm-up execution, which fills the
+// task and scratch recycling pools so the loop measures the steady state.
+func runExecuteInto(b *testing.B, p *infer.Pool, c *model.Composed, q []float64, pl infer.Plan) {
+	b.Helper()
+	st := vecmath.NewTopKStream(pl.K)
+	ctx := context.Background()
+	if _, err := p.ExecuteInto(ctx, c, q, pl, st); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.ExecuteInto(ctx, c, q, pl, st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// runSaturated drives pl through the pool from all benchmark goroutines
+// at once, each on its own collector.
+func runSaturated(b *testing.B, pool *infer.Pool, c *model.Composed, q []float64, pl infer.Plan) {
+	b.Helper()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		st := vecmath.NewTopKStream(pl.K)
+		for pb.Next() {
+			if _, err := pool.ExecuteInto(ctx, c, q, pl, st); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// runBatch times ExecuteBatch over qs, every query under pl; ns/op is
+// per-batch.
+func runBatch(b *testing.B, c *model.Composed, qs [][]float64, pl infer.Plan) {
+	b.Helper()
+	pls := make([]infer.Plan, len(qs))
+	for i := range pls {
+		pls[i] = pl
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (*infer.Pool)(nil).ExecuteBatch(ctx, c, qs, pls); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkShardedTopKSerial is the single-core reference the parallel
 // sweep is gated against (the ≥2x criterion compares workers=4 to this).
 func BenchmarkShardedTopKSerial(b *testing.B) {
 	c, q := benchShardedWorld(b)
-	st := vecmath.NewTopKStream(10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Reset(10)
-		infer.NaiveInto(c, q, st)
-		_ = st.Ranked()
-	}
+	runExecuteInto(b, nil, c, q, f64Top10)
 }
 
 func BenchmarkShardedTopK(b *testing.B) {
@@ -60,16 +112,7 @@ func BenchmarkShardedTopK(b *testing.B) {
 			c, q := benchShardedWorld(b)
 			pool := infer.NewPool(workers)
 			defer pool.Close()
-			st := vecmath.NewTopKStream(10)
-			// one warm-up pass populates the task/scratch recycling pools
-			pool.NaiveInto(c, q, st, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.Reset(10)
-				pool.NaiveInto(c, q, st, 0)
-				_ = st.Ranked()
-			}
+			runExecuteInto(b, pool, c, q, f64Top10)
 		})
 	}
 }
@@ -81,16 +124,7 @@ func BenchmarkShardedTopKSaturated(b *testing.B) {
 	c, q := benchShardedWorld(b)
 	pool := infer.NewPool(0)
 	defer pool.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		st := vecmath.NewTopKStream(10)
-		for pb.Next() {
-			st.Reset(10)
-			pool.NaiveInto(c, q, st, 0)
-			_ = st.Ranked()
-		}
-	})
+	runSaturated(b, pool, c, q, f64Top10)
 }
 
 // BenchmarkShardedBatchSweep scores a coalesced batch with one pass over
@@ -101,18 +135,7 @@ func BenchmarkShardedBatchSweep(b *testing.B) {
 	for _, batch := range []int{4, 16} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			c, qs := benchBatchQueries(b, batch)
-			outs := make([]*vecmath.TopKStream, batch)
-			for i := range outs {
-				outs[i] = vecmath.NewTopKStream(10)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range outs {
-					outs[j].Reset(10)
-				}
-				infer.MultiNaiveInto(c, qs, outs)
-			}
+			runBatch(b, c, qs, f64Top10)
 		})
 	}
 }
@@ -122,13 +145,14 @@ func BenchmarkShardedBatchLoop(b *testing.B) {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			c, qs := benchBatchQueries(b, batch)
 			st := vecmath.NewTopKStream(10)
+			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range qs {
-					st.Reset(10)
-					infer.NaiveInto(c, q, st)
-					_ = st.Ranked()
+					if _, err := infer.ExecuteInto(ctx, c, q, f64Top10, st); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
