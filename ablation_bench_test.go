@@ -63,33 +63,6 @@ func BenchmarkAblationSiblingMix(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCacheThreshold sweeps the §6.1 reconciliation threshold
-// at a fixed worker count, reporting epoch time and quality: 0 is
-// write-through (pure locking), large thresholds trade staleness for
-// speed.
-func BenchmarkAblationCacheThreshold(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		w := ablationWorld(b)
-		for _, th := range []float64{0, 0.01, 0.1, 1.0} {
-			cfg := tinyTrainCfg()
-			cfg.Workers = 8
-			cfg.CacheThreshold = th
-			cfg.SamplesPerEpoch = 50000
-			m, err := model.New(w.Tree, w.Log.NumUsers(), tinyParams(w), vecmath.NewRNG(71))
-			if err != nil {
-				b.Fatal(err)
-			}
-			stats, err := train.Train(m, w.History, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res := eval.Evaluate(m.Compose(), w.History, w.Split.Test, eval.DefaultConfig())
-			b.ReportMetric(float64(stats.MeanEpochTime().Microseconds()), "epoch-us@th="+fmtFloat(th))
-			b.ReportMetric(res.AUC, "auc@th="+fmtFloat(th))
-		}
-	}
-}
-
 // BenchmarkAblationDecay compares the paper's exponential α_n decay with a
 // uniform window at Markov order 3.
 func BenchmarkAblationDecay(b *testing.B) {

@@ -170,7 +170,7 @@ func BenchmarkFig8a_EpochTime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// system 1 = TF no caching; report its single-thread epoch time
+		// system 1 = TF; report its single-thread epoch time
 		b.ReportMetric(float64(res.EpochTime[1][0].Microseconds()), "tf-epoch-us")
 		b.ReportMetric(float64(res.EpochTime[0][0].Microseconds()), "mf-epoch-us")
 	}
@@ -183,7 +183,6 @@ func BenchmarkFig8b_Speedup(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.Speedup[1][1], "tf-speedup@8")
-		b.ReportMetric(res.Speedup[2][1], "tf-cached-speedup@8")
 	}
 }
 
@@ -480,7 +479,6 @@ func BenchmarkTrainEpochParallel8(b *testing.B) {
 	cfg := train.DefaultConfig()
 	cfg.Epochs = 1
 	cfg.Workers = 8
-	cfg.CacheThreshold = 0.1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := train.Train(m, data, cfg); err != nil {

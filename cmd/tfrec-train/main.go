@@ -4,10 +4,14 @@
 // Usage:
 //
 //	tfrec-train -data data/ -out model.gob -k 20 -levels 4 -markov 1 \
-//	            -epochs 30 -workers 8 -cache 0.1
+//	            -epochs 30 -workers 8
 //
 // -levels is the paper's taxonomyUpdateLevels (1 = plain MF); -markov is
 // maxPrevtransactions (0 = no short-term term; 1 = FPMC when -levels 1).
+// -workers > 1 trains lock-free in synchronised rounds: each worker owns a
+// block of users, and its writes to shared taxonomy rows are merged at
+// every round barrier, so a run is reproducible for a fixed -seed and
+// -workers.
 package main
 
 import (
@@ -41,7 +45,6 @@ func main() {
 	lambda := flag.Float64("lambda", 0.01, "regularization lambda")
 	sibling := flag.Float64("sibling", 0.5, "sibling-training mix probability (0 disables)")
 	workers := flag.Int("workers", 1, "training goroutines")
-	cache := flag.Float64("cache", 0, "hot-row cache threshold (0 disables; paper uses 0.1)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	cv := flag.String("cv", "", "comma-separated lambda candidates; cross-validate on a mu=0.5 split (§2.2) and train the winner")
 	flag.Parse()
@@ -50,13 +53,12 @@ func main() {
 
 	p := model.Params{K: *k, TaxonomyLevels: *levels, MarkovOrder: *markov, Alpha: 1.0, InitStd: 0.01}
 	cfg := train.Config{
-		Epochs:         *epochs,
-		LearnRate:      *learnRate,
-		Lambda:         *lambda,
-		SiblingMix:     *sibling,
-		Workers:        *workers,
-		CacheThreshold: *cache,
-		Seed:           *seed,
+		Epochs:     *epochs,
+		LearnRate:  *learnRate,
+		Lambda:     *lambda,
+		SiblingMix: *sibling,
+		Workers:    *workers,
+		Seed:       *seed,
 	}
 	if *levels <= 1 {
 		cfg.SiblingMix = 0 // plain MF has no taxonomy to exploit

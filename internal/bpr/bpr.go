@@ -12,7 +12,6 @@ package bpr
 
 import (
 	"repro/internal/dataset"
-	"repro/internal/factors"
 	"repro/internal/model"
 	"repro/internal/vecmath"
 )
@@ -32,26 +31,58 @@ type StepConfig struct {
 	RegularizeEffective bool
 }
 
-// Stores bundles the three factor views a worker reads and updates. In
-// single-threaded training these are factors.Plain over the model's own
-// matrices; in parallel training they are Locked/Cached views over the
-// same storage.
-type Stores struct {
-	User factors.View
-	Node factors.View
-	Next factors.View
-	// Bias guards the per-node popularity biases (1-column rows); only
-	// touched when the model's UseBias is set.
-	Bias factors.View
+// View is row-level access to a factor matrix as seen by one SGD worker.
+// Serial training uses Plain; the parallel trainer routes shared rows
+// through a worker-private write-back overlay that it merges at round
+// barriers.
+type View interface {
+	// ReadInto copies row into dst.
+	ReadInto(row int, dst []float64)
+	// ApplyStep sets row = scale*row + coef*vec — the shape of every BPR
+	// update (scale carries the regularization decay 1−ελ, coef the
+	// gradient coefficient ε·c).
+	ApplyStep(row int, scale, coef float64, vec []float64)
 }
 
-// PlainStores returns direct (unlocked) views over the model's matrices.
+// Plain is a View that reads and writes the matrix directly.
+type Plain struct {
+	M *vecmath.Matrix
+}
+
+// ReadInto implements View.
+func (p Plain) ReadInto(row int, dst []float64) {
+	copy(dst, p.M.Row(row))
+}
+
+// ApplyStep implements View.
+func (p Plain) ApplyStep(row int, scale, coef float64, vec []float64) {
+	ApplyRow(p.M.Row(row), scale, coef, vec)
+}
+
+// ApplyRow sets row = scale*row + coef*vec in place.
+func ApplyRow(row []float64, scale, coef float64, vec []float64) {
+	for k := range row {
+		row[k] = scale*row[k] + coef*vec[k]
+	}
+}
+
+// Stores bundles the factor views a worker reads and updates.
+type Stores struct {
+	User View
+	Node View
+	Next View
+	// Bias holds the per-node popularity biases (1-column rows); only
+	// touched when the model's UseBias is set.
+	Bias View
+}
+
+// PlainStores returns direct views over the model's matrices.
 func PlainStores(m *model.TF) Stores {
 	return Stores{
-		User: factors.Plain{M: m.User},
-		Node: factors.Plain{M: m.Node},
-		Next: factors.Plain{M: m.Next},
-		Bias: factors.Plain{M: m.Bias},
+		User: Plain{M: m.User},
+		Node: Plain{M: m.Node},
+		Next: Plain{M: m.Next},
+		Bias: Plain{M: m.Bias},
 	}
 }
 
@@ -118,7 +149,7 @@ func (s *Stepper) SetLearnRate(eps float64) { s.cfg.LearnRate = eps }
 
 // composeItemInto sums the node offsets along item's path through the
 // view, producing the effective factor of Eq. 1.
-func (s *Stepper) composeItemInto(view factors.View, item int, dst []float64) {
+func (s *Stepper) composeItemInto(view View, item int, dst []float64) {
 	vecmath.Zero(dst)
 	for _, node := range s.m.ItemPath(item) {
 		view.ReadInto(int(node), s.buf)
@@ -311,12 +342,4 @@ func (s *Stepper) SiblingPass(u, i int, prev []dataset.Basket) float64 {
 		ll += vecmath.LogSigmoid(x)
 	}
 	return ll
-}
-
-// Flush publishes any cached factor state (no-op for plain/locked views).
-func (s *Stepper) Flush() {
-	s.st.User.Flush()
-	s.st.Node.Flush()
-	s.st.Next.Flush()
-	s.st.Bias.Flush()
 }

@@ -63,8 +63,7 @@ func PaperShape(scale int) GenConfig {
 // Generate builds a random taxonomy with the given shape. Every leaf ends
 // up at the same depth (len(CategoryLevels)+1), which the TF model
 // requires. Node ids are assigned level by level: root = 0, then level 1,
-// and so on, so interior nodes occupy a contiguous low range — the layout
-// the factor-cache heuristics in the trainer rely on.
+// and so on, so interior nodes occupy a contiguous low range.
 func Generate(cfg GenConfig, rng *vecmath.RNG) (*Tree, error) {
 	if cfg.Items <= 0 {
 		return nil, fmt.Errorf("taxonomy: Items must be positive, got %d", cfg.Items)

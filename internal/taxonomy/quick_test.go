@@ -39,8 +39,13 @@ func TestQuickGeneratedTreesAreConsistent(t *testing.T) {
 				return false
 			}
 		}
-		interior := tree.InteriorPrefixLen()
-		return interior == tree.NumNodes()-tree.NumItems()
+		// interior nodes occupy the low ids, leaves the rest
+		for node := 0; node < tree.NumNodes(); node++ {
+			if tree.IsLeaf(node) != (node >= tree.NumNodes()-tree.NumItems()) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -429,21 +429,6 @@ func (t *Tree) IsUniformDepth() bool {
 	return true
 }
 
-// InteriorPrefixLen returns n when nodes 0..n−1 are exactly the interior
-// (category) nodes and every node >= n is a leaf, and 0 when the ids are
-// interleaved. Trees built by Generate always have this layout; the
-// trainer's hot-row caches (§6.1) rely on it to identify the frequently
-// updated rows by a single comparison.
-func (t *Tree) InteriorPrefixLen() int {
-	n := t.NumNodes() - t.NumItems()
-	for node := 0; node < n; node++ {
-		if t.IsLeaf(node) {
-			return 0
-		}
-	}
-	return n
-}
-
 // LevelSizes returns the node count per depth, root first. For the paper's
 // taxonomy this is [1, 23, 270, ~1500, 1.5M].
 func (t *Tree) LevelSizes() []int {

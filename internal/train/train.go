@@ -1,20 +1,20 @@
 // Package train orchestrates BPR-SGD training of TF models (Kanagal et
 // al., VLDB 2012 §4, §6.1): epoch loops over uniformly sampled positive
 // events, mixing of random-negative steps with sibling-based training, and
-// the multi-core execution model — shared factor matrices behind per-row
-// locks, with optional per-worker caches for the hot interior-taxonomy
-// rows.
+// the multi-core execution model. Parallel training is lock-free and
+// round-synchronised: each worker owns a contiguous block of users and
+// writes their rows directly, buffers its writes to the shared taxonomy
+// rows in a private overlay for one round, and the overlays are merged
+// deterministically at the round barrier.
 package train
 
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/bpr"
 	"repro/internal/dataset"
-	"repro/internal/factors"
 	"repro/internal/model"
 	"repro/internal/vecmath"
 )
@@ -38,27 +38,26 @@ type Config struct {
 	// random sampling with sibling-based training"); 0 disables sibling
 	// training (the paper's "no sibling" ablation of Fig. 7d).
 	SiblingMix float64
-	// Workers is the goroutine count; <=1 uses the deterministic
-	// single-threaded path with no locks.
+	// Workers is the goroutine count; <=1 uses the single-threaded path.
+	// Either way a run is deterministic for a fixed (Seed, Workers).
 	Workers int
-	// CacheThreshold, when > 0, enables the §6.1 per-worker caches on the
-	// interior-taxonomy rows with the given reconciliation threshold
-	// (the paper's experiments use 0.1). Ignored on the serial path.
+	// Deprecated: CacheThreshold is ignored. The parallel trainer keeps
+	// every shared row in a per-worker overlay for one round, which
+	// subsumes the §6.1 hot-row caches it used to configure.
 	CacheThreshold float64
-	// ForceLocked routes even Workers <= 1 through the locked parallel
-	// machinery. Training is normally fastest on the lock-free serial
-	// path, but scaling measurements (Figure 8) need the 1-thread
-	// baseline to pay the same synchronization costs as the n-thread
-	// runs.
+	// ForceLocked routes Workers <= 1 through the parallel round engine,
+	// so scaling measurements (Figure 8) compare n workers with one
+	// worker paying the same round and merge costs. A one-worker round
+	// engine reproduces the serial trainer bit for bit.
 	ForceLocked bool
 	// RegularizeEffective selects the paper's literal Eq. 6 shrinkage
 	// (regularize offsets by the effective factor) instead of the default
 	// offset-wise Gaussian prior; see bpr.StepConfig and DESIGN.md §6.
 	RegularizeEffective bool
 	// OnEpoch, when set, runs after every epoch with the epoch index and
-	// its mean ln σ(x); returning true stops training early (all caches
-	// are already flushed at the epoch barrier). Use it for early stopping
-	// on a validation metric or for checkpointing.
+	// its mean ln σ(x); returning true stops training early (every round
+	// of the epoch is already merged into the model). Use it for early
+	// stopping on a validation metric or for checkpointing.
 	OnEpoch func(epoch int, avgLogLik float64) (stop bool)
 	// Seed makes runs reproducible; every worker derives its own stream.
 	Seed uint64
@@ -103,8 +102,8 @@ func (s *Stats) MeanEpochTime() time.Duration {
 }
 
 // Train fits the model to the dataset's positive events in place and
-// returns per-epoch statistics. With Workers <= 1 the run is fully
-// deterministic given Config.Seed.
+// returns per-epoch statistics. The run is deterministic given
+// Config.Seed and Config.Workers.
 func Train(m *model.TF, data *dataset.Dataset, cfg Config) (*Stats, error) {
 	if cfg.Epochs <= 0 {
 		return nil, fmt.Errorf("train: Epochs must be positive, got %d", cfg.Epochs)
@@ -138,7 +137,7 @@ func Train(m *model.TF, data *dataset.Dataset, cfg Config) (*Stats, error) {
 	if workers == 1 && !cfg.ForceLocked {
 		trainSerial(m, data, events, cfg, samples, stats)
 	} else {
-		trainParallel(m, data, events, cfg, samples, workers, stats)
+		trainRounds(m, data, events, cfg, samples, workers, stats)
 	}
 	// Divergence guard: an oversized learning rate drives σ into
 	// saturation and the factors to ±Inf/NaN; surface that as an error
@@ -157,13 +156,12 @@ func epochRate(cfg Config, e int) float64 {
 	return cfg.LearnRate / (1 + cfg.LearnRateDecay*float64(e))
 }
 
-// runSamples executes n SGD samples on one stepper and returns the summed
-// log-likelihood of the random-negative steps. It is the shared inner loop
-// of both execution modes: every sample takes a plain BPR step, and with
-// probability siblingMix also runs the sibling fine-tuning pass on the
-// same positive.
-func runSamples(st *bpr.Stepper, m *model.TF, data *dataset.Dataset, events []dataset.Event, rng *vecmath.RNG, siblingMix float64, n int) float64 {
-	var ll float64
+// runSamples executes n SGD samples on one stepper and returns ll plus the
+// summed log-likelihood of the random-negative steps. It is the shared
+// inner loop of both execution modes: every sample takes a plain BPR
+// step, and with probability siblingMix also runs the sibling fine-tuning
+// pass on the same positive.
+func runSamples(st *bpr.Stepper, m *model.TF, data *dataset.Dataset, events []dataset.Event, rng *vecmath.RNG, siblingMix float64, n int, ll float64) float64 {
 	for s := 0; s < n; s++ {
 		ev := events[rng.Intn(len(events))]
 		u, t, i := int(ev.User), int(ev.Txn), int(ev.Item)
@@ -193,7 +191,7 @@ func trainSerial(m *model.TF, data *dataset.Dataset, events []dataset.Event, cfg
 	for e := 0; e < cfg.Epochs; e++ {
 		st.SetLearnRate(epochRate(cfg, e))
 		start := time.Now()
-		ll := runSamples(st, m, data, events, rng, cfg.SiblingMix, samples)
+		ll := runSamples(st, m, data, events, rng, cfg.SiblingMix, samples, 0)
 		stats.EpochTime = append(stats.EpochTime, time.Since(start))
 		stats.AvgLogLik = append(stats.AvgLogLik, ll/float64(samples))
 		stats.Samples += int64(samples)
@@ -201,80 +199,6 @@ func trainSerial(m *model.TF, data *dataset.Dataset, events []dataset.Event, cfg
 			return
 		}
 	}
-}
-
-// trainParallel runs a persistent worker pool: each worker goroutine
-// allocates its own stepper, RNG and (optionally) hot-row caches — in its
-// own goroutine so the hot per-worker state lands in separate heap spans
-// rather than adjacent allocations that false-share cache lines. Epochs
-// are dispatched over channels; caches flush at every epoch barrier.
-func trainParallel(m *model.TF, data *dataset.Dataset, events []dataset.Event, cfg Config, samples, workers int, stats *Stats) {
-	userStore := factors.NewLocked(m.User)
-	nodeStore := factors.NewLocked(m.Node)
-	nextStore := factors.NewLocked(m.Next)
-	biasStore := factors.NewLocked(m.Bias)
-
-	hotLimit := 0
-	if cfg.CacheThreshold > 0 {
-		hotLimit = m.Tree.InteriorPrefixLen()
-	}
-
-	type epochJob struct {
-		rate float64
-		n    int
-	}
-	jobs := make([]chan epochJob, workers)
-	done := make(chan float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		jobs[w] = make(chan epochJob)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// deterministic per-worker stream, derived without sharing
-			// state with other workers
-			rng := vecmath.NewRNG(cfg.Seed + 0x9e3779b97f4a7c15*uint64(w+1))
-			stores := bpr.Stores{User: userStore, Node: nodeStore, Next: nextStore, Bias: biasStore}
-			if hotLimit > 0 {
-				stores.Node = factors.NewCached(nodeStore, hotLimit, cfg.CacheThreshold)
-				stores.Next = factors.NewCached(nextStore, hotLimit, cfg.CacheThreshold)
-				stores.Bias = factors.NewCached(biasStore, hotLimit, cfg.CacheThreshold)
-			}
-			st := bpr.NewStepper(m, stores, stepConfig(cfg), rng.Split())
-			for job := range jobs[w] {
-				st.SetLearnRate(job.rate)
-				ll := runSamples(st, m, data, events, rng, cfg.SiblingMix, job.n)
-				st.Flush()
-				done <- ll
-			}
-		}(w)
-	}
-
-	for e := 0; e < cfg.Epochs; e++ {
-		rate := epochRate(cfg, e)
-		start := time.Now()
-		for w := 0; w < workers; w++ {
-			n := samples / workers
-			if w == 0 {
-				n += samples % workers
-			}
-			jobs[w] <- epochJob{rate: rate, n: n}
-		}
-		var ll float64
-		for w := 0; w < workers; w++ {
-			ll += <-done
-		}
-		stats.EpochTime = append(stats.EpochTime, time.Since(start))
-		stats.AvgLogLik = append(stats.AvgLogLik, ll/float64(samples))
-		stats.Samples += int64(samples)
-		if cfg.OnEpoch != nil && cfg.OnEpoch(e, ll/float64(samples)) {
-			break
-		}
-	}
-	for w := 0; w < workers; w++ {
-		close(jobs[w])
-	}
-	wg.Wait()
 }
 
 // SearchLambda performs the paper's exhaustive cross-validation over λ

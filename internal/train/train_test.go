@@ -136,18 +136,88 @@ func TestTrainParallelLearns(t *testing.T) {
 	}
 }
 
-func TestTrainParallelWithCacheLearns(t *testing.T) {
+// The acceptance test of the round engine's race-freedom: run it under
+// go test -race. Markov order 1 and biases put every overlay to work.
+func TestTrainParallelMarkovBiasLearns(t *testing.T) {
 	tree, d := testWorkload(t)
-	m := newModel(t, tree, d.NumUsers(), model.Params{K: 8, TaxonomyLevels: 4, InitStd: 0.01, Alpha: 1})
+	m := newModel(t, tree, d.NumUsers(), model.Params{K: 8, TaxonomyLevels: 4, MarkovOrder: 1, Alpha: 1, InitStd: 0.01, UseBias: true})
 	cfg := DefaultConfig()
 	cfg.Epochs = 15
 	cfg.Workers = 4
-	cfg.CacheThreshold = 0.1
-	if _, err := Train(m, d, cfg); err != nil {
+	stats, err := Train(m, d, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if stats.Samples != int64(15*d.NumPurchases()) {
+		t.Fatalf("Samples = %d, want %d", stats.Samples, 15*d.NumPurchases())
+	}
 	if acc := heldOutPairAccuracy(m, d); acc < 0.7 {
-		t.Fatalf("cached parallel training reached only %.3f pair accuracy", acc)
+		t.Fatalf("parallel markov+bias training reached only %.3f pair accuracy", acc)
+	}
+}
+
+// sameFactors reports whether two models hold bitwise-identical factors.
+func sameFactors(a, b *model.TF) bool {
+	return a.User.MaxAbsDiff(b.User) == 0 && a.Node.MaxAbsDiff(b.Node) == 0 &&
+		a.Next.MaxAbsDiff(b.Next) == 0 && a.Bias.MaxAbsDiff(b.Bias) == 0
+}
+
+func TestTrainParallelDeterminism(t *testing.T) {
+	tree, d := testWorkload(t)
+	p := model.Params{K: 6, TaxonomyLevels: 3, MarkovOrder: 1, Alpha: 1, InitStd: 0.01, UseBias: true}
+	for _, workers := range []int{2, 4} {
+		run := func() (*model.TF, *Stats) {
+			m := newModel(t, tree, d.NumUsers(), p)
+			cfg := DefaultConfig()
+			cfg.Epochs = 3
+			cfg.Workers = workers
+			stats, err := Train(m, d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m, stats
+		}
+		a, sa := run()
+		b, sb := run()
+		if !sameFactors(a, b) {
+			t.Fatalf("workers=%d: two runs with one seed trained different factors", workers)
+		}
+		for e := range sa.AvgLogLik {
+			if sa.AvgLogLik[e] != sb.AvgLogLik[e] {
+				t.Fatalf("workers=%d: epoch %d log-likelihood %v vs %v", workers, e, sa.AvgLogLik[e], sb.AvgLogLik[e])
+			}
+		}
+	}
+}
+
+// The differential oracle for the overlays and the merge: one worker in
+// the round engine must reproduce the serial trainer bit for bit, across
+// round and epoch boundaries and the learning-rate schedule.
+func TestTrainRoundEngineMatchesSerial(t *testing.T) {
+	tree, d := testWorkload(t)
+	p := model.Params{K: 6, TaxonomyLevels: 4, MarkovOrder: 2, Alpha: 1, InitStd: 0.01, UseBias: true}
+	run := func(forceLocked bool) (*model.TF, *Stats) {
+		m := newModel(t, tree, d.NumUsers(), p)
+		cfg := DefaultConfig()
+		cfg.Epochs = 3
+		cfg.LearnRateDecay = 0.5
+		cfg.SamplesPerEpoch = 5*roundSamples + 17 // rounds of unequal length
+		cfg.ForceLocked = forceLocked
+		stats, err := Train(m, d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, stats
+	}
+	serial, ss := run(false)
+	rounds, rs := run(true)
+	if !sameFactors(serial, rounds) {
+		t.Fatal("one-worker round engine diverged from the serial trainer")
+	}
+	for e := range ss.AvgLogLik {
+		if ss.AvgLogLik[e] != rs.AvgLogLik[e] {
+			t.Fatalf("epoch %d log-likelihood %v (serial) vs %v (rounds)", e, ss.AvgLogLik[e], rs.AvgLogLik[e])
+		}
 	}
 }
 
@@ -277,6 +347,11 @@ func TestTrainDetectsDivergence(t *testing.T) {
 	if _, err := Train(m, d, cfg); err == nil {
 		t.Fatal("expected divergence error for an absurd learning rate")
 	}
+	m2 := newModel(t, tree, d.NumUsers(), model.Params{K: 8, TaxonomyLevels: 4, InitStd: 0.1, Alpha: 1})
+	cfg.Workers = 2
+	if _, err := Train(m2, d, cfg); err == nil {
+		t.Fatal("expected divergence error on the parallel path")
+	}
 }
 
 func TestTrainForceLockedMatchesQuality(t *testing.T) {
@@ -284,12 +359,12 @@ func TestTrainForceLockedMatchesQuality(t *testing.T) {
 	m := newModel(t, tree, d.NumUsers(), model.Params{K: 8, TaxonomyLevels: 4, InitStd: 0.01, Alpha: 1})
 	cfg := DefaultConfig()
 	cfg.Epochs = 15
-	cfg.ForceLocked = true // 1 worker through the locked path
+	cfg.ForceLocked = true // 1 worker through the round engine
 	if _, err := Train(m, d, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if acc := heldOutPairAccuracy(m, d); acc < 0.7 {
-		t.Fatalf("locked single-worker training reached only %.3f", acc)
+		t.Fatalf("single-worker round-engine training reached only %.3f", acc)
 	}
 }
 
