@@ -408,16 +408,23 @@ func BenchmarkTopKIndexStreamingParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkDiversifiedInference runs the quota plan at every precision
+// tier: diversified rides the naive two-stage pipelines, so f32 and int8
+// must come in at or under f64 here, as they do for the plain sweep.
 func BenchmarkDiversifiedInference(b *testing.B) {
 	c, q := benchComposedForTopK(b)
-	pl := infer.Plan{Strategy: infer.StrategyDiversified, K: 10, Precision: model.PrecisionF64,
-		Diversify: &infer.Diversify{MaxPerCategory: 2, CatDepth: c.Tree.Depth() - 1}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := infer.Execute(context.Background(), c, q, pl); err != nil {
-			b.Fatal(err)
-		}
+	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8} {
+		b.Run(prec.String(), func(b *testing.B) {
+			pl := infer.Plan{Strategy: infer.StrategyDiversified, K: 10, Precision: prec,
+				Diversify: &infer.Diversify{MaxPerCategory: 2, CatDepth: c.Tree.Depth() - 1}}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := infer.Execute(context.Background(), c, q, pl); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -105,16 +105,20 @@ type StatsPruning struct {
 // configuration. F32Escalations and I8Escalations count process-wide
 // two-stage margin escalations per tier — a steady climb means scores are
 // tighter than that tier's resolution and a higher-precision sweep may
-// serve cheaper.
+// serve cheaper. DiversifyRefetches counts diversified requests' doubled
+// prefix re-fetches (infer.DiversifyRefetches) — a climb means a few
+// categories dominate the top of the ranking and quota pages cost extra
+// sweeps.
 type StatsInference struct {
-	PoolWorkers    int          `json:"pool_workers"`
-	Precision      string       `json:"precision"`
-	F32Escalations int64        `json:"f32_escalations"`
-	I8Escalations  int64        `json:"i8_escalations"`
-	Batching       bool         `json:"batching"`
-	Batches        int64        `json:"batches"`
-	BatchedReqs    int64        `json:"batched_requests"`
-	Filters        StatsFilters `json:"filters"`
+	PoolWorkers        int          `json:"pool_workers"`
+	Precision          string       `json:"precision"`
+	F32Escalations     int64        `json:"f32_escalations"`
+	I8Escalations      int64        `json:"i8_escalations"`
+	DiversifyRefetches int64        `json:"diversify_refetches"`
+	Batching           bool         `json:"batching"`
+	Batches            int64        `json:"batches"`
+	BatchedReqs        int64        `json:"batched_requests"`
+	Filters            StatsFilters `json:"filters"`
 	// Kernels is the active vecmath dispatch table — which scoring kernel
 	// implementation (avx2, neon, generic) serves each op on this
 	// process, plus why SIMD is off when it is.

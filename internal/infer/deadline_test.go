@@ -42,12 +42,19 @@ func deadlineWorld(t testing.TB) (*model.Composed, []float64) {
 // deadlinePlans covers every strategy × precision shape the executor runs.
 func deadlinePlans(c *model.Composed) []Plan {
 	cc := UniformCascade(c.Tree.Depth(), 1.0)
+	div := &Diversify{MaxPerCategory: 2, CatDepth: 1}
 	return []Plan{
 		{K: 10},
 		{K: 10, Precision: model.PrecisionF64},
 		{K: 10, Filter: &Filter{ExcludeItems: []int32{1, 2, 3}}},
 		{K: 10, Strategy: StrategyCascade, Cascade: &cc},
-		{K: 10, Strategy: StrategyDiversified, Diversify: &Diversify{MaxPerCategory: 2, CatDepth: 1}},
+		{K: 10, Strategy: StrategyCascade, Cascade: &cc, Precision: model.PrecisionF64},
+		{K: 10, Strategy: StrategyCascade, Cascade: &cc, Precision: model.PrecisionInt8},
+		{K: 10, Strategy: StrategyDiversified, Diversify: div},
+		{K: 10, Strategy: StrategyDiversified, Diversify: div, Precision: model.PrecisionF64},
+		{K: 10, Strategy: StrategyDiversified, Diversify: div, Precision: model.PrecisionInt8},
+		{K: 10, Strategy: StrategyDiversified, Diversify: div,
+			Filter: &Filter{RangeLo: 500, RangeHi: 2500, DenyNodes: []int32{c.Tree.Level(1)[0]}}},
 	}
 }
 
@@ -191,5 +198,40 @@ func TestExecuteDeadlineWrapsDeadlineExceeded(t *testing.T) {
 	_, err := Execute(ctx, c, q, Plan{K: 5})
 	if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want ErrDeadline wrapping context.DeadlineExceeded", err)
+	}
+}
+
+// A plan cancelled between two diversified re-fetch rounds — after the
+// first prefix ran dry, before the doubled one is fetched — must come
+// back ErrDeadline with an empty result, serial and pooled, at every
+// precision tier.
+func TestDiversifiedCancelBetweenRefetchRounds(t *testing.T) {
+	c := refetchComposed(t)
+	q := query(c.K())
+	pool := NewPool(3)
+	defer pool.Close()
+	defer func() { refetchHook = nil }()
+	pl := Plan{Strategy: StrategyDiversified, K: 10, Diversify: &Diversify{MaxPerCategory: 2, CatDepth: 2}}
+	for _, p := range []*Pool{nil, pool} {
+		for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8} {
+			ctx, cancel := context.WithCancel(context.Background())
+			rounds := 0
+			refetchHook = func() {
+				rounds++
+				cancel()
+			}
+			pl.Precision = prec
+			res, err := p.Execute(ctx, c, q, pl)
+			cancel()
+			if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%v workers=%d: got err %v, want ErrDeadline wrapping Canceled", prec, p.Workers(), err)
+			}
+			if len(res.Items) != 0 {
+				t.Fatalf("%v workers=%d: cancelled plan returned %d items", prec, p.Workers(), len(res.Items))
+			}
+			if rounds != 1 {
+				t.Fatalf("%v workers=%d: %d re-fetch rounds counted, want 1 (the cancel must stop the second)", prec, p.Workers(), rounds)
+			}
+		}
 	}
 }

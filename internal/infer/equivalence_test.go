@@ -2,7 +2,9 @@ package infer
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/model"
@@ -66,12 +68,22 @@ func legacyCascade(c *model.Composed, q []float64, cfg CascadeConfig, k int) ([]
 }
 
 func legacyDiversified(c *model.Composed, q []float64, k, maxPerCategory, catDepth int) []vecmath.Scored {
+	return legacyDiversifiedWhere(c, q, k, maxPerCategory, catDepth, nil)
+}
+
+// legacyDiversifiedWhere is legacyDiversified over the items eligible
+// admits (nil admits every item): the full-scan greedy quota walk with
+// ineligible items dropped before they can take a pick or a quota slot.
+func legacyDiversifiedWhere(c *model.Composed, q []float64, k, maxPerCategory, catDepth int, eligible func(item int) bool) []vecmath.Scored {
 	all := legacyNaive(c, q, c.NumItems())
 	quota := make(map[int]int)
 	out := make([]vecmath.Scored, 0, k)
 	for _, s := range all {
 		if len(out) == k {
 			break
+		}
+		if eligible != nil && !eligible(s.ID) {
+			continue
 		}
 		cat := c.Tree.AncestorAtDepth(c.Tree.ItemNode(s.ID), catDepth)
 		if quota[cat] >= maxPerCategory {
@@ -234,4 +246,132 @@ func TestNaiveIntoReusesCollector(t *testing.T) {
 	first := append([]vecmath.Scored(nil), ranked()...)
 	assertSameRanking(t, "executeinto-reuse", ranked(), first)
 	assertSameRanking(t, "executeinto-vs-fullscan", first, legacyNaive(c, q, 12))
+}
+
+// refetchComposed builds a world whose ranking is led by two categories:
+// every item under the first two depth-2 nodes outscores the rest of the
+// catalog, so a quota at depth 2 has to skip a few hundred items before
+// it can fill a page, and a quota at depth 1 (four categories) admits
+// fewer items in total than a page of ten holds.
+func refetchComposed(t *testing.T) *model.Composed {
+	t.Helper()
+	tree := taxonomy.MustGenerate(taxonomy.GenConfig{
+		CategoryLevels: []int{4, 16, 64},
+		Items:          2000,
+		Skew:           0.4,
+	}, vecmath.NewRNG(17))
+	m, err := model.New(tree, 4, model.Params{K: 8, TaxonomyLevels: 4, InitStd: 0.3, Alpha: 1, UseBias: true}, vecmath.NewRNG(19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Bias.Row(int(tree.Level(2)[0]))[0] = 50
+	m.Bias.Row(int(tree.Level(2)[1]))[0] = 40
+	c := m.Compose()
+	c.Index.SetShardItems(128)
+	return c
+}
+
+// refetchFilters are the filter shapes the re-fetch matrix runs: none,
+// category allow/deny, item exclusion, and a shard-style catalog range.
+func refetchFilters(c *model.Composed) map[string]*Filter {
+	tree := c.Tree
+	var excl []int32
+	for item := 0; item < c.NumItems(); item += 3 {
+		excl = append(excl, int32(item))
+	}
+	return map[string]*Filter{
+		"none":       nil,
+		"allow/deny": {AllowNodes: []int32{tree.Level(1)[0], tree.Level(1)[2]}, DenyNodes: []int32{tree.Level(3)[0]}},
+		"exclude":    {ExcludeItems: excl},
+		"range":      {RangeLo: 300, RangeHi: 1700},
+	}
+}
+
+// eligibleWhere is the slow-path eligibility predicate of f, range
+// included.
+func eligibleWhere(c *model.Composed, f *Filter) func(item int) bool {
+	set := eligibleSet(c, f)
+	return func(item int) bool {
+		return set[item] && (!f.Ranged() || (item >= f.RangeLo && item < f.RangeHi))
+	}
+}
+
+// pageOf cuts the [offset, offset+k) page out of a ranked slice.
+func pageOf(ranked []vecmath.Scored, k, offset int) []vecmath.Scored {
+	if offset >= len(ranked) {
+		return nil
+	}
+	ranked = ranked[offset:]
+	if k < len(ranked) {
+		ranked = ranked[:k]
+	}
+	return ranked
+}
+
+// On the re-fetch world, diversified and cascade plans must equal the
+// full-scan references at every precision × filter × fan-out × page cell
+// — byte-identical to the serial f64 plan and ID-identical to the legacy
+// walk. The depth-2 quota's first prefix runs dry and must double; the
+// depth-1 quota admits fewer than K items, so the prefix doubles until it
+// covers every eligible item and the page comes back short.
+func TestDiversifiedRefetchMatchesLegacy(t *testing.T) {
+	c := refetchComposed(t)
+	q := query(c.K())
+	pool := NewPool(4)
+	defer pool.Close()
+	cfg := UniformCascade(c.Tree.Depth(), 0.3)
+	const k = 10
+	before := DiversifyRefetches()
+	for name, f := range refetchFilters(c) {
+		eligible := eligibleWhere(c, f)
+		reached, _, err := legacyCascade(c, q, cfg, c.NumItems())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reachedEligible []vecmath.Scored
+		for _, s := range reached {
+			if eligible(s.ID) {
+				reachedEligible = append(reachedEligible, s)
+			}
+		}
+		for _, offset := range []int{0, 20} {
+			var plans []Plan
+			var wants [][]vecmath.Scored
+			for _, d := range []Diversify{{MaxPerCategory: 2, CatDepth: 2}, {MaxPerCategory: 2, CatDepth: 1}} {
+				d := d
+				plans = append(plans, Plan{Strategy: StrategyDiversified, K: k, Offset: offset, Diversify: &d, Filter: f})
+				wants = append(wants, pageOf(legacyDiversifiedWhere(c, q, k+offset, d.MaxPerCategory, d.CatDepth, eligible), k, offset))
+			}
+			plans = append(plans, Plan{Strategy: StrategyCascade, K: k, Offset: offset, Cascade: &cfg, Filter: f})
+			wants = append(wants, pageOf(reachedEligible, k, offset))
+			for i, pl := range plans {
+				ref := serialF64(t, c, q, pl)
+				cell := fmt.Sprintf("%s/%v/offset=%d/plan=%d", name, pl.Strategy, offset, i)
+				assertSameRanking(t, cell, ref.Items, wants[i])
+				if pl.Strategy == StrategyCascade && ref.Stats.LeavesScored != len(reachedEligible) {
+					t.Fatalf("%s: %d leaves scored, want %d eligible reached", cell, ref.Stats.LeavesScored, len(reachedEligible))
+				}
+				for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8} {
+					for _, workers := range []int{1, 2, 4} {
+						pl.Precision, pl.MaxWorkers = prec, workers
+						got, err := pool.Execute(context.Background(), c, q, pl)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got.Items, ref.Items) || !reflect.DeepEqual(got.Stats, ref.Stats) {
+							t.Fatalf("%s %v workers=%d diverged:\nwant %v\ngot  %v", cell, prec, workers, ref.Items, got.Items)
+						}
+					}
+				}
+			}
+		}
+	}
+	// the depth-1 quota caps the unfiltered page below K
+	d := Diversify{MaxPerCategory: 2, CatDepth: 1}
+	if n := len(serialF64(t, c, q, Plan{Strategy: StrategyDiversified, K: k, Diversify: &d}).Items); n != 8 {
+		t.Fatalf("4 categories x quota 2 returned %d items, want 8", n)
+	}
+	if DiversifyRefetches() == before {
+		t.Fatal("re-fetch world never re-fetched a diversified prefix")
+	}
 }

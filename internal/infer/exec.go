@@ -1,20 +1,23 @@
 package infer
 
 import (
-	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/model"
 	"repro/internal/vecmath"
 )
 
-// This file is the engine layer of the query-plan executor: one function
-// per ranking shape (naive sweep, cascade, diversified, multi-query
-// batch), each taking the full parameterization — precision, worker cap,
-// eligibility mask — as arguments. Every public entry point funnels
-// through the Plan executor into these engines, so a new serving
-// capability is one parameter threaded through four functions instead of
-// sixteen new variants. All engines are methods on *Pool with a nil
-// receiver meaning "serial".
+// This file is the engine layer of the query-plan executor: the naive
+// sweep and the multi-query batch, each taking the full parameterization
+// — precision, worker cap, eligibility mask — as arguments, plus the
+// cascade and diversified strategies as thin layers over the naive
+// engine (a beam-built eligibility mask; a quota scan over an exact
+// ranked prefix). Every public entry point funnels through the Plan
+// executor into these functions, so a new serving capability is one
+// parameter threaded through two engines. All engines are methods on
+// *Pool with a nil receiver meaning "serial".
 
 // ---- masked sweeps ------------------------------------------------------
 
@@ -133,8 +136,8 @@ func sweepRange32MaskedInto(ix *model.ScoringIndex, q32 []float32, rangeLo, rang
 // the caller decides what to do with the (possibly partial) collector.
 //
 // The serial claim loop below recurs, with only its per-shard body
-// differing, in runSweep32, both executeMulti serial arms and both
-// executeDiversified serial arms. The duplication is deliberate: a
+// differing, in runSweep32, runSweepI8 and the three executeMulti serial
+// arms. The duplication is deliberate: a
 // forEachShard(done, ix, func(lo, hi)) helper would capture each
 // caller's stack block buffer in a closure, heap-escaping it and
 // breaking the zero-alloc-per-query guarantee the serving benches gate.
@@ -363,348 +366,101 @@ func (p *Pool) executeMulti(done <-chan struct{}, c *model.Composed, qs [][]floa
 
 // ---- cascade ------------------------------------------------------------
 
-// executeCascade runs the §5.1 beam walk and ranks the surviving leaf
-// frontier into the armed collector at either precision and any fan-out.
-// The walk itself always runs serial f64 — category levels are tiny and
-// the walk decides WHICH leaves are reached, which must not depend on the
-// precision knob. A filter drops ineligible leaves from the frontier
-// before any leaf is scored (filters apply before the heap), so Stats
-// count only eligible leaves.
-func (p *Pool) executeCascade(done <-chan struct{}, c *model.Composed, q []float64, cfg CascadeConfig, prec model.Precision, maxWorkers int, cf *compiledFilter, st *vecmath.TopKStream) (*Stats, error) {
-	frontier, stats, err := walk(c, q, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cf != nil {
-		kept := frontier[:0]
-		for _, leaf := range frontier {
-			if cf.mask.Get(c.Tree.NodeItem(int(leaf))) {
-				kept = append(kept, leaf)
-			}
-		}
-		frontier = kept
-	}
-	ix := c.Index
-	k := st.K()
-	chunks := (len(frontier) + leafChunk - 1) / leafChunk
-	fan := p.fanout(maxWorkers, chunks)
-	switch {
-	case prec.Resolve() == model.PrecisionInt8 && k > 0:
-		sc := getI8Scratch(q)
-		eps := ix.NodeErrBoundI8(q, sc.sumAbsErr)
-		for kp := i8OverFetch(k); ; kp *= 2 {
-			if canceled(done) {
-				break
-			}
-			if kp >= len(frontier) || math.IsInf(eps, 0) || math.IsNaN(eps) {
-				// budget covers the frontier — or the bound cannot certify at
-				// all (non-finite query, k past the exact int32 dot range):
-				// exact f64 frontier scoring
-				st.Reset(k)
-				p.scoreFrontier(done, c, q, nil, frontier, fan, st, nil)
-				break
-			}
-			sc.cand.Reset(kp)
-			// the quantized frontier pass stays serial: a beam-surviving
-			// frontier is far below catalog size, and the sweep polls per
-			// leaf chunk like scoreFrontier's serial mode
-			stopped := false
-			for lo := 0; lo < len(frontier); lo += leafChunk {
-				if canceled(done) {
-					stopped = true
-					break
-				}
-				hi := lo + leafChunk
-				if hi > len(frontier) {
-					hi = len(frontier)
-				}
-				for _, leaf := range frontier[lo:hi] {
-					sc.cand.Push(c.Tree.NodeItem(int(leaf)), ix.ScoreNodeI8(int(leaf), sc.u, sc.qscale, sc.sumQ))
-				}
-			}
-			if stopped {
-				break
-			}
-			st.Reset(k)
-			if rescoreEntries(done, ix, q, &sc.cand, st, eps) {
-				break
-			}
-			i8Escalations.Add(1)
-		}
-		i8Scratches.Put(sc)
-	case prec.Resolve() == model.PrecisionF32 && k > 0:
-		sc := getF32Scratch(q)
-		eps := ix.NodeErrBound32(q)
-		for kp := f32OverFetch(k); ; kp *= 2 {
-			if canceled(done) {
-				break
-			}
-			if kp >= len(frontier) {
-				// budget covers the frontier: exact f64 frontier scoring
-				st.Reset(k)
-				p.scoreFrontier(done, c, q, nil, frontier, fan, st, nil)
-				break
-			}
-			sc.cand.Reset(kp)
-			p.scoreFrontier(done, c, nil, sc.q32, frontier, fan, nil, &sc.cand)
-			if canceled(done) {
-				break
-			}
-			st.Reset(k)
-			if rescoreItems(done, ix, q, &sc.cand, st, eps) {
-				break
-			}
-			f32Escalations.Add(1)
-		}
-		f32Scratches.Put(sc)
-	case fan > 1:
-		p.scoreFrontier(done, c, q, nil, frontier, fan, st, nil)
-	default:
-		for lo := 0; lo < len(frontier); lo += leafChunk {
-			if canceled(done) {
-				break
-			}
-			hi := lo + leafChunk
-			if hi > len(frontier) {
-				hi = len(frontier)
-			}
-			for _, leaf := range frontier[lo:hi] {
-				st.Push(c.Tree.NodeItem(int(leaf)), ix.ScoreNode(int(leaf), q))
-			}
-		}
-	}
-	stats.NodesScored += len(frontier)
-	stats.LeavesScored = len(frontier)
-	return stats, nil
-}
-
-// scoreFrontier scores a leaf frontier into exactly one of st (f64 mode,
-// q set) or cand (f32 mode, q32 set), chunked across the pool when fan
-// allows.
-func (p *Pool) scoreFrontier(done <-chan struct{}, c *model.Composed, q []float64, q32 []float32, frontier []int32, fan int, st *vecmath.TopKStream, cand *vecmath.TopKStream32) {
-	ix := c.Index
-	if fan <= 1 {
-		// the frontier can approach catalog size at high keep fractions,
-		// so the serial pass polls per leaf chunk like the pooled one
-		for lo := 0; lo < len(frontier); lo += leafChunk {
-			if canceled(done) {
-				return
-			}
-			hi := lo + leafChunk
-			if hi > len(frontier) {
-				hi = len(frontier)
-			}
-			if cand != nil {
-				for _, leaf := range frontier[lo:hi] {
-					cand.Push(c.Tree.NodeItem(int(leaf)), ix.ScoreNode32(int(leaf), q32))
-				}
-			} else {
-				for _, leaf := range frontier[lo:hi] {
-					st.Push(c.Tree.NodeItem(int(leaf)), ix.ScoreNode(int(leaf), q))
-				}
-			}
-		}
-		return
-	}
-	t := p.getLeafTask()
-	if cand != nil {
-		t.tree, t.ix, t.q32, t.k, t.leaves, t.out32 = c.Tree, ix, q32, cand.K(), frontier, cand
-	} else {
-		t.tree, t.ix, t.q, t.k, t.leaves, t.out = c.Tree, ix, q, st.K(), frontier, st
-	}
-	t.done = done
-	t.next.Store(0)
-	p.dispatch(t, fan)
-	t.tree, t.ix, t.q, t.q32, t.leaves, t.out, t.out32, t.done = nil, nil, nil, nil, nil, nil, nil, nil
-	p.leaves.Put(t)
+// executeCascade runs the §5.1 beam walk, marks the leaves under the kept
+// lowest categories that pass the plan filter into a pooled eligibility
+// mask, and ranks them through executeNaive — so the cascade inherits the
+// naive engine's blocked and masked kernels, precision tiers and their
+// certificates, pool fan-out and deadline polls instead of running its
+// own. The walk itself always runs serial f64: category levels are tiny,
+// and the walk decides WHICH leaves are reached, which must not depend on
+// the precision knob. Stats count only eligible leaves.
+func (p *Pool) executeCascade(done <-chan struct{}, c *model.Composed, q []float64, cfg CascadeConfig, prec model.Precision, maxWorkers int, cf *compiledFilter, st *vecmath.TopKStream) *Stats {
+	cs := cascadeScratches.Get().(*cascadeScratch)
+	defer cascadeScratches.Put(cs)
+	stats := cs.beam(c, q, cfg, cf)
+	p.executeNaive(done, c, q, prec, maxWorkers, &cs.mask, stats.LeavesScored, st, false)
+	return stats
 }
 
 // ---- diversified --------------------------------------------------------
 
+// divOverFetch is the first ranked-prefix length k' a diversified plan of
+// k fetches: room for the quota scan to skip k+64 over-quota items before
+// the prefix runs dry and has to be re-fetched.
+func divOverFetch(k int) int { return 2*k + 64 }
+
+// diversifyRefetches counts diversified prefixes that ran dry before the
+// quota scan filled the page, each one a doubled re-fetch.
+var diversifyRefetches atomic.Int64
+
+// DiversifyRefetches returns the process-wide count of diversified
+// re-fetch rounds. A climbing count means the quota keeps skipping more
+// items than the over-fetched prefix holds — a few categories dominate
+// the top of the ranking — and each such request pays extra sweeps.
+func DiversifyRefetches() int64 { return diversifyRefetches.Load() }
+
+// refetchHook, when non-nil, runs after each counted re-fetch round; the
+// deadline tests cancel a plan between two rounds through it.
+var refetchHook func()
+
+// divScratch is the pooled state of a diversified plan: the ranked-prefix
+// collector and the per-category quota counters.
+type divScratch struct {
+	prefix vecmath.TopKStream
+	counts []int
+}
+
+var divScratches = sync.Pool{New: func() any { return new(divScratch) }}
+
 // executeDiversified fills the armed final collector with the top-K under
 // a per-category quota at catDepth, at either precision and any fan-out,
-// over the eligible items only. The per-category bounded heaps make the
-// greedy score-ordered selection exact without sorting the catalog; the
-// f32 mode additionally needs the per-category separation certificate of
-// rescoreDiversified before its pruning is trusted. The quota and depth
-// arrive validated (Plan.Validate).
-func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []float64, maxPerCategory, catDepth int, prec model.Precision, maxWorkers int, cf *compiledFilter, final *vecmath.TopKStream) {
-	ix := c.Index
+// over the eligible items only. The answer — the first K items a greedy
+// scan of the exact (score desc, id asc) ranking takes while skipping
+// items whose category already holds its quota — depends only on a
+// prefix of that ranking, so the exact top-k' comes from executeNaive
+// and one pass of quota counters picks the page. A prefix that runs dry
+// before K picks doubles k' and repeats; at k' = eligible the prefix is
+// the whole eligible set, so the loop ends and returns fewer than K
+// exactly when the quota admits fewer. The quota and depth arrive
+// validated (Plan.Validate).
+func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []float64, maxPerCategory, catDepth int, prec model.Precision, maxWorkers int, mask *vecmath.Bitset, eligible int, final *vecmath.TopKStream) {
 	k := final.K()
-	perCat := maxPerCategory
-	if perCat > k {
-		perCat = k
-	}
-	var mask *vecmath.Bitset
-	eligible := ix.NumItems()
-	if cf != nil {
-		mask, eligible = &cf.mask, cf.eligible
-	}
-	width := len(c.Tree.Level(catDepth))
-	fan := p.fanout(maxWorkers, ix.NumShards())
-
-	// The diversified sweep keeps per-category quota heaps, whose
-	// escalation unit is the whole per-category budget; at int8 error
-	// magnitude nearly every tight category would escalate, so the int8
-	// knob rides the f32 tier here. Still byte-identical — every precision
-	// of every strategy is — just without the quantized first pass.
-	if prec.Resolve() == model.PrecisionInt8 {
-		prec = model.PrecisionF32
-	}
-
-	if prec.Resolve() != model.PrecisionF32 {
-		// re-arm the collector: the f32 mode's escalation fallback arrives
-		// here with the failed attempt's entries still in it
-		final.Reset(k)
-		if fan <= 1 {
-			// one streaming pass, a lazily armed quota heap per touched
-			// category, final selection from the retained union
-			cats := make([]vecmath.TopKStream, width)
-			armed := make([]bool, width)
-			for s, n := 0, ix.NumShards(); s < n; s++ {
-				if canceled(done) {
-					return
-				}
-				shardLo, shardHi := ix.Shard(s)
-				diversifiedSweepRange(ix, q, mask, shardLo, shardHi, perCat, catDepth, cats, armed)
-			}
-			for pos := range cats {
-				if armed[pos] {
-					final.Merge(&cats[pos])
-				}
-			}
-			return
-		}
-		t := p.getDivTask()
-		t.armDiv(width, perCat)
-		t.ix, t.q, t.catDepth, t.mask, t.done = ix, q, catDepth, mask, done
-		t.numShards = int32(ix.NumShards())
-		t.next.Store(0)
-		p.dispatch(t, fan)
-		for pos := range t.gcats {
-			if t.garmed[pos] {
-				final.Merge(&t.gcats[pos])
-			}
-		}
-		t.ix, t.q, t.mask, t.done = nil, nil, nil, nil
-		p.divs.Put(t)
+	if k <= 0 {
 		return
 	}
-
-	sc := getF32Scratch(q)
-	defer f32Scratches.Put(sc)
-	eps := ix.ItemErrBound32(q)
-	cats := make([]vecmath.TopKStream, width)
-	var cats32 []vecmath.TopKStream32
-	var armed []bool
-	if fan <= 1 {
-		cats32 = make([]vecmath.TopKStream32, width)
-		armed = make([]bool, width)
-	}
-	for perp := f32OverFetch(perCat); ; perp *= 2 {
+	ix := c.Index
+	ds := divScratches.Get().(*divScratch)
+	defer divScratches.Put(ds)
+	width := len(c.Tree.Level(catDepth))
+	ds.counts = slices.Grow(ds.counts[:0], width)[:width]
+	for kp := divOverFetch(k); ; kp *= 2 {
+		if kp > eligible {
+			kp = eligible
+		}
+		ds.prefix.Reset(kp)
+		p.executeNaive(done, c, q, prec, maxWorkers, mask, eligible, &ds.prefix, false)
 		if canceled(done) {
 			return
 		}
-		if perp >= eligible {
-			// every category retains all its eligible items: no pruning left
-			p.executeDiversified(done, c, q, maxPerCategory, catDepth, model.PrecisionF64, maxWorkers, cf, final)
-			return
-		}
-		var ok bool
-		if fan <= 1 {
-			for i := range armed {
-				armed[i] = false
+		clear(ds.counts)
+		final.Reset(k)
+		for _, s := range ds.prefix.Ranked() {
+			pos := ix.LevelPos(ix.ItemCategory(s.ID, catDepth))
+			if ds.counts[pos] >= maxPerCategory {
+				continue
 			}
-			for s, n := 0, ix.NumShards(); s < n; s++ {
-				if canceled(done) {
-					return
-				}
-				shardLo, shardHi := ix.Shard(s)
-				diversifiedSweepRange32(ix, sc.q32, mask, shardLo, shardHi, perp, catDepth, cats32, armed)
-			}
-			ok = rescoreDiversified(done, ix, q, cats32, cats, armed, perCat, k, eps, final)
-		} else {
-			t := p.getDivTask()
-			t.armDiv32(width, perp)
-			t.ix, t.q32, t.catDepth, t.mask, t.done = ix, sc.q32, catDepth, mask, done
-			t.numShards = int32(ix.NumShards())
-			t.next.Store(0)
-			p.dispatch(t, fan)
-			if canceled(done) {
-				// the dispatched sweep stopped early; its truncated category
-				// heaps must not reach the certificate
-				t.ix, t.q32, t.mask, t.done = nil, nil, nil, nil
-				p.divs.Put(t)
+			ds.counts[pos]++
+			final.Push(s.ID, s.Score)
+			if final.Len() == k {
 				return
 			}
-			ok = rescoreDiversified(done, ix, q, t.gcats32, cats, t.garmed, perCat, k, eps, final)
-			t.ix, t.q32, t.mask, t.done = nil, nil, nil, nil
-			p.divs.Put(t)
 		}
-		if ok {
+		if kp >= eligible {
 			return
 		}
-		f32Escalations.Add(1)
-	}
-}
-
-// diversifiedSweepRange streams the eligible items of [rangeLo, rangeHi)
-// into their categories' lazily armed quota heaps — the shared loop body
-// of the serial whole-catalog diversified sweep and each shard claim of
-// the pooled one, so filter visitation changes land in exactly one place
-// per precision.
-func diversifiedSweepRange(ix *model.ScoringIndex, q []float64, mask *vecmath.Bitset, rangeLo, rangeHi, perCat, catDepth int, cats []vecmath.TopKStream, armed []bool) {
-	var block [blockItems]float64
-	for lo := rangeLo; lo < rangeHi; lo += blockItems {
-		hi := lo + blockItems
-		if hi > rangeHi {
-			hi = rangeHi
-		}
-		if mask != nil && !mask.AnyInRange(lo, hi) {
-			continue
-		}
-		buf := block[:hi-lo]
-		ix.ItemScoresRangeInto(q, lo, hi, buf)
-		for i, s := range buf {
-			item := lo + i
-			if mask != nil && !mask.Get(item) {
-				continue
-			}
-			pos := ix.LevelPos(ix.ItemCategory(item, catDepth))
-			if !armed[pos] {
-				cats[pos].Reset(perCat)
-				armed[pos] = true
-			}
-			cats[pos].Push(item, s)
-		}
-	}
-}
-
-// diversifiedSweepRange32 is diversifiedSweepRange over the compact f32
-// slab with per-category candidate heaps of the over-fetched budget.
-func diversifiedSweepRange32(ix *model.ScoringIndex, q32 []float32, mask *vecmath.Bitset, rangeLo, rangeHi, perCat, catDepth int, cats []vecmath.TopKStream32, armed []bool) {
-	var block [blockItems]float32
-	for lo := rangeLo; lo < rangeHi; lo += blockItems {
-		hi := lo + blockItems
-		if hi > rangeHi {
-			hi = rangeHi
-		}
-		if mask != nil && !mask.AnyInRange(lo, hi) {
-			continue
-		}
-		buf := block[:hi-lo]
-		ix.ItemScoresRange32Into(q32, lo, hi, buf)
-		for i, s := range buf {
-			item := lo + i
-			if mask != nil && !mask.Get(item) {
-				continue
-			}
-			pos := ix.LevelPos(ix.ItemCategory(item, catDepth))
-			if !armed[pos] {
-				cats[pos].Reset(perCat)
-				armed[pos] = true
-			}
-			cats[pos].Push(item, s)
+		diversifyRefetches.Add(1)
+		if refetchHook != nil {
+			refetchHook()
 		}
 	}
 }

@@ -17,6 +17,7 @@ package infer
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/model"
 	"repro/internal/vecmath"
@@ -104,40 +105,64 @@ type Stats struct {
 	KeptPerLevel []int
 }
 
-// walk performs the top-down beam of §5.1 over the index's node-major slab
-// and returns the surviving leaf frontier; leaves are not yet scored
-// (stats count only the interior work so far). Each level's survivors are
-// selected with a streaming bounded heap instead of materializing and
-// fully ranking the level.
-func walk(c *model.Composed, q []float64, cfg CascadeConfig) ([]int32, *Stats, error) {
-	tree := c.Tree
-	ix := c.Index
-	if err := cfg.Validate(tree.Depth()); err != nil {
-		return nil, nil, err
-	}
-	stats := &Stats{}
-	frontier := append([]int32(nil), tree.Level(1)...)
-	st := vecmath.NewTopKStream(0)
+// cascadeScratch is the pooled state of one cascade: the beam frontier,
+// the level heap, the kept categories, and the eligibility mask the beam
+// marks. Pooled so a warm cascade allocates only its returned Stats,
+// however large the catalog.
+type cascadeScratch struct {
+	frontier []int32
+	kept     []int32
+	level    vecmath.TopKStream
+	mask     vecmath.Bitset
+}
+
+var cascadeScratches = sync.Pool{New: func() any { return new(cascadeScratch) }}
+
+// beam performs the top-down walk of §5.1 over the node slab — each
+// level's survivors selected with a bounded heap instead of ranking the
+// level — and marks into cs.mask the leaves under the kept lowest
+// categories that pass cf (nil passes all). The returned Stats count the
+// scored categories plus the marked leaves, which is what the cascade
+// then scores. A category's leaves are exactly its DFS span of the item
+// order (every leaf sits at the same depth), so marking is one pass per
+// kept category.
+func (cs *cascadeScratch) beam(c *model.Composed, q []float64, cfg CascadeConfig, cf *compiledFilter) *Stats {
+	tree, ix := c.Tree, c.Index
+	stats := &Stats{KeptPerLevel: make([]int, 0, tree.Depth()-1)}
+	cs.kept = append(cs.kept[:0], int32(tree.Root()))
 	for d := 1; d < tree.Depth(); d++ {
-		levelSize := len(tree.Level(d))
-		keep := int(math.Ceil(cfg.KeepFrac[d-1] * float64(levelSize)))
+		cs.frontier = cs.frontier[:0]
+		for _, node := range cs.kept {
+			cs.frontier = append(cs.frontier, tree.Children(int(node))...)
+		}
+		keep := int(math.Ceil(cfg.KeepFrac[d-1] * float64(len(tree.Level(d)))))
 		if keep < 1 {
 			keep = 1
 		}
-		st.Reset(keep)
-		for _, node := range frontier {
-			st.Push(int(node), ix.ScoreNode(int(node), q))
+		cs.level.Reset(keep)
+		for _, node := range cs.frontier {
+			cs.level.Push(int(node), ix.ScoreNode(int(node), q))
 		}
-		stats.NodesScored += len(frontier)
-		top := st.Ranked()
-		stats.KeptPerLevel = append(stats.KeptPerLevel, len(top))
-
-		frontier = frontier[:0]
-		for _, s := range top {
-			frontier = append(frontier, tree.Children(s.ID)...)
+		stats.NodesScored += len(cs.frontier)
+		cs.kept = cs.kept[:0]
+		for _, s := range cs.level.Entries() {
+			cs.kept = append(cs.kept, int32(s.ID))
+		}
+		stats.KeptPerLevel = append(stats.KeptPerLevel, len(cs.kept))
+	}
+	cs.mask.Resize(ix.NumItems())
+	dfs := ix.DFSItems()
+	for _, node := range cs.kept {
+		lo, hi := ix.DFSSpan(int(node))
+		for _, item := range dfs[lo:hi] {
+			if cf == nil || cf.mask.Get(int(item)) {
+				cs.mask.Set(int(item))
+				stats.LeavesScored++
+			}
 		}
 	}
-	return frontier, stats, nil
+	stats.NodesScored += stats.LeavesScored
+	return stats
 }
 
 // CascadeScores runs the cascade and returns a full score array: reached
@@ -146,20 +171,18 @@ func walk(c *model.Composed, q []float64, cfg CascadeConfig) ([]int32, *Stats, e
 // serving path is a StrategyCascade plan, which never materializes the
 // full array.
 func CascadeScores(c *model.Composed, q []float64, cfg CascadeConfig) ([]float64, *Stats, error) {
-	frontier, stats, err := walk(c, q, cfg)
-	if err != nil {
+	if err := cfg.Validate(c.Tree.Depth()); err != nil {
 		return nil, nil, err
 	}
-	ix := c.Index
+	var cs cascadeScratch
+	stats := cs.beam(c, q, cfg, nil)
 	scores := make([]float64, c.Tree.NumItems())
 	for i := range scores {
 		scores[i] = math.Inf(-1)
 	}
-	for _, leaf := range frontier {
-		scores[c.Tree.NodeItem(int(leaf))] = ix.ScoreNode(int(leaf), q)
-	}
-	stats.NodesScored += len(frontier)
-	stats.LeavesScored = len(frontier)
+	cs.mask.ForEachInRange(0, len(scores), func(item int) {
+		scores[item] = c.Index.ScoreItem(item, q)
+	})
 	return scores, stats, nil
 }
 

@@ -35,10 +35,10 @@ import (
 // pushes an ineligible item, so both the candidate set and the "excluded
 // items" it is certified against range over eligible items only.
 //
-// The pipeline itself lives in exec.go (naiveF32, executeCascade,
-// executeDiversified, executeMulti); this file keeps the shared f32
-// plumbing — scratch pools, the rescore stage, the separation
-// certificates.
+// The pipeline itself lives in exec.go (naiveF32, executeMulti — the
+// cascade and diversified strategies ride naiveF32); this file keeps the
+// shared f32 plumbing — scratch pools, the rescore stage, the separation
+// certificate.
 
 // f32Escalations counts boundary-separation failures across all f32
 // pipelines (naive, cascade, diversified, batched; serial and pooled).
@@ -217,61 +217,6 @@ func separated(st *vecmath.TopKStream, cand *vecmath.TopKStream32, eps float64) 
 	}
 	boundary, full := st.Threshold()
 	return full && boundary > tau64+eps
-}
-
-// rescoreDiversified rescores every retained candidate exactly into
-// per-category quota heaps, selects the final top-k into final (which is
-// Reset to k), and checks the per-category separation certificate. It
-// reports whether the result is certified exact.
-//
-// The certificate: for every category whose f32 heap filled, the
-// excluded items of that category score at most τ_cat + ε exactly — if
-// that stays strictly below the final k-th score, an excluded item can
-// neither enter the final ranking nor displace a quota entry that the
-// final ranking uses (any quota entry it would displace also scores below
-// the boundary and so was not selected anyway). Any category failing the
-// certificate escalates the whole sweep with a doubled per-category
-// budget.
-func rescoreDiversified(done <-chan struct{}, ix *model.ScoringIndex, q []float64, cats32 []vecmath.TopKStream32, cats []vecmath.TopKStream, armed []bool, perCat, k int, eps float64, final *vecmath.TopKStream) bool {
-	for pos := range cats32 {
-		if !armed[pos] {
-			continue
-		}
-		// per-category poll: the union of escalated per-category budgets
-		// can approach catalog size, and a cancelled rescore must never
-		// certify (false sends the caller back to its cancellation check)
-		if canceled(done) {
-			return false
-		}
-		cats[pos].Reset(perCat)
-		for _, e := range cats32[pos].Entries() {
-			cats[pos].Push(e.ID, ix.ScoreItem(e.ID, q))
-		}
-	}
-	final.Reset(k)
-	for pos := range cats {
-		if !armed[pos] {
-			continue
-		}
-		final.Merge(&cats[pos])
-	}
-	boundary, full := final.Threshold()
-	for pos := range cats32 {
-		if !armed[pos] {
-			continue
-		}
-		tau, catFull := cats32[pos].Threshold()
-		if !catFull {
-			continue // category fully retained: nothing excluded
-		}
-		// as in separated(): a non-finite τ (f32 overflow) can never
-		// certify, since the error bound covers rounding only
-		tau64 := float64(tau)
-		if !full || math.IsInf(tau64, 0) || math.IsNaN(tau64) || tau64+eps >= boundary {
-			return false
-		}
-	}
-	return true
 }
 
 // multiF32Scratch is the reusable state of a batched f32 sweep: the

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/model"
-	"repro/internal/taxonomy"
 	"repro/internal/vecmath"
 )
 
@@ -35,8 +34,6 @@ type Pool struct {
 	tasks     chan task
 	scratches sync.Pool // *scratch for submitting goroutines
 	sweeps    sync.Pool // *sweepTask
-	leaves    sync.Pool // *leafTask
-	divs      sync.Pool // *divTask
 	multis    sync.Pool // *multiTask
 	prunes    sync.Pool // *pruneTask
 	closeOnce sync.Once
@@ -58,18 +55,15 @@ type taskBase struct {
 func (b *taskBase) base() *taskBase { return b }
 
 // scratch is the per-participant reusable state: one bounded heap for
-// single-query sweeps, per-query heaps for batched sweeps, and per-category
-// heaps for diversified sweeps — each in a float64 and a float32 variant,
-// since a task sweeps exactly one precision. Background workers own one
-// for life; submitting goroutines borrow one from the pool per dispatch.
+// single-query sweeps and per-query heaps for batched sweeps — each in a
+// float64 and a float32 variant, since a task sweeps exactly one
+// precision. Background workers own one for life; submitting goroutines
+// borrow one from the pool per dispatch.
 type scratch struct {
 	st      vecmath.TopKStream
 	multi   []vecmath.TopKStream
-	cats    []vecmath.TopKStream
-	armed   []bool
 	st32    vecmath.TopKStream32
 	multi32 []vecmath.TopKStream32
-	cats32  []vecmath.TopKStream32
 	// the blocked batched sweeps address their per-worker heaps through
 	// pointer slices (the wire format of the shard-sweep helpers) and an
 	// active-query index list; both live here so steady-state batches
@@ -263,238 +257,6 @@ func (p *Pool) getSweepTask() *sweepTask {
 		t = new(sweepTask)
 	}
 	return t
-}
-
-// ---- cascaded inference: parallel leaf frontier -------------------------
-
-// leafChunk is the unit of work when scoring a cascade's leaf frontier in
-// parallel; the frontier is an arbitrary node subset, so work is claimed
-// in index chunks rather than slab shards.
-const leafChunk = 512
-
-type leafTask struct {
-	taskBase
-	tree   *taxonomy.Tree
-	ix     *model.ScoringIndex
-	q      []float64
-	k      int
-	q32    []float32
-	out32  *vecmath.TopKStream32
-	leaves []int32
-	done   <-chan struct{}
-	next   atomic.Int32
-	mu     sync.Mutex
-	out    *vecmath.TopKStream
-}
-
-func (t *leafTask) run(sc *scratch) {
-	if t.out32 != nil {
-		st := &sc.st32
-		st.Reset(t.k)
-		t.eachChunk(func(leaf int32) {
-			st.Push(t.tree.NodeItem(int(leaf)), t.ix.ScoreNode32(int(leaf), t.q32))
-		})
-		if st.Len() > 0 {
-			t.mu.Lock()
-			t.out32.Merge(st)
-			t.mu.Unlock()
-		}
-		return
-	}
-	st := &sc.st
-	st.Reset(t.k)
-	t.eachChunk(func(leaf int32) {
-		st.Push(t.tree.NodeItem(int(leaf)), t.ix.ScoreNode(int(leaf), t.q))
-	})
-	if st.Len() > 0 {
-		t.mu.Lock()
-		t.out.Merge(st)
-		t.mu.Unlock()
-	}
-}
-
-// eachChunk claims frontier chunks off the shared counter and visits
-// every leaf of each claimed chunk.
-func (t *leafTask) eachChunk(visit func(leaf int32)) {
-	chunks := (len(t.leaves) + leafChunk - 1) / leafChunk
-	for {
-		if canceled(t.done) {
-			return
-		}
-		ci := int(t.next.Add(1)) - 1
-		if ci >= chunks {
-			return
-		}
-		lo := ci * leafChunk
-		hi := lo + leafChunk
-		if hi > len(t.leaves) {
-			hi = len(t.leaves)
-		}
-		for _, leaf := range t.leaves[lo:hi] {
-			visit(leaf)
-		}
-	}
-}
-
-func (p *Pool) getLeafTask() *leafTask {
-	t, _ := p.leaves.Get().(*leafTask)
-	if t == nil {
-		t = new(leafTask)
-	}
-	return t
-}
-
-// ---- diversified inference: sharded per-category quota heaps ------------
-
-type divTask struct {
-	taskBase
-	ix        *model.ScoringIndex
-	q         []float64
-	q32       []float32
-	perCat    int
-	catDepth  int
-	mask      *vecmath.Bitset
-	done      <-chan struct{}
-	numShards int32
-	next      atomic.Int32
-	mu        sync.Mutex
-	gcats     []vecmath.TopKStream
-	gcats32   []vecmath.TopKStream32
-	garmed    []bool
-}
-
-func (p *Pool) getDivTask() *divTask {
-	t, _ := p.divs.Get().(*divTask)
-	if t == nil {
-		t = new(divTask)
-	}
-	return t
-}
-
-// armDiv sizes the shared f64 category heaps for a dispatch: width slots,
-// perCat quota, all disarmed. The f32 heaps are left alone — run()
-// dispatches on q32, and dropping them would throw away the pooled
-// capacity a later f32 query reuses.
-func (t *divTask) armDiv(width, perCat int) {
-	if cap(t.gcats) < width {
-		t.gcats = make([]vecmath.TopKStream, width)
-	}
-	t.gcats = t.gcats[:width]
-	t.armGuards(width)
-	t.perCat = perCat
-}
-
-// armDiv32 sizes the shared f32 candidate heaps for a dispatch.
-func (t *divTask) armDiv32(width, perCat int) {
-	if cap(t.gcats32) < width {
-		t.gcats32 = make([]vecmath.TopKStream32, width)
-	}
-	t.gcats32 = t.gcats32[:width]
-	t.armGuards(width)
-	t.perCat = perCat
-}
-
-func (t *divTask) armGuards(width int) {
-	if cap(t.garmed) < width {
-		t.garmed = make([]bool, width)
-	}
-	t.garmed = t.garmed[:width]
-	for i := range t.garmed {
-		t.garmed[i] = false
-	}
-}
-
-func (t *divTask) run(sc *scratch) {
-	if t.q32 != nil {
-		t.run32(sc)
-		return
-	}
-	width := len(t.gcats)
-	if cap(sc.cats) < width {
-		sc.cats = make([]vecmath.TopKStream, width)
-	}
-	cats, armed := sc.cats[:width], sc.armedSlice(width)
-	for {
-		if canceled(t.done) {
-			break
-		}
-		s := int(t.next.Add(1)) - 1
-		if s >= int(t.numShards) {
-			break
-		}
-		shardLo, shardHi := t.ix.Shard(s)
-		t.sweepShard(shardLo, shardHi, cats, armed)
-	}
-	t.mu.Lock()
-	for pos := range cats {
-		if !armed[pos] {
-			continue
-		}
-		if !t.garmed[pos] {
-			t.gcats[pos].Reset(t.perCat)
-			t.garmed[pos] = true
-		}
-		t.gcats[pos].Merge(&cats[pos])
-	}
-	t.mu.Unlock()
-}
-
-// sweepShard scores one claimed shard into the participant's per-category
-// f64 heaps via the shared range sweep, honoring the task's mask.
-func (t *divTask) sweepShard(shardLo, shardHi int, cats []vecmath.TopKStream, armed []bool) {
-	diversifiedSweepRange(t.ix, t.q, t.mask, shardLo, shardHi, t.perCat, t.catDepth, cats, armed)
-}
-
-// run32 is the f32-mode divTask body: identical claim loop over the
-// compact slab with per-worker per-category candidate heaps of the
-// over-fetched budget, merged into the shared f32 category heaps.
-func (t *divTask) run32(sc *scratch) {
-	width := len(t.gcats32)
-	if cap(sc.cats32) < width {
-		sc.cats32 = make([]vecmath.TopKStream32, width)
-	}
-	cats, armed := sc.cats32[:width], sc.armedSlice(width)
-	for {
-		if canceled(t.done) {
-			break
-		}
-		s := int(t.next.Add(1)) - 1
-		if s >= int(t.numShards) {
-			break
-		}
-		shardLo, shardHi := t.ix.Shard(s)
-		t.sweepShard32(shardLo, shardHi, cats, armed)
-	}
-	t.mu.Lock()
-	for pos := range cats {
-		if !armed[pos] {
-			continue
-		}
-		if !t.garmed[pos] {
-			t.gcats32[pos].Reset(t.perCat)
-			t.garmed[pos] = true
-		}
-		t.gcats32[pos].Merge(&cats[pos])
-	}
-	t.mu.Unlock()
-}
-
-// sweepShard32 is sweepShard over the compact f32 slab.
-func (t *divTask) sweepShard32(shardLo, shardHi int, cats []vecmath.TopKStream32, armed []bool) {
-	diversifiedSweepRange32(t.ix, t.q32, t.mask, shardLo, shardHi, t.perCat, t.catDepth, cats, armed)
-}
-
-// armedSlice returns the scratch's per-category armed flags, cleared and
-// sized to width.
-func (sc *scratch) armedSlice(width int) []bool {
-	if cap(sc.armed) < width {
-		sc.armed = make([]bool, width)
-	}
-	armed := sc.armed[:width]
-	for i := range armed {
-		armed[i] = false
-	}
-	return armed
 }
 
 // ---- batched multi-query sweep ------------------------------------------

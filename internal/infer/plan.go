@@ -289,13 +289,9 @@ func (p *Pool) execInto(ctx context.Context, c *model.Composed, q []float64, pl 
 	res := Result{Eligible: eligible}
 	switch pl.Strategy {
 	case StrategyCascade:
-		stats, err := p.executeCascade(done, c, q, *pl.Cascade, pl.Precision, pl.MaxWorkers, cf, st)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Stats = stats
+		res.Stats = p.executeCascade(done, c, q, *pl.Cascade, pl.Precision, pl.MaxWorkers, cf, st)
 	case StrategyDiversified:
-		p.executeDiversified(done, c, q, pl.Diversify.MaxPerCategory, pl.diversifyDepth(c), pl.Precision, pl.MaxWorkers, cf, st)
+		p.executeDiversified(done, c, q, pl.Diversify.MaxPerCategory, pl.diversifyDepth(c), pl.Precision, pl.MaxWorkers, mask, eligible, st)
 	default:
 		p.executeNaive(done, c, q, pl.Precision, pl.MaxWorkers, mask, eligible, st, pl.Pruned)
 	}

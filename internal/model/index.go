@@ -474,7 +474,8 @@ func (ix *ScoringIndex) DFSSpan(node int) (lo, hi int) {
 // a shared read-only slice: dfsItems[DFSSpan(node)] is exactly the item
 // set of node's subtree, for every node. The branch-and-bound engine
 // gather-scores through it when a subtree's raw item ids interleave with
-// its siblings'.
+// its siblings', and the cascade marks its kept categories' leaves
+// through it.
 func (ix *ScoringIndex) DFSItems() []int32 { return ix.dfsItems }
 
 // SubtreeBound returns an upper bound on ScoreItem(item, q) over every

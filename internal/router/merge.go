@@ -104,11 +104,12 @@ func (r *Router) route(ctx context.Context, t *topology, wr api.RecommendRequest
 // and merging bounded heaps under the score-then-lower-ID total order
 // equals one serial stream over the union (the TopKStream.Merge lemma).
 //
-// Diversified rankings re-apply the per-category quota exactly as
-// infer.executeDiversified does — per-category bounded heaps of
-// capacity min(MaxPerCategory, heapSize) fed from the returned items,
-// merged into one final heap — keyed by the category annotation the
-// shards attach to each item. Shard pages of size heapSize suffice: if
+// Diversified rankings re-apply the per-category quota selection of
+// infer.executeDiversified — whose greedy quota scan of the exact
+// ranking equals the top-heapSize of the union of every category's own
+// top-min(MaxPerCategory, heapSize) — in that union form: per-category
+// bounded heaps fed from the returned items, merged into one final heap,
+// keyed by the category annotation the shards attach to each item. Shard pages of size heapSize suffice: if
 // a shard's final heap dropped an item x that survived its local quota,
 // then heapSize quota-surviving items beat x on that shard, and each of
 // them either survives the global quota too or is displaced in its

@@ -21,9 +21,9 @@
 // Diversified rankings need more than the plain heap merge — a
 // per-category quota is not preserved by restriction — so shards
 // annotate each item with its quota category and the router re-applies
-// the exact per-category bounded-heap selection of
-// infer.executeDiversified over the returned union (see merge.go for
-// the argument that shard pages of size K+Offset suffice).
+// the exact per-category quota selection of infer.executeDiversified
+// over the returned union (see merge.go for the argument that shard
+// pages of size K+Offset suffice).
 //
 // On top of the merge the router runs the same edge stack as a single
 // node — admission control, per-request deadlines, and a versioned

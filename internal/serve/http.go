@@ -484,6 +484,7 @@ func (h *HTTP) stats(w http.ResponseWriter, r *http.Request) {
 	out.Inference.Precision = h.srv.Precision().String()
 	out.Inference.F32Escalations = infer.F32Escalations()
 	out.Inference.I8Escalations = infer.I8Escalations()
+	out.Inference.DiversifyRefetches = infer.DiversifyRefetches()
 	out.Inference.Filters.ExcludePurchased, out.Inference.Filters.Category, out.Inference.Filters.Paged = h.srv.FilterStats()
 	out.Inference.Kernels = vecmath.Kernels()
 	ps := infer.PruneCounters()
