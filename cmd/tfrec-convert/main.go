@@ -62,6 +62,17 @@ func convert(in, out string, verify bool, w io.Writer) error {
 		return fmt.Errorf("load %s: %w", in, err)
 	}
 	loadDur := time.Since(start)
+	// inspect the source before writing: out may be the same path
+	info, err := model.InspectFile(in)
+	if err != nil {
+		return err
+	}
+	srcFormat := fmt.Sprintf("v%d gob", info.Version)
+	if info.Legacy {
+		srcFormat = "legacy headerless gob"
+	} else if info.Version == 4 {
+		srcFormat = "v4 flat"
+	}
 
 	// Temp-file-and-rename, not os.Create: out may be a model that
 	// tfrec-serve currently mmaps (or equal to in), and truncating either
@@ -90,16 +101,6 @@ func convert(in, out string, verify bool, w io.Writer) error {
 		return err
 	}
 
-	info, err := model.InspectFile(in)
-	if err != nil {
-		return err
-	}
-	srcFormat := fmt.Sprintf("v%d gob", info.Version)
-	if info.Legacy {
-		srcFormat = "legacy headerless gob"
-	} else if info.Version == 4 {
-		srcFormat = "v4 flat"
-	}
 	fmt.Fprintf(w, "%s (%s, %d bytes, loaded in %s) -> %s (v4 flat, %d bytes, written in %s)\n",
 		in, srcFormat, inStat.Size(), loadDur, out, outStat.Size(), saveDur)
 

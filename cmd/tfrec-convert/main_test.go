@@ -74,6 +74,38 @@ func TestConvertGobToV4(t *testing.T) {
 	}
 }
 
+// Converting a gob in place (in == out) must report the source as the gob
+// it was, not as the v4 file that replaced it.
+func TestConvertInPlaceReportsSourceFormat(t *testing.T) {
+	m := convertWorld(t)
+	path := filepath.Join(t.TempDir(), "m.tfrec")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SaveGob(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := convert(path, path, true, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := path + " (v3 gob, "; !strings.HasPrefix(buf.String(), want) {
+		t.Fatalf("report does not start with %q:\n%s", want, buf.String())
+	}
+	info, err := model.InspectFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Version != 4 {
+		t.Fatalf("in-place conversion left format v%d, want v4", info.Version)
+	}
+}
+
 // The verify pass must fail loudly when the written file is damaged
 // after conversion (simulating a bad disk or a partial copy).
 func TestConvertErrors(t *testing.T) {

@@ -60,18 +60,40 @@ func (m *TF) Compose() *Composed {
 
 func composeTree(tree *taxonomy.Tree, offsets *vecmath.Matrix) *vecmath.Matrix {
 	eff := vecmath.NewMatrix(offsets.Rows(), offsets.Cols())
-	root := tree.Root()
-	vecmath.Copy(eff.Row(root), offsets.Row(root))
-	// level order guarantees parents are composed before children
-	for d := 1; d <= tree.Depth(); d++ {
+	composeLevels(tree, offsets, eff.Row)
+	return eff
+}
+
+// composeLevels composes effective rows top-down in level order, which
+// guarantees parents are composed before children: row(n) is node n's
+// destination, or nil to skip n — but a skipped node must have no children,
+// since they read its row.
+func composeLevels(tree *taxonomy.Tree, offsets *vecmath.Matrix, row func(node int) []float64) {
+	for d := 0; d <= tree.Depth(); d++ {
 		for _, node := range tree.Level(d) {
 			n := int(node)
-			row := eff.Row(n)
-			vecmath.Copy(row, eff.Row(tree.Parent(n)))
-			vecmath.Add(row, offsets.Row(n))
+			if dst := row(n); dst != nil {
+				var parent []float64
+				if d > 0 {
+					parent = row(tree.Parent(n))
+				}
+				composeRow(dst, parent, offsets.Row(n))
+			}
 		}
 	}
-	return eff
+}
+
+// composeRow writes eff(n) = eff(parent) + offset(n) into dst, given the
+// parent's effective row (nil for the root, whose effective row is its
+// offset). Every effective row — Compose's and the streaming Save's — is
+// this one expression, so both produce the same bits.
+func composeRow(dst, parent, offset []float64) {
+	if parent == nil {
+		vecmath.Copy(dst, offset)
+		return
+	}
+	vecmath.Copy(dst, parent)
+	vecmath.Add(dst, offset)
 }
 
 // K returns the factor dimensionality.

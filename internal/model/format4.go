@@ -2,9 +2,7 @@ package model
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"unsafe"
 )
@@ -348,148 +346,4 @@ func i8View(b []byte) []int8 {
 		return nil
 	}
 	return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), len(b))
-}
-
-// ---- writer --------------------------------------------------------------
-
-type sectionV4 struct {
-	id   uint32
-	data []byte
-}
-
-// saveV4 lays the sections out in id order with 64-byte-aligned offsets
-// and writes header, table, and slabs sequentially. The section byte
-// slices may alias live model memory; nothing is mutated.
-func saveV4(w io.Writer, secs []sectionV4) error {
-	count := len(secs)
-	tableLen := uint64(count) * tableEntryV4Len
-	off := alignUpV4(headerV4Len + tableLen)
-	table := make([]byte, tableLen)
-	fileSize := off // the file ends at the last section's end, unpadded
-	for i, s := range secs {
-		e := table[i*tableEntryV4Len:]
-		binary.LittleEndian.PutUint32(e[0:], s.id)
-		binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(s.data, castagnoli))
-		binary.LittleEndian.PutUint64(e[8:], off)
-		binary.LittleEndian.PutUint64(e[16:], uint64(len(s.data)))
-		fileSize = off + uint64(len(s.data))
-		off = alignUpV4(fileSize)
-	}
-
-	header := make([]byte, headerV4Len)
-	copy(header, fileMagic[:])
-	binary.BigEndian.PutUint32(header[len(fileMagic):], 4)
-	binary.LittleEndian.PutUint32(header[12:], uint32(count))
-	binary.LittleEndian.PutUint64(header[16:], fileSize)
-	binary.LittleEndian.PutUint32(header[24:], crc32.Checksum(table, castagnoli))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("model: write header: %w", err)
-	}
-	if _, err := w.Write(table); err != nil {
-		return fmt.Errorf("model: write section table: %w", err)
-	}
-	var pad [sectionAlignV4]byte
-	pos := headerV4Len + tableLen
-	for _, s := range secs {
-		if gap := alignUpV4(pos) - pos; gap > 0 {
-			if _, err := w.Write(pad[:gap]); err != nil {
-				return fmt.Errorf("model: write section padding: %w", err)
-			}
-			pos += gap
-		}
-		if _, err := w.Write(s.data); err != nil {
-			return fmt.Errorf("model: write section %s: %w", sectionNamesV4[s.id], err)
-		}
-		pos += uint64(len(s.data))
-	}
-	return nil
-}
-
-// sectionsForSave assembles the full v4 section list from a model and its
-// composed snapshot, forcing the lazy f32/int8 tiers and magnitude bounds
-// so that every serving structure is present in the file and load time
-// pays for none of them.
-func sectionsForSave(m *TF, c *Composed) []sectionV4 {
-	ix := c.Index
-	ix.ensure32()
-	ix.ensure8()
-	parent, depth, childOff, childList, levelOff, levelList, itemNode, nodeItem, root := m.Tree.Layout()
-
-	flags := uint64(0)
-	if m.P.UseBias {
-		flags |= metaFlagUseBias
-	}
-	if m.P.UniformDecay {
-		flags |= metaFlagUniformDecay
-	}
-	mt := metaV4{
-		numUsers:       uint64(m.NumUsers()),
-		numNodes:       uint64(m.Tree.NumNodes()),
-		numItems:       uint64(m.Tree.NumItems()),
-		k:              uint64(m.P.K),
-		depth:          uint64(m.Tree.Depth()),
-		taxonomyLevels: uint64(m.P.TaxonomyLevels),
-		markovOrder:    uint64(m.P.MarkovOrder),
-		root:           uint64(root),
-		flags:          flags,
-		precision:      uint64(m.Precision),
-		alpha:          m.P.Alpha,
-		initStd:        m.P.InitStd,
-
-		maxAbsItemFactor: ix.maxAbsItemFactor, maxAbsItemBias: ix.maxAbsItemBias,
-		maxAbsNodeFactor: ix.maxAbsNodeFactor, maxAbsNodeBias: ix.maxAbsNodeBias,
-		maxItemRowErrI8: ix.maxItemRowErrI8, maxItemScaleI8: ix.maxItemScaleI8,
-		maxAbsItemOffsetI8: ix.maxAbsItemOffsetI8,
-		maxNodeRowErrI8:    ix.maxNodeRowErrI8, maxNodeScaleI8: ix.maxNodeScaleI8,
-		maxAbsNodeOffsetI8: ix.maxAbsNodeOffsetI8,
-	}
-
-	numItems := ix.numItems
-	itemCat := make([]int32, 0, (m.Tree.Depth()+1)*numItems)
-	for _, col := range ix.itemCat {
-		itemCat = append(itemCat, col...)
-	}
-
-	return []sectionV4{
-		{secMeta, mt.encode()},
-		{secTreeParent, i32Bytes(parent)},
-		{secTreeDepth, i32Bytes(depth)},
-		{secTreeChildOff, i32Bytes(childOff)},
-		{secTreeChildList, i32Bytes(childList)},
-		{secTreeLevelOff, i32Bytes(levelOff)},
-		{secTreeLevelList, i32Bytes(levelList)},
-		{secTreeItemNode, i32Bytes(itemNode)},
-		{secTreeNodeItem, i32Bytes(nodeItem)},
-		{secRawUser, f64Bytes(m.User.CompactData())},
-		{secRawNode, f64Bytes(m.Node.CompactData())},
-		{secRawNext, f64Bytes(m.Next.CompactData())},
-		{secRawBias, f64Bytes(m.Bias.CompactData())},
-		{secEffNode, f64Bytes(c.EffNode.Data())},
-		{secEffNext, f64Bytes(c.EffNext.Data())},
-		{secEffBias, f64Bytes(c.EffBias.Data())},
-		{secItemFactors, f64Bytes(ix.itemFactors)},
-		{secItemBias, f64Bytes(ix.itemBias)},
-		{secItem32, f32Bytes(ix.item32.Data())},
-		{secItemBias32, f32Bytes(ix.itemBias32)},
-		{secNode32, f32Bytes(ix.node32.Data())},
-		{secNodeBias32, f32Bytes(ix.nodeBias32)},
-		{secItemI8, i8Bytes(ix.itemI8.Data())},
-		{secItemScaleI8, f64Bytes(ix.itemScaleI8)},
-		{secItemOffsetI8, f64Bytes(ix.itemOffsetI8)},
-		{secNodeI8, i8Bytes(ix.nodeI8.Data())},
-		{secNodeScaleI8, f64Bytes(ix.nodeScaleI8)},
-		{secNodeOffsetI8, f64Bytes(ix.nodeOffsetI8)},
-		{secItemCat, i32Bytes(itemCat)},
-		{secLevelPos, i32Bytes(ix.levelPos)},
-		{secItemLo, i32Bytes(ix.itemLo)},
-		{secItemHi, i32Bytes(ix.itemHi)},
-		{secSubtreeLeaves, i32Bytes(ix.subtreeLeaves)},
-		{secDFSItems, i32Bytes(ix.dfsItems)},
-		{secDFSLo, i32Bytes(ix.dfsLo)},
-		{secDFSHi, i32Bytes(ix.dfsHi)},
-		{secSubLo, f64Bytes(ix.subLo)},
-		{secSubHi, f64Bytes(ix.subHi)},
-		{secSubMaxBias, f64Bytes(ix.subMaxBias)},
-		{secNodeBias, f64Bytes(ix.nodeBias)},
-	}
 }

@@ -156,43 +156,88 @@ func buildIndex(tree *taxonomy.Tree, eff *vecmath.Matrix, effBias *vecmath.Matri
 	ix.itemCat = make([][]int32, tree.Depth()+1)
 	for d := range ix.itemCat {
 		col := make([]int32, numItems)
-		for item := 0; item < numItems; item++ {
-			col[item] = int32(tree.AncestorAtDepth(tree.ItemNode(item), d))
+		for item := range col {
+			col[item] = itemAncestor(tree, item, d)
 		}
 		ix.itemCat[d] = col
 	}
-	ix.levelPos = make([]int32, numNodes)
-	ix.nodeDepth = make([]int32, numNodes)
+	lay := buildLayout(tree)
+	ix.levelPos, ix.nodeDepth = lay.levelPos, lay.nodeDepth
+	ix.itemLo, ix.itemHi, ix.subtreeLeaves = lay.itemLo, lay.itemHi, lay.subtreeLeaves
+	ix.dfsItems, ix.dfsLo, ix.dfsHi = lay.dfsItems, lay.dfsLo, lay.dfsHi
+	// per-subtree score envelopes: seed each leaf node with its own item
+	// row and bias, then fold children into parents (foldEnvelopes)
+	ix.subLo = make([]float64, numNodes*k)
+	ix.subHi = make([]float64, numNodes*k)
+	ix.subMaxBias = make([]float64, numNodes)
+	identityEnvelope(ix.subLo, ix.subHi, ix.subMaxBias)
+	for item := 0; item < numItems; item++ {
+		node := tree.ItemNode(item)
+		copy(ix.subLo[node*k:(node+1)*k], ix.itemFactors[item*k:(item+1)*k])
+		copy(ix.subHi[node*k:(node+1)*k], ix.itemFactors[item*k:(item+1)*k])
+		ix.subMaxBias[node] = ix.itemBias[item]
+	}
+	foldEnvelopes(tree, func(node int) ([]float64, []float64, *float64) {
+		return ix.subLo[node*k : (node+1)*k], ix.subHi[node*k : (node+1)*k], &ix.subMaxBias[node]
+	})
+	ix.shardItems = defaultShardItems(k)
+	return ix
+}
+
+// itemAncestor is item's ancestor node at taxonomy depth d — one entry of
+// the itemCat table.
+func itemAncestor(tree *taxonomy.Tree, item, d int) int32 {
+	return int32(tree.AncestorAtDepth(tree.ItemNode(item), d))
+}
+
+// indexLayout holds the ScoringIndex tables that depend on the taxonomy
+// alone, all O(numNodes): buildIndex adopts them and Save writes them
+// straight from here, so both derive them through one definition.
+type indexLayout struct {
+	levelPos, nodeDepth           []int32
+	itemLo, itemHi, subtreeLeaves []int32
+	dfsItems, dfsLo, dfsHi        []int32
+}
+
+// buildLayout derives the level positions, subtree item ranges and
+// depth-first item layout of a taxonomy (see the ScoringIndex fields of
+// the same names).
+func buildLayout(tree *taxonomy.Tree) indexLayout {
+	numItems, numNodes := tree.NumItems(), tree.NumNodes()
+	lay := indexLayout{
+		levelPos:  make([]int32, numNodes),
+		nodeDepth: make([]int32, numNodes),
+	}
 	for d := 0; d <= tree.Depth(); d++ {
 		for i, node := range tree.Level(d) {
-			ix.levelPos[node] = int32(i)
-			ix.nodeDepth[node] = int32(d)
+			lay.levelPos[node] = int32(i)
+			lay.nodeDepth[node] = int32(d)
 		}
 	}
 	// subtree item bounds, accumulated leaves-up: a leaf spans exactly its
 	// own item id; an interior node spans the union of its children.
-	ix.itemLo = make([]int32, numNodes)
-	ix.itemHi = make([]int32, numNodes)
-	ix.subtreeLeaves = make([]int32, numNodes)
-	for node := range ix.itemLo {
-		ix.itemLo[node] = int32(numItems)
+	lay.itemLo = make([]int32, numNodes)
+	lay.itemHi = make([]int32, numNodes)
+	lay.subtreeLeaves = make([]int32, numNodes)
+	for node := range lay.itemLo {
+		lay.itemLo[node] = int32(numItems)
 	}
 	for item := 0; item < numItems; item++ {
 		node := tree.ItemNode(item)
-		ix.itemLo[node] = int32(item)
-		ix.itemHi[node] = int32(item + 1)
-		ix.subtreeLeaves[node] = 1
+		lay.itemLo[node] = int32(item)
+		lay.itemHi[node] = int32(item + 1)
+		lay.subtreeLeaves[node] = 1
 	}
 	for d := tree.Depth(); d >= 1; d-- {
 		for _, node := range tree.Level(d) {
 			p := tree.Parent(int(node))
-			if ix.itemLo[node] < ix.itemLo[p] {
-				ix.itemLo[p] = ix.itemLo[node]
+			if lay.itemLo[node] < lay.itemLo[p] {
+				lay.itemLo[p] = lay.itemLo[node]
 			}
-			if ix.itemHi[node] > ix.itemHi[p] {
-				ix.itemHi[p] = ix.itemHi[node]
+			if lay.itemHi[node] > lay.itemHi[p] {
+				lay.itemHi[p] = lay.itemHi[node]
 			}
-			ix.subtreeLeaves[p] += ix.subtreeLeaves[node]
+			lay.subtreeLeaves[p] += lay.subtreeLeaves[node]
 		}
 	}
 	// depth-first item layout, assigned top-down: the root spans the whole
@@ -201,54 +246,53 @@ func buildIndex(tree *taxonomy.Tree, eff *vecmath.Matrix, effBias *vecmath.Matri
 	// without the recursion. A leaf's width-1 span then pins its item into
 	// dfsItems, making every subtree a contiguous run even when raw item
 	// ids interleave across siblings.
-	ix.dfsItems = make([]int32, numItems)
-	ix.dfsLo = make([]int32, numNodes)
-	ix.dfsHi = make([]int32, numNodes)
+	lay.dfsItems = make([]int32, numItems)
+	lay.dfsLo = make([]int32, numNodes)
+	lay.dfsHi = make([]int32, numNodes)
 	root := tree.Root()
-	ix.dfsHi[root] = ix.subtreeLeaves[root]
+	lay.dfsHi[root] = lay.subtreeLeaves[root]
 	for d := 0; d < tree.Depth(); d++ {
 		for _, node := range tree.Level(d) {
-			pos := ix.dfsLo[node]
+			pos := lay.dfsLo[node]
 			for _, ch := range tree.Children(int(node)) {
-				ix.dfsLo[ch] = pos
-				pos += ix.subtreeLeaves[ch]
-				ix.dfsHi[ch] = pos
+				lay.dfsLo[ch] = pos
+				pos += lay.subtreeLeaves[ch]
+				lay.dfsHi[ch] = pos
 			}
 		}
 	}
 	for item := 0; item < numItems; item++ {
-		ix.dfsItems[ix.dfsLo[tree.ItemNode(item)]] = int32(item)
+		lay.dfsItems[lay.dfsLo[tree.ItemNode(item)]] = int32(item)
 	}
-	// per-subtree score envelopes, accumulated leaves-up exactly like the
-	// item ranges above: seed each leaf node with its own item row and bias,
-	// then fold children into parents with coordinate-wise min/max. Only
-	// comparisons are involved, so each envelope is the exact coordinate-wise
-	// min/max over the subtree's item rows.
-	ix.subLo = make([]float64, numNodes*k)
-	ix.subHi = make([]float64, numNodes*k)
-	ix.subMaxBias = make([]float64, numNodes)
-	for i := range ix.subLo {
-		ix.subLo[i] = math.Inf(1)
-		ix.subHi[i] = math.Inf(-1)
+	return lay
+}
+
+// identityEnvelope resets envelope storage to the empty-subtree identity:
+// lo = +Inf, hi = −Inf, max bias = −Inf.
+func identityEnvelope(lo, hi, maxBias []float64) {
+	for i := range lo {
+		lo[i] = math.Inf(1)
+		hi[i] = math.Inf(-1)
 	}
-	for node := range ix.subMaxBias {
-		ix.subMaxBias[node] = math.Inf(-1)
+	for i := range maxBias {
+		maxBias[i] = math.Inf(-1)
 	}
-	for item := 0; item < numItems; item++ {
-		node := tree.ItemNode(item)
-		copy(ix.subLo[node*k:(node+1)*k], ix.itemFactors[item*k:(item+1)*k])
-		copy(ix.subHi[node*k:(node+1)*k], ix.itemFactors[item*k:(item+1)*k])
-		ix.subMaxBias[node] = ix.itemBias[item]
-	}
+}
+
+// foldEnvelopes accumulates the per-subtree score envelopes leaves-up:
+// every node's envelope is folded into its parent's with coordinate-wise
+// min/max, deepest level first, in level order. env returns a node's
+// envelope rows and max-bias slot; a leaf's envelope is its own item row
+// and bias, and every interior node's storage must start at the identity.
+// Only comparisons are involved, so each envelope is the exact
+// coordinate-wise min/max over the subtree's item rows — and because the
+// fold order is fixed, so is the sign of any zero it keeps.
+func foldEnvelopes(tree *taxonomy.Tree, env func(node int) (lo, hi []float64, maxBias *float64)) {
 	for d := tree.Depth(); d >= 1; d-- {
-		for _, lvlNode := range tree.Level(d) {
-			node := int(lvlNode)
-			p := tree.Parent(node)
-			cLo := ix.subLo[node*k : (node+1)*k]
-			cHi := ix.subHi[node*k : (node+1)*k]
-			pLo := ix.subLo[p*k : (p+1)*k]
-			pHi := ix.subHi[p*k : (p+1)*k]
-			for j := 0; j < k; j++ {
+		for _, node := range tree.Level(d) {
+			cLo, cHi, cBias := env(int(node))
+			pLo, pHi, pBias := env(tree.Parent(int(node)))
+			for j := range cLo {
 				if cLo[j] < pLo[j] {
 					pLo[j] = cLo[j]
 				}
@@ -256,13 +300,11 @@ func buildIndex(tree *taxonomy.Tree, eff *vecmath.Matrix, effBias *vecmath.Matri
 					pHi[j] = cHi[j]
 				}
 			}
-			if ix.subMaxBias[node] > ix.subMaxBias[p] {
-				ix.subMaxBias[p] = ix.subMaxBias[node]
+			if *cBias > *pBias {
+				*pBias = *cBias
 			}
 		}
 	}
-	ix.shardItems = defaultShardItems(k)
-	return ix
 }
 
 // ensure32 materializes the compact float32 slabs and the magnitude

@@ -46,9 +46,12 @@ var fileMagic = [8]byte{'T', 'F', 'R', 'E', 'C', 'M', 'D', 'L'}
 //	    64-byte-aligned sections behind a checksummed offset table, with
 //	    every serving structure (composed factors, f32/int8 tiers, DFS
 //	    layout, prune envelopes) precomputed at save time so LoadFile can
-//	    serve zero-copy from a mapping. Save writes v4; SaveGob still
-//	    writes v3 for tooling that needs the gob form, and v1–v3 files
-//	    keep loading through the gob path below
+//	    serve zero-copy from a mapping. Save writes v4, streaming each
+//	    section from the raw model in two passes (checksum, then write)
+//	    instead of composing the snapshot in memory — the bytes are the
+//	    same either way; SaveGob still writes v3 for tooling that needs
+//	    the gob form, and v1–v3 files keep loading through the gob path
+//	    below
 const fileVersion uint32 = 4
 
 // gobFileVersion is the format SaveGob writes: the last gob-based layout.
@@ -73,12 +76,19 @@ type persisted struct {
 }
 
 // Save writes the model (including its taxonomy) to w in the current v4
-// flat format: a Compose() pass plus both reduced-precision tiers run at
-// save time, so everything a serving snapshot needs is laid out as
-// checksummed aligned sections and load is O(1) in heap work. Use SaveGob
-// for the legacy gob form.
+// flat format: everything a serving snapshot needs — composed factors,
+// both reduced-precision tiers, layout tables, prune envelopes — is laid
+// out as checksummed aligned sections, so load is O(1) in heap work.
+//
+// Save streams the file without composing the snapshot in memory. Every
+// section is derived row by row from the raw model, twice: once to
+// checksum it (the header and section table carry the CRCs ahead of the
+// data) and once to write it through a buffer. Its heap stays at
+// O(numNodes) tables plus O(interior nodes × K) caches, and the bytes are
+// identical to writing the slabs of a Compose() snapshot. Use SaveGob for
+// the legacy gob form.
 func (m *TF) Save(w io.Writer) error {
-	return saveV4(w, sectionsForSave(m, m.Compose()))
+	return newSaveStream(m).writeTo(w)
 }
 
 // SaveGob writes the model in the v3 gob format — the pre-mmap layout the

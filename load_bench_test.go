@@ -4,6 +4,10 @@ package tfrec
 //
 //	BenchmarkLoadGob vs BenchmarkLoadMmap  (mmap >= 20x)
 //
+// BenchmarkSave (not gated) prices the other end: writing the v4 file
+// from the trainable model. Its B/op is the writer's heap, which stays
+// O(taxonomy nodes) — a small fraction of the bytes it writes.
+//
 // The pair prices serving startup. The gob path is what tfrec-serve did
 // before the v4 flat format: decode the raw factor gob, then run the
 // Compose pass — O(catalog) float work and allocation before the first
@@ -18,6 +22,7 @@ package tfrec
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -33,12 +38,14 @@ import (
 // loadBench holds the one benchmark world, built once per process:
 // TFREC_LOADBENCH_ITEMS items (default 20000), K=8, int8-serving
 // preference so every precision tier's slab is exercised. Both layouts
-// are kept as bytes; each benchmark materializes what it measures.
+// are kept as bytes, beside the model they were written from; each
+// benchmark materializes what it measures.
 var loadBench struct {
-	once sync.Once
-	err  error
-	gob  []byte
-	v4   []byte
+	once  sync.Once
+	err   error
+	model *model.TF
+	gob   []byte
+	v4    []byte
 }
 
 func loadBenchWorld(b *testing.B) (gobBytes, v4Bytes []byte) {
@@ -87,6 +94,7 @@ func loadBenchWorld(b *testing.B) (gobBytes, v4Bytes []byte) {
 			loadBench.err = err
 			return
 		}
+		loadBench.model = m
 		loadBench.gob = gb.Bytes()
 		loadBench.v4 = vb.Bytes()
 	})
@@ -145,5 +153,19 @@ func BenchmarkLoadMmap(b *testing.B) {
 			b.Fatal(err)
 		}
 		sn.Close()
+	}
+}
+
+// BenchmarkSave streams the world's v4 file to a discarding writer.
+func BenchmarkSave(b *testing.B) {
+	_, v4Bytes := loadBenchWorld(b)
+	m := loadBench.model
+	b.SetBytes(int64(len(v4Bytes)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Save(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
