@@ -39,7 +39,7 @@ func main() {
 	topk := flag.Int("topk", 10, "cut for precision/recall/NDCG")
 	catDepth := flag.Int("cat-depth", 1, "taxonomy depth for category metrics")
 	workers := flag.Int("workers", 0, "evaluation goroutines (0 = GOMAXPROCS)")
-	precision := flag.String("precision", "", "top-k scoring precision: f32 (two-stage compact-slab pipeline), f64, int8 (two-stage quantized pipeline), or empty to follow the model file (default f32)")
+	precision := flag.String("precision", "", "top-k scoring precision: f32 (two-stage compact-slab pipeline), f64, int8 (two-stage quantized pipeline), or empty to follow the model file (default: int8 on SIMD hosts, else f32)")
 	pruned := flag.Bool("pruned", false, "score top-k via the branch-and-bound taxonomy descent (identical metrics; throughput knob)")
 	flag.Parse()
 

@@ -60,7 +60,7 @@ func main() {
 	workers := flag.Int("workers", 0, "inference pool parallelism (0 = GOMAXPROCS, 1 = serial sweeps)")
 	batchMax := flag.Int("batch-max", 0, "coalesce up to this many concurrent full-scan requests per sweep (0 = batching off)")
 	batchWindow := flag.Duration("batch-window", 500*time.Microsecond, "max wait to fill a request batch")
-	precision := flag.String("precision", "", "scoring precision: f32 (compact-slab sweep + exact rescore, the default), f64, int8 (quantized-slab sweep + exact rescore), or empty to follow the model file")
+	precision := flag.String("precision", "", "scoring precision: f32 (compact-slab sweep + exact rescore), f64, int8 (quantized-slab sweep + exact rescore), or empty to follow the model file (default: int8 on SIMD hosts, else f32)")
 	maxBody := flag.Int64("max-body", 0, "request body size limit in bytes (0 = 1MiB default); oversize bodies get 413")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	cacheSize := flag.Int("cache-size", 0, "versioned LRU result cache capacity in entries (0 = caching off); SIGHUP reload invalidates all entries atomically")

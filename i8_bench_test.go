@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/infer"
 	"repro/internal/model"
+	"repro/internal/taxonomy"
 	"repro/internal/vecmath"
 )
 
@@ -78,6 +79,45 @@ func BenchmarkTopKI8Wide(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchNarrowWorld is the cache-resident regime at train_tf's serving
+// shape: 30k items x 20 dims under {12, 72, 480} categories. The int8
+// item slab is 600 KB and the f32 one 2.4 MB, so bandwidth barely
+// separates the tiers and the int8 executor's fixed costs (the k%8 code
+// tail, the float64 combine, the threshold compare) decide the pair.
+func benchNarrowWorld(b *testing.B) (*model.Composed, []float64) {
+	b.Helper()
+	tree := taxonomy.MustGenerate(taxonomy.GenConfig{
+		CategoryLevels: []int{12, 72, 480},
+		Items:          30000,
+		Skew:           0.6,
+	}, vecmath.NewRNG(31))
+	m, err := model.New(tree, 10, model.Params{K: 20, TaxonomyLevels: 4, Alpha: 1, InitStd: 0.1, UseBias: true}, vecmath.NewRNG(32))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := m.Compose()
+	rng := vecmath.NewRNG(33)
+	q := make([]float64, c.K())
+	for i := range q {
+		q[i] = rng.NormFloat64()
+	}
+	return c, q
+}
+
+// BenchmarkTopKF32Narrow is the serial two-stage f32 pipeline on the
+// narrow world — the side the int8 tier must not trail.
+func BenchmarkTopKF32Narrow(b *testing.B) {
+	c, q := benchNarrowWorld(b)
+	runExecuteInto(b, nil, c, q, f32Top10)
+}
+
+// BenchmarkTopKI8Narrow is the serial fused int8 pipeline on the narrow
+// world, where the default tier has the least bandwidth to win back.
+func BenchmarkTopKI8Narrow(b *testing.B) {
+	c, q := benchNarrowWorld(b)
+	runExecuteInto(b, nil, c, q, infer.Plan{K: 10, Precision: model.PrecisionInt8})
 }
 
 // BenchmarkTopKI8Saturated drives the pooled int8 pipeline from all

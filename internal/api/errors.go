@@ -88,6 +88,29 @@ func WriteError(w http.ResponseWriter, d ErrorDetail) {
 	json.NewEncoder(w).Encode(ErrorBody{Err: d})
 }
 
+// Recover wraps a route table so a panic in any handler becomes a
+// 500 internal envelope instead of a dropped connection: onPanic runs
+// first (a server counts and logs it there), then the error is written.
+// http.ErrAbortHandler, net/http's deliberate abort, is re-raised. A
+// handler that panics after writing its header leaves that response as
+// it was; the connection still survives.
+func Recover(h http.Handler, onPanic func(r *http.Request, v any)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v)
+			}
+			onPanic(r, v)
+			WriteError(w, ErrorDetail{Code: CodeInternal, Message: "internal error"})
+		}()
+		h.ServeHTTP(w, r)
+	})
+}
+
 // NotFoundHandler answers unknown routes with the structured envelope
 // instead of net/http's plain-text default, so every error a client sees
 // — 404s included — parses the same way.

@@ -74,10 +74,14 @@ type StatsModel struct {
 }
 
 // StatsServed counts recommend traffic: Plan is one per successful POST
-// /v1/recommend, whatever its strategy; Errors counts error responses.
+// /v1/recommend, whatever its strategy; Errors counts error responses;
+// Panics counts requests whose execution panicked and was answered
+// 500 internal (each also counts as an error) — any non-zero value is a
+// bug worth a log dive.
 type StatsServed struct {
 	Plan   int64 `json:"plan"`
 	Errors int64 `json:"errors"`
+	Panics int64 `json:"panics"`
 }
 
 // StatsFilters counts how many served requests used each request-time
@@ -200,6 +204,9 @@ type RouterCounters struct {
 	HedgeWins     int64 `json:"hedge_wins"`
 	EpochMismatch int64 `json:"epoch_mismatch"`
 	CacheHits     int64 `json:"cache_hits"`
+	// Panics counts router requests whose handler panicked and was
+	// answered 500 internal (also counted in Errors).
+	Panics int64 `json:"panics"`
 	// HedgeDelayMS and DegradedMode echo the router's configuration.
 	HedgeDelayMS int64  `json:"hedge_delay_ms"`
 	DegradedMode string `json:"degraded_mode"`

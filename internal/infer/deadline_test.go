@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -185,6 +186,84 @@ func TestExecuteDeadlineNoGoroutineLeak(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want.Items, got.Items) {
 		t.Fatal("pool ranking diverged after cancellation storm")
+	}
+}
+
+// catchTaskPanic runs fn and returns the *TaskPanic it raised, or nil.
+func catchTaskPanic(t *testing.T, fn func()) (tp *TaskPanic) {
+	t.Helper()
+	defer func() {
+		if v := recover(); v != nil {
+			var ok bool
+			if tp, ok = v.(*TaskPanic); !ok {
+				t.Fatalf("raised %T %v, want *TaskPanic", v, v)
+			}
+		}
+	}()
+	fn()
+	return nil
+}
+
+// A panic inside a pooled participant — a background worker's share or
+// the submitter's own — must fail only its query: every participant still
+// signals completion, the *TaskPanic is re-raised on the submitting
+// goroutine, and the workers live on to answer the next query
+// byte-identically, for every plan shape and for batches.
+func TestPoolPanicFailsOnlyItsQuery(t *testing.T) {
+	c, q := deadlineWorld(t)
+	pool := NewPool(3)
+	defer pool.Close()
+	defer func() { taskHook = nil }()
+	ctx := context.Background()
+	var faults atomic.Int64
+	inject := func() {
+		faults.Add(1)
+		panic("injected fault")
+	}
+	for _, pl := range deadlinePlans(c) {
+		want, err := (*Pool)(nil).Execute(ctx, c, q, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		taskHook = inject
+		tp := catchTaskPanic(t, func() { pool.Execute(ctx, c, q, pl) })
+		taskHook = nil
+		if tp == nil || tp.Value != "injected fault" || len(tp.Stack) == 0 {
+			t.Fatalf("strategy %v: pooled query raised %+v, want the injected *TaskPanic", pl.Strategy, tp)
+		}
+		for i := 0; i < 3; i++ {
+			got, err := pool.Execute(ctx, c, q, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Items, want.Items) {
+				t.Fatalf("strategy %v: ranking diverged after a recovered panic", pl.Strategy)
+			}
+		}
+	}
+	qs := [][]float64{q, q}
+	pls := []Plan{{K: 5}, {K: 7}}
+	want, err := (*Pool)(nil).ExecuteBatch(ctx, c, qs, pls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taskHook = inject
+	tp := catchTaskPanic(t, func() { pool.ExecuteBatch(ctx, c, qs, pls) })
+	taskHook = nil
+	if tp == nil {
+		t.Fatal("pooled batch with a panicking participant did not raise")
+	}
+	got, err := pool.ExecuteBatch(ctx, c, qs, pls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("batch diverged after a recovered panic")
+	}
+	// with three participants per query, background workers took faults
+	// too — had one died, the process would have crashed with it
+	if n := faults.Load(); n <= int64(len(deadlinePlans(c))+1) {
+		t.Fatalf("only %d participants faulted; the background workers never ran the hook", n)
 	}
 }
 

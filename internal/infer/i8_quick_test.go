@@ -167,18 +167,15 @@ func TestExecuteI8ZeroAlloc(t *testing.T) {
 		q[i] = rng.NormFloat64()
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	pl := Plan{Precision: model.PrecisionInt8, K: 10}
-	st := vecmath.NewTopKStream(10)
-	ctx := context.Background()
-	if _, err := ExecuteInto(ctx, c, q, pl, st); err != nil { // warm scratch + slabs
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := ExecuteInto(ctx, c, q, pl, st); err != nil {
-			t.Fatal(err)
+	// the platform-default plan (the fused int8 sweep on SIMD hosts), the
+	// explicit tier, and the pruned descent over the fused range sweep
+	for _, pl := range []Plan{
+		{K: 10},
+		{K: 10, Precision: model.PrecisionInt8},
+		{K: 10, Precision: model.PrecisionInt8, Pruned: true},
+	} {
+		if allocs := warmAllocs(t, c, q, pl, vecmath.NewTopKStream(10)); allocs > 0 {
+			t.Fatalf("%v (pruned=%v) ExecuteInto allocated %.1f objects per query, want 0", pl.Precision.Resolve(), pl.Pruned, allocs)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("int8 ExecuteInto allocated %.1f objects per query, want 0", allocs)
 	}
 }

@@ -74,62 +74,52 @@ func getI8Scratch(q []float64) *i8Scratch {
 	return sc
 }
 
-// sweepRangeI8Into is sweepRangeInto over the quantized slab: it scores
-// the item range [rangeLo, rangeHi) in block-sized steps into an armed
-// collector with the same inlined threshold rejection.
-func sweepRangeI8Into(ix *model.ScoringIndex, u []int8, qscale, sumQ float64, rangeLo, rangeHi int, block []float64, st *vecmath.TopKStream) {
-	th, full := st.Threshold()
-	for lo := rangeLo; lo < rangeHi; lo += len(block) {
-		hi := lo + len(block)
-		if hi > rangeHi {
-			hi = rangeHi
-		}
-		buf := block[:hi-lo]
-		ix.ItemScoresRangeI8Into(u, qscale, sumQ, lo, hi, buf)
-		for i, s := range buf {
-			if full && s < th {
-				continue
-			}
-			st.Push(lo+i, s)
-			th, full = st.Threshold()
-		}
-	}
+// i8Survivors is the survivor buffer of one fused int8 sweep step: the
+// (offset, score) pairs of a block's items that cleared the collector's
+// threshold (model.ScoringIndex.ItemScoresRangeI8Above).
+type i8Survivors struct {
+	rows   [blockItems]int32
+	scores [blockItems]float64
 }
 
-// sweepRangeI8MaskedInto is the quantized-slab twin of
-// sweepRangeMaskedInto, with the same per-block adaptive visitation.
-func sweepRangeI8MaskedInto(ix *model.ScoringIndex, u []int8, qscale, sumQ float64, rangeLo, rangeHi int, block []float64, mask *vecmath.Bitset, st *vecmath.TopKStream) {
-	th, full := st.Threshold()
-	for lo := rangeLo; lo < rangeHi; lo += len(block) {
-		hi := lo + len(block)
+// sweepRangeI8Into streams the item range [rangeLo, rangeHi) of the
+// quantized slab into an armed collector, restricted to mask's items when
+// mask is non-nil. Each block-sized step runs the fused kernel at the
+// collector's current threshold, so only items the collector could accept
+// ever leave the kernel; pushing them re-checks against the live
+// threshold, which only rises within a step, so the collector ends up
+// exactly where a per-item push of every score would leave it. Masked
+// blocks adapt to their eligible count like sweepRangeMaskedInto: empty
+// blocks are skipped, mostly eligible ones sweep whole and drop
+// ineligible survivors, and sparse ones gather their eligible rows
+// through the per-item scorer, which is bitwise identical to the kernel.
+func sweepRangeI8Into(ix *model.ScoringIndex, u []int8, qscale, sumQ float64, rangeLo, rangeHi int, sv *i8Survivors, mask *vecmath.Bitset, st *vecmath.TopKStream) {
+	for lo := rangeLo; lo < rangeHi; lo += blockItems {
+		hi := lo + blockItems
 		if hi > rangeHi {
 			hi = rangeHi
 		}
-		eligible := mask.CountRange(lo, hi)
+		eligible := hi - lo
+		if mask != nil {
+			eligible = mask.CountRange(lo, hi)
+		}
+		th, full := st.Threshold()
 		switch {
 		case eligible == 0:
 			continue
-		case eligible == hi-lo:
-			buf := block[:hi-lo]
-			ix.ItemScoresRangeI8Into(u, qscale, sumQ, lo, hi, buf)
-			for i, s := range buf {
-				if full && s < th {
-					continue
-				}
-				st.Push(lo+i, s)
-				th, full = st.Threshold()
-			}
 		case eligible*4 >= (hi-lo)*3:
-			buf := block[:hi-lo]
-			ix.ItemScoresRangeI8Into(u, qscale, sumQ, lo, hi, buf)
-			for i, s := range buf {
-				if !mask.Get(lo + i) {
+			tau := math.Inf(-1)
+			if full {
+				tau = th
+			}
+			n := ix.ItemScoresRangeI8Above(u, qscale, sumQ, tau, lo, hi, sv.rows[:], sv.scores[:])
+			partial := eligible < hi-lo
+			for i, r := range sv.rows[:n] {
+				item, s := lo+int(r), sv.scores[i]
+				if (partial && !mask.Get(item)) || (full && s < th) {
 					continue
 				}
-				if full && s < th {
-					continue
-				}
-				st.Push(lo+i, s)
+				st.Push(item, s)
 				th, full = st.Threshold()
 			}
 		default:
@@ -236,17 +226,13 @@ func (p *Pool) naiveI8(done <-chan struct{}, c *model.Composed, q []float64, max
 func (p *Pool) runSweepI8(done <-chan struct{}, ix *model.ScoringIndex, u []int8, qscale, sumQ float64, mask *vecmath.Bitset, maxWorkers, kp int, cand *vecmath.TopKStream) {
 	fan := p.fanout(maxWorkers, ix.NumShards())
 	if fan <= 1 {
-		var block [blockItems]float64
+		var sv i8Survivors
 		for s, n := 0, ix.NumShards(); s < n; s++ {
 			if canceled(done) {
 				return
 			}
 			lo, hi := ix.Shard(s)
-			if mask == nil {
-				sweepRangeI8Into(ix, u, qscale, sumQ, lo, hi, block[:], cand)
-			} else {
-				sweepRangeI8MaskedInto(ix, u, qscale, sumQ, lo, hi, block[:], mask, cand)
-			}
+			sweepRangeI8Into(ix, u, qscale, sumQ, lo, hi, &sv, mask, cand)
 		}
 		return
 	}

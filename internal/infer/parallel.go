@@ -1,7 +1,9 @@
 package infer
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -47,12 +49,53 @@ type task interface {
 }
 
 // taskBase carries the per-dispatch completion group shared by all task
-// kinds.
+// kinds, and the first panic any participant recovered.
 type taskBase struct {
-	wg sync.WaitGroup
+	wg      sync.WaitGroup
+	panicMu sync.Mutex
+	panic   *TaskPanic
 }
 
 func (b *taskBase) base() *taskBase { return b }
+
+// TaskPanic is what a query re-raises on its submitting goroutine when a
+// participant of its pooled sweep panicked: the recovered value and the
+// stack of the goroutine it was recovered on. The pool itself survives —
+// every participant still signals completion and the worker goroutines
+// keep serving — so only the query that hit the fault fails.
+type TaskPanic struct {
+	Value any
+	Stack []byte
+}
+
+// Error renders the panic value and the participant's stack.
+func (p *TaskPanic) Error() string {
+	return fmt.Sprintf("infer: pooled sweep panicked: %v\n\n%s", p.Value, p.Stack)
+}
+
+// taskHook, when non-nil, runs at the start of every participant's share
+// of a pooled task; the panic-containment tests inject faults through it.
+var taskHook func()
+
+// runTask runs one participant's share of t. A panic is recovered into
+// t's base — the first one wins — so the participant still reaches its
+// wg.Done and a background worker lives on to serve the next query.
+func runTask(t task, sc *scratch) {
+	defer func() {
+		if v := recover(); v != nil {
+			b := t.base()
+			b.panicMu.Lock()
+			if b.panic == nil {
+				b.panic = &TaskPanic{Value: v, Stack: debug.Stack()}
+			}
+			b.panicMu.Unlock()
+		}
+	}()
+	if taskHook != nil {
+		taskHook()
+	}
+	t.run(sc)
+}
 
 // scratch is the per-participant reusable state: one bounded heap for
 // single-query sweeps and per-query heaps for batched sweeps — each in a
@@ -108,7 +151,7 @@ func (p *Pool) Close() {
 func (p *Pool) worker() {
 	sc := new(scratch)
 	for t := range p.tasks {
-		t.run(sc)
+		runTask(t, sc)
 		t.base().wg.Done()
 	}
 }
@@ -131,7 +174,11 @@ func (p *Pool) fanout(maxWorkers, parts int) int {
 }
 
 // dispatch hands the task to fan-1 background workers, runs the caller's
-// share on a borrowed scratch, and waits for everyone.
+// share on a borrowed scratch, and waits for everyone. If any participant
+// panicked, the *TaskPanic is re-raised here, on the submitting
+// goroutine, only after every participant is done — so nothing still
+// writes into the caller's collectors while its stack unwinds. The task
+// is then dropped rather than recycled.
 func (p *Pool) dispatch(t task, fan int) {
 	b := t.base()
 	b.wg.Add(fan - 1)
@@ -139,9 +186,12 @@ func (p *Pool) dispatch(t task, fan int) {
 		p.tasks <- t
 	}
 	sc := p.scratches.Get().(*scratch)
-	t.run(sc)
+	runTask(t, sc)
 	p.scratches.Put(sc)
 	b.wg.Wait()
+	if b.panic != nil {
+		panic(b.panic)
+	}
 }
 
 // ---- single-query sharded sweep -----------------------------------------
@@ -177,7 +227,7 @@ func (t *sweepTask) run(sc *scratch) {
 	if t.qi8 != nil {
 		st := &sc.st
 		st.Reset(t.k)
-		var block [blockItems]float64
+		var sv i8Survivors
 		for {
 			if canceled(t.done) {
 				break
@@ -187,11 +237,7 @@ func (t *sweepTask) run(sc *scratch) {
 				break
 			}
 			lo, hi := t.ix.Shard(s)
-			if t.mask == nil {
-				sweepRangeI8Into(t.ix, t.qi8, t.qscale, t.sumQ, lo, hi, block[:], st)
-			} else {
-				sweepRangeI8MaskedInto(t.ix, t.qi8, t.qscale, t.sumQ, lo, hi, block[:], t.mask, st)
-			}
+			sweepRangeI8Into(t.ix, t.qi8, t.qscale, t.sumQ, lo, hi, &sv, t.mask, st)
 		}
 		if st.Len() > 0 {
 			t.mu.Lock()

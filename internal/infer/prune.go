@@ -167,8 +167,9 @@ type pruneState struct {
 
 	statSubtrees, statItems, statBoundEvals int64
 
-	block   [blockItems]float64
-	block32 [blockItems]float32
+	block     [blockItems]float64
+	block32   [blockItems]float32
+	survivors i8Survivors
 }
 
 var pruneStates = sync.Pool{New: func() any { return new(pruneState) }}
@@ -220,11 +221,7 @@ func (ps *pruneState) sweepRange(lo, hi int) {
 			sweepRange32MaskedInto(ps.ix, ps.q32, lo, hi, ps.block32[:], ps.mask, ps.st32)
 		}
 	case ps.u != nil:
-		if ps.mask == nil {
-			sweepRangeI8Into(ps.ix, ps.u, ps.qscale, ps.sumQ, lo, hi, ps.block[:], ps.st)
-		} else {
-			sweepRangeI8MaskedInto(ps.ix, ps.u, ps.qscale, ps.sumQ, lo, hi, ps.block[:], ps.mask, ps.st)
-		}
+		sweepRangeI8Into(ps.ix, ps.u, ps.qscale, ps.sumQ, lo, hi, &ps.survivors, ps.mask, ps.st)
 	default:
 		if ps.mask == nil {
 			sweepRangeInto(ps.ix, ps.q, lo, hi, ps.block[:], ps.st)
@@ -497,7 +494,7 @@ func (t *pruneTask) run(sc *scratch) {
 	if t.qi8 != nil {
 		st := &sc.st
 		st.Reset(t.k)
-		var block [blockItems]float64
+		var sv i8Survivors
 		for {
 			if canceled(t.done) {
 				break
@@ -509,10 +506,8 @@ func (t *pruneTask) run(sc *scratch) {
 			lo, hi := int(t.ranges[r].lo), int(t.ranges[r].hi)
 			if t.ranges[r].gather {
 				gatherSpan(t.ix, t.dfs[lo:hi], t.mask, nil, st, nil, nil, t.qi8, t.qscale, t.sumQ)
-			} else if t.mask == nil {
-				sweepRangeI8Into(t.ix, t.qi8, t.qscale, t.sumQ, lo, hi, block[:], st)
 			} else {
-				sweepRangeI8MaskedInto(t.ix, t.qi8, t.qscale, t.sumQ, lo, hi, block[:], t.mask, st)
+				sweepRangeI8Into(t.ix, t.qi8, t.qscale, t.sumQ, lo, hi, &sv, t.mask, st)
 			}
 		}
 		if st.Len() > 0 {

@@ -164,8 +164,15 @@ func TestPrecisionParseAndResolve(t *testing.T) {
 	if _, err := ParsePrecision("f16"); err == nil {
 		t.Fatal("expected error for unknown precision")
 	}
-	if PrecisionDefault.Resolve() != PrecisionF32 {
-		t.Fatal("default must resolve to f32")
+	want := PrecisionF32
+	if vecmath.FusedI8Enabled() {
+		want = PrecisionInt8
+	}
+	if got := PrecisionDefault.Resolve(); got != want {
+		t.Fatalf("default resolves to %v on %s, want %v", got, vecmath.KernelsID(), want)
+	}
+	if PrecisionF32.Resolve() != PrecisionF32 {
+		t.Fatal("explicit f32 must survive Resolve")
 	}
 	if PrecisionF64.Resolve() != PrecisionF64 {
 		t.Fatal("explicit f64 must survive Resolve")

@@ -32,6 +32,23 @@ func (ix *ScoringIndex) ensure8() {
 	})
 }
 
+// Warm materializes everything a query at precision p (after Resolve)
+// would otherwise build lazily on first use: the magnitude bounds every
+// certificate and prune bound reads, plus the f32 or int8 mirror slabs of
+// the reduced-precision tiers. A server calls it before publishing a
+// snapshot so the first request never pays a catalog-sized pass. It is a
+// no-op on snapshots whose tiers came precomputed (v4 files) and safe for
+// concurrent use.
+func (ix *ScoringIndex) Warm(p Precision) {
+	ix.ensureBounds()
+	switch p.Resolve() {
+	case PrecisionF32:
+		ix.ensure32()
+	case PrecisionInt8:
+		ix.ensure8()
+	}
+}
+
 // ScoreItemI8 returns item's quantized-tier score against the quantized
 // query (u, qscale, sumQ) — see vecmath.QuantizeQuery. The result is
 // bitwise identical whether computed here or by any blocked int8 sweep.
@@ -55,6 +72,20 @@ func (ix *ScoringIndex) ItemScoresRangeI8Into(u []int8, qscale, sumQ float64, lo
 	ix.ensure8()
 	k := ix.k
 	vecmath.MatVecBiasI8(ix.itemI8.Data()[lo*k:hi*k], k, ix.itemScaleI8[lo:hi], ix.itemOffsetI8[lo:hi], ix.itemBias[lo:hi], u, qscale, sumQ, dst[:hi-lo])
+}
+
+// ItemScoresRangeI8Above is the threshold-aware range sweep of the int8
+// tier: it scores [lo, hi) exactly as ItemScoresRangeI8Into does but
+// keeps only the items whose score s satisfies !(s < tau) —
+// rows[:n] receives their offsets from lo in ascending order, scores[:n]
+// their scores — and returns n (see vecmath.SweepBiasI8Above). Passing a
+// collector's k-th score as tau (−Inf while it is not full) hands back
+// exactly the items its rejection test would let through. rows and
+// scores must hold hi−lo entries.
+func (ix *ScoringIndex) ItemScoresRangeI8Above(u []int8, qscale, sumQ, tau float64, lo, hi int, rows []int32, scores []float64) int {
+	ix.ensure8()
+	k := ix.k
+	return vecmath.SweepBiasI8Above(ix.itemI8.Data()[lo*k:hi*k], k, ix.itemScaleI8[lo:hi], ix.itemOffsetI8[lo:hi], ix.itemBias[lo:hi], u, qscale, sumQ, tau, rows, scores)
 }
 
 // ItemScoresRangeI8MultiInto scores the range for a whole query group in

@@ -39,6 +39,27 @@ func TestIndexI8SweepsAgreeBitwise(t *testing.T) {
 				t.Fatalf("useBias=%v item %d: node-slab score %v != item-slab score %v", useBias, item, got, want)
 			}
 		}
+
+		// the threshold-aware sweep over an unaligned sub-range keeps
+		// exactly the items at or above tau, with the same scores
+		lo, hi := 3, ix.NumItems()-2
+		tau := dst[(lo+hi)/2]
+		rows := make([]int32, hi-lo)
+		scores := make([]float64, hi-lo)
+		n := ix.ItemScoresRangeI8Above(u, qscale, sumQ, tau, lo, hi, rows, scores)
+		j := 0
+		for item := lo; item < hi; item++ {
+			if dst[item] < tau {
+				continue
+			}
+			if j >= n || lo+int(rows[j]) != item || scores[j] != dst[item] {
+				t.Fatalf("useBias=%v: survivor %d of %d is (%d, %v), want item %d scoring %v", useBias, j, n, rows[j], scores[j], item, dst[item])
+			}
+			j++
+		}
+		if j != n {
+			t.Fatalf("useBias=%v: %d survivors, want %d", useBias, n, j)
+		}
 	}
 }
 

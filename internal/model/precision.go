@@ -1,22 +1,29 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/vecmath"
+)
 
 // Precision selects the scoring data path a query sweeps. It is threaded
 // from the CLIs through serve requests down to infer: PrecisionF32 runs
 // the two-stage pipeline (compact float32 slab sweep into an over-fetched
 // candidate heap, then an exact float64 rescore of the candidates), which
 // halves sweep bandwidth while producing rankings byte-identical to the
-// pure float64 path; PrecisionF64 forces the pure float64 sweep.
+// pure float64 path; PrecisionInt8 runs the same pipeline over quantized
+// slabs at a quarter of the bandwidth; PrecisionF64 forces the pure
+// float64 sweep.
 //
 // The zero value PrecisionDefault means "no explicit choice" and resolves
-// to PrecisionF32 — the serving default — unless an outer layer (server
-// option, model file) supplies one.
+// per platform (Resolve) unless an outer layer (server option, model
+// file) supplies one.
 type Precision uint8
 
 const (
 	// PrecisionDefault defers the choice to the surrounding configuration
-	// (request → server → model file), bottoming out at PrecisionF32.
+	// (request → server → model file), bottoming out at Resolve's
+	// platform default.
 	PrecisionDefault Precision = iota
 	// PrecisionF32 is the two-stage exact pipeline: f32 slab sweep with
 	// k' over-fetch, then f64 rescore of the candidates.
@@ -30,12 +37,24 @@ const (
 	PrecisionInt8
 )
 
-// Resolve maps PrecisionDefault to the build default, PrecisionF32.
+// Resolve maps PrecisionDefault to the platform default: PrecisionInt8
+// where the fused int8 sweep kernel runs in assembly (AVX2) — the int8
+// sweep reads a quarter of the f32 tier's bytes, and the fused kernel
+// beats f32 on cache-resident and bandwidth-bound catalogs alike — and
+// PrecisionF32 everywhere else: on the generic kernels the int8 dot and
+// combine run in scalar Go, and on NEON the unfused int8 path (dot, then
+// a separate survivor pass) has not been measured against f32. Every
+// tier returns byte-identical rankings, so the choice is purely one of
+// speed.
 func (p Precision) Resolve() Precision {
-	if p == PrecisionDefault {
+	switch {
+	case p != PrecisionDefault:
+		return p
+	case vecmath.FusedI8Enabled():
+		return PrecisionInt8
+	default:
 		return PrecisionF32
 	}
-	return p
 }
 
 // String returns the wire spelling used by flags and the HTTP knob.

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"net/url"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -53,7 +55,9 @@ func NewHTTP(r *Router) *HTTP {
 	return h
 }
 
-// Handler returns the route table.
+// Handler returns the route table. A panic anywhere under it answers
+// 500 internal, is logged with its stack, and counts in /v1/stats
+// (router.panics and router.errors).
 func (h *HTTP) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+api.EndpointUnified.Path(), h.recommend)
@@ -62,7 +66,11 @@ func (h *HTTP) Handler() http.Handler {
 		w.Write([]byte("ok\n"))
 	})
 	mux.Handle("/", api.NotFoundHandler())
-	return mux
+	return api.Recover(mux, func(r *http.Request, v any) {
+		h.r.panics.Add(1)
+		h.r.errors.Add(1)
+		log.Printf("router: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+	})
 }
 
 // foldQuery applies the result-affecting query parameters into the wire
@@ -249,6 +257,7 @@ func (h *HTTP) stats(w http.ResponseWriter, r *http.Request) {
 		HedgeWins:     h.r.hedgeWins.Load(),
 		EpochMismatch: h.r.epochMismatch.Load(),
 		CacheHits:     h.r.cacheHits.Load(),
+		Panics:        h.r.panics.Load(),
 		HedgeDelayMS:  h.r.cfg.HedgeDelay.Milliseconds(),
 		DegradedMode:  mode,
 	}

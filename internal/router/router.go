@@ -130,6 +130,7 @@ type Router struct {
 	epochMismatch atomic.Int64
 	cacheHits     atomic.Int64
 	deadlines     atomic.Int64
+	panics        atomic.Int64
 
 	start time.Time
 }

@@ -182,6 +182,10 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 		{"/v1/recommend", "", `{"user":6,"k":10,"categories":[1],"recent":[[3,4]]}`},
 		{"/v1/recommend", "", `{"user":6,"k":10,"exclude_categories":[2]}`},
 		{"/v1/recommend", "?precision=int8", `{"user":8,"k":9}`},
+		{"/v1/recommend", "?precision=f32", `{"user":3,"k":10}`},
+		{"/v1/recommend", "?precision=f64", `{"user":3,"k":10}`},
+		{"/v1/recommend", "?precision=f32", `{"user":5,"k":15,"strategy":"diversified","max_per_category":2}`},
+		{"/v1/recommend", "?precision=f32&pruned=true", `{"user":9,"k":9}`},
 		{"/v1/recommend", "?pruned=true", `{"user":9,"k":9}`},
 		{"/v1/recommend", "?offset=6&category=1,3", `{"user":10,"k":8}`},
 		{"/v1/recommend", "", `{"user":99999,"k":5}`}, // shard 400, propagated verbatim
@@ -204,6 +208,19 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 				if gotCode != wantCode || got != want {
 					t.Errorf("%s%s %s:\nrouter (%d): %s\nsingle (%d): %s",
 						rq.path, rq.query, rq.body, gotCode, got, wantCode, want)
+				}
+				if p, ok := strings.CutPrefix(rq.query, "?precision="); ok {
+					// the default tier is resolved per platform; whichever it
+					// is, the answer must equal every explicit tier's
+					defQuery := ""
+					if _, rest, ok := strings.Cut(p, "&"); ok {
+						defQuery = "?" + rest
+					}
+					defCode, def := post(t, tp.front.URL+rq.path+defQuery, rq.body)
+					if defCode != wantCode || def != want {
+						t.Errorf("%s %s: default precision through the router (%d): %s\nexplicit %s on the control (%d): %s",
+							rq.path, rq.body, defCode, def, rq.query, wantCode, want)
+					}
 				}
 				if rq.path != api.EndpointUnified.Path() {
 					var eb api.ErrorBody

@@ -2,6 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"log"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,15 +151,31 @@ func (b *Batcher) detachLocked(mb *microBatch) {
 	mb.timer.Stop()
 }
 
+// errPanicked fails every request of a coalesced batch whose execution
+// panicked. The batch may run on the window timer's goroutine, where an
+// unrecovered panic would kill the process; the HTTP layer answers it
+// 500 internal and counts it with the handler-level panics.
+var errPanicked = errors.New("serve: batch execution panicked")
+
 // run executes a detached batch: full-scan requests share one multi-query
 // plan batch, everything else runs per-request, all against one snapshot.
+// A panic fails the whole batch — its shared sweep is one unit of work —
+// and is logged; waiters are released either way.
 func (b *Batcher) run(mb *microBatch) {
+	mb.resps = make([]Response, len(mb.reqs))
 	defer close(mb.done)
+	defer func() {
+		if v := recover(); v != nil {
+			log.Printf("serve: batch of %d panicked: %v\n%s", len(mb.reqs), v, debug.Stack())
+			for i := range mb.resps {
+				mb.resps[i] = Response{Err: errPanicked}
+			}
+		}
+	}()
 	epoch, ref := b.s.pin()
 	defer ref.release()
 	c := ref.c
 	batchPrec := b.s.effectivePrecision(c, Request{})
-	mb.resps = make([]Response, len(mb.reqs))
 	var (
 		qs   [][]float64
 		pls  []infer.Plan
@@ -191,6 +210,9 @@ func (b *Batcher) run(mb *microBatch) {
 		idxs = append(idxs, i)
 	}
 	if len(qs) > 0 {
+		if execHook != nil {
+			execHook()
+		}
 		results, err := b.s.sweep.ExecuteBatch(context.Background(), c, qs, pls)
 		for j, i := range idxs {
 			if err != nil {

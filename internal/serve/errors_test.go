@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/model"
+	"repro/internal/vecmath"
 )
 
 // Every client mistake must come back as a clean 4xx JSON error — and the
@@ -113,6 +115,63 @@ func TestHTTPErrorPaths(t *testing.T) {
 	})
 }
 
+// A panic while executing a request — on the handler's own goroutine or
+// inside a coalesced batch on the batcher's — must answer 500 with the
+// internal envelope, count in /v1/stats (served.panics and errors), and
+// leave the server answering the next request normally.
+func TestHTTPPanicAnswersInternal(t *testing.T) {
+	m, _ := trainedModel(t)
+	var fault atomic.Bool
+	execHook = func() {
+		if fault.Load() {
+			panic("injected fault")
+		}
+	}
+	defer func() { execHook = nil }()
+	for _, batched := range []bool{false, true} {
+		s := New(m, WithWorkers(2))
+		h := NewHTTP(s, nil)
+		if batched {
+			h.EnableBatching(4, time.Millisecond)
+		}
+		ts := httptest.NewServer(h.Handler())
+
+		fault.Store(true)
+		resp, err := ts.Client().Post(ts.URL+"/v1/recommend", "application/json", strings.NewReader(`{"user":3,"k":5}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb api.ErrorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+			t.Fatalf("batched=%v: panic response is not the JSON envelope: %v", batched, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || eb.Err.Code != api.CodeInternal {
+			t.Fatalf("batched=%v: panic answered %d %q, want 500 internal", batched, resp.StatusCode, eb.Err.Code)
+		}
+
+		fault.Store(false)
+		if resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":5}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batched=%v: request after a panic answered %d", batched, resp.StatusCode)
+		}
+		sresp, err := ts.Client().Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stats statsResponse
+		if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		sresp.Body.Close()
+		if stats.Served.Panics != 1 || stats.Served.Errors != 1 || stats.Served.Plan != 1 {
+			t.Fatalf("batched=%v: stats served %+v, want 1 panic, 1 error, 1 plan", batched, stats.Served)
+		}
+		ts.Close()
+		h.Close()
+		s.Close()
+	}
+}
+
 // Both explicit precisions must serve identical rankings over HTTP, and
 // /v1/stats must surface the resolved default and the escalation counter.
 func TestHTTPPrecisionKnob(t *testing.T) {
@@ -125,14 +184,18 @@ func TestHTTPPrecisionKnob(t *testing.T) {
 	resp32, out32 := postJSON(t, ts.Client(), ts.URL+"/v1/recommend?precision=f32", `{"user":3,"k":8}`)
 	resp64, out64 := postJSON(t, ts.Client(), ts.URL+"/v1/recommend?precision=f64", `{"user":3,"k":8}`)
 	respI8, outI8 := postJSON(t, ts.Client(), ts.URL+"/v1/recommend?precision=int8", `{"user":3,"k":8}`)
-	if resp32.StatusCode != http.StatusOK || resp64.StatusCode != http.StatusOK || respI8.StatusCode != http.StatusOK {
-		t.Fatalf("statuses %d/%d/%d", resp32.StatusCode, resp64.StatusCode, respI8.StatusCode)
+	respDef, outDef := postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":8}`)
+	if resp32.StatusCode != http.StatusOK || resp64.StatusCode != http.StatusOK || respI8.StatusCode != http.StatusOK || respDef.StatusCode != http.StatusOK {
+		t.Fatalf("statuses %d/%d/%d/%d", resp32.StatusCode, resp64.StatusCode, respI8.StatusCode, respDef.StatusCode)
 	}
 	if !reflect.DeepEqual(out32, out64) {
 		t.Fatalf("precision changed the ranking:\nf32 %+v\nf64 %+v", out32, out64)
 	}
 	if !reflect.DeepEqual(outI8, out64) {
 		t.Fatalf("int8 precision changed the ranking:\nint8 %+v\nf64 %+v", outI8, out64)
+	}
+	if !reflect.DeepEqual(outDef, out64) {
+		t.Fatalf("default precision changed the ranking:\ndefault %+v\nf64 %+v", outDef, out64)
 	}
 
 	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
@@ -144,8 +207,14 @@ func TestHTTPPrecisionKnob(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Inference.Precision != "f32" {
-		t.Fatalf("stats precision %q, want f32 default", stats.Inference.Precision)
+	// the default resolves per platform: int8 where the fused int8 kernel
+	// runs (avx2), f32 elsewhere (neon, TFREC_NOSIMD=1, purego)
+	want := "f32"
+	if vecmath.FusedI8Enabled() {
+		want = "int8"
+	}
+	if stats.Inference.Precision != want {
+		t.Fatalf("stats precision %q on %s, want %s default", stats.Inference.Precision, vecmath.KernelsID(), want)
 	}
 	if stats.Inference.F32Escalations < 0 || stats.Inference.I8Escalations < 0 {
 		t.Fatal("negative escalation counter")
@@ -153,7 +222,8 @@ func TestHTTPPrecisionKnob(t *testing.T) {
 }
 
 // The server-level precision option and the model-file preference must
-// resolve in the documented order: request > server > snapshot > f32.
+// resolve in the documented order: request > server > snapshot >
+// platform default.
 func TestPrecisionResolutionOrder(t *testing.T) {
 	m, _ := trainedModel(t)
 	m.Precision = model.PrecisionF64

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -63,6 +65,7 @@ type HTTP struct {
 
 	plans     atomic.Int64
 	errors    atomic.Int64
+	panics    atomic.Int64
 	reloads   atomic.Int64
 	cacheHits atomic.Int64
 	deadlines atomic.Int64
@@ -175,7 +178,9 @@ func (h *HTTP) Reload() error {
 	return nil
 }
 
-// Handler returns the route table.
+// Handler returns the route table. A panic anywhere under it answers
+// 500 internal, is logged with its stack, and counts in /v1/stats
+// (served.panics and served.errors); the process keeps serving.
 func (h *HTTP) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+api.EndpointUnified.Path(), h.recommend)
@@ -186,7 +191,11 @@ func (h *HTTP) Handler() http.Handler {
 	// unknown routes answer the structured envelope, not net/http's
 	// plain-text 404, so every error a client sees parses the same way
 	mux.Handle("/", api.NotFoundHandler())
-	return mux
+	return api.Recover(mux, func(r *http.Request, v any) {
+		h.panics.Add(1)
+		h.errors.Add(1)
+		log.Printf("serve: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+	})
 }
 
 // toRequest translates the wire form against the current snapshot: the
@@ -398,6 +407,11 @@ func (h *HTTP) recommend(w http.ResponseWriter, r *http.Request) {
 		if errors.As(resp.Err, &reqErr) {
 			code = api.CodeBadRequest
 		}
+		if errors.Is(resp.Err, errPanicked) {
+			// a coalesced batch panicked on the batcher's goroutine, which
+			// recovered it; count it like a panic on this one
+			h.panics.Add(1)
+		}
 		h.fail(w, code, resp.Err)
 		return
 	}
@@ -480,6 +494,7 @@ func (h *HTTP) stats(w http.ResponseWriter, r *http.Request) {
 	}
 	out.Served.Plan = h.plans.Load()
 	out.Served.Errors = h.errors.Load()
+	out.Served.Panics = h.panics.Load()
 	out.Inference.PoolWorkers = h.srv.Pool().Workers()
 	out.Inference.Precision = h.srv.Precision().String()
 	out.Inference.F32Escalations = infer.F32Escalations()

@@ -84,7 +84,7 @@ type Server struct {
 	sweep *infer.Pool
 	// prec is the server-level precision choice (WithPrecision).
 	// PrecisionDefault defers to the snapshot's recorded preference and
-	// finally to the build default, the two-stage f32 pipeline.
+	// finally to the platform default (model.Precision.Resolve).
 	prec model.Precision
 	// pruned makes branch-and-bound retrieval the default for naive
 	// request sweeps (WithPruned); individual requests can still opt in
@@ -127,11 +127,13 @@ func WithWorkers(n int) Option {
 }
 
 // WithPrecision pins the server's scoring precision, overriding the
-// model's recorded preference. model.PrecisionF32 (the default when
-// nothing chooses) runs the two-stage f32-sweep + exact-f64-rescore
-// pipeline; model.PrecisionF64 forces the pure float64 sweep. Rankings
-// are byte-identical either way; the knob trades sweep bandwidth against
-// the (rare) escalation re-sweeps of near-tie score regimes.
+// model's recorded preference. model.PrecisionInt8 and PrecisionF32 run
+// the two-stage reduced-precision-sweep + exact-f64-rescore pipeline;
+// model.PrecisionF64 forces the pure float64 sweep. When nothing chooses,
+// the platform default applies: int8 where the SIMD kernels run, f32
+// elsewhere. Rankings are byte-identical either way; the knob trades
+// sweep bandwidth against the (rare) escalation re-sweeps of near-tie
+// score regimes.
 func WithPrecision(p model.Precision) Option {
 	return func(s *Server) { s.prec = p }
 }
@@ -202,12 +204,27 @@ func WithItemRange(lo, hi int) Option {
 // New builds a server from a trained model (the model is snapshotted; the
 // caller may keep training it and call Update later).
 func New(m *model.TF, opts ...Option) *Server {
+	return newServer(newSnapshotRef(m.Compose(), nil), opts)
+}
+
+// newServer applies the options, then warms and publishes the first
+// snapshot — warming needs the server's precision choice.
+func newServer(r *snapshotRef, opts []Option) *Server {
 	s := &Server{}
-	s.snap.Store(newSnapshotRef(m.Compose(), nil))
 	for _, opt := range opts {
 		opt(s)
 	}
+	s.warm(r.c)
+	s.snap.Store(r)
 	return s
+}
+
+// warm builds the slabs a default request on c sweeps (see
+// model.ScoringIndex.Warm) before c is published, so quantizing or
+// down-converting a Compose()-built or gob-loaded catalog never lands on
+// a request.
+func (s *Server) warm(c *model.Composed) {
+	c.Index.Warm(s.effectivePrecision(c, Request{}))
 }
 
 // NewSnapshot builds a server directly from a loaded snapshot — the
@@ -216,12 +233,7 @@ func New(m *model.TF, opts ...Option) *Server {
 // when it is swapped out (UpdateSnapshot) and no request still pins it,
 // or at Close.
 func NewSnapshot(sn *model.Snapshot, opts ...Option) *Server {
-	s := &Server{}
-	s.snap.Store(newSnapshotRef(sn.Composed, sn))
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
+	return newServer(newSnapshotRef(sn.Composed, sn), opts)
 }
 
 // Close releases the server's inference pool, if any, and drops the owner
@@ -281,6 +293,7 @@ func (s *Server) UpdateSnapshot(sn *model.Snapshot) {
 // reference is dropped last, after the swap, so acquire's re-check
 // ordering holds (see acquire).
 func (s *Server) swap(r *snapshotRef) {
+	s.warm(r.c)
 	// the ref's generation is assigned before the pointer is published, so
 	// a pin can never observe a ref with a stale gen
 	r.gen = s.gen.Add(1)
@@ -422,7 +435,7 @@ func (r Request) hasFilter() bool {
 
 // effectivePrecision resolves one request's scoring pipeline: request
 // override, then the server-level WithPrecision choice, then the
-// snapshot's recorded preference, bottoming out at the f32 default.
+// snapshot's recorded preference, bottoming out at the platform default.
 func (s *Server) effectivePrecision(c *model.Composed, req Request) model.Precision {
 	for _, p := range [...]model.Precision{req.Precision, s.prec, c.Precision} {
 		if p != model.PrecisionDefault {
@@ -563,6 +576,11 @@ func (s *Server) cached(epoch uint64, req Request) ([]vecmath.Scored, bool) {
 	return s.cache.Get(epoch, cacheKey(&req))
 }
 
+// execHook, when non-nil, runs just before a request (or a coalesced
+// batch) reaches the executor; the panic-containment tests inject faults
+// through it.
+var execHook func()
+
 // run executes one request against a pinned (epoch, snapshot) pair with
 // a pooled query buffer. It is the single dispatch point shared by
 // Recommend, Batch and the batcher's per-request fallthrough:
@@ -585,6 +603,9 @@ func (s *Server) run(ctx context.Context, epoch uint64, c *model.Composed, req R
 		c.BuildSessionQueryInto(req.Recent, q)
 	} else {
 		c.BuildQueryInto(req.User, req.Recent, q)
+	}
+	if execHook != nil {
+		execHook()
 	}
 	res, err := s.sweep.Execute(ctx, c, q, s.planFor(c, req))
 	if err != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -37,6 +38,46 @@ func trainedModel(t *testing.T) (*model.TF, *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	return m, data
+}
+
+// The first request after construction or a hot swap must not pay the
+// lazy slab build: a Compose()-built snapshot's f32 or int8 mirror is
+// materialized before the snapshot is published, so the request path
+// allocates nothing catalog-sized — at the platform default and at each
+// reduced-precision tier pinned server-wide.
+func TestFirstRequestAllocatesNoCatalogSlab(t *testing.T) {
+	tree := taxonomy.MustGenerate(taxonomy.GenConfig{
+		CategoryLevels: []int{8, 64},
+		Items:          20000,
+		Skew:           0.4,
+	}, vecmath.NewRNG(71))
+	p := model.Params{K: 16, TaxonomyLevels: 3, Alpha: 1, InitStd: 0.1}
+	m, err := model.New(tree, 4, p, vecmath.NewRNG(72))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// the smallest slab any tier builds: one int8 code per factor
+	slab := uint64(m.NumItems() * p.K)
+	firstRequestBytes := func(s *Server) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.Recommend(Request{User: 1, K: 10}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, prec := range []model.Precision{model.PrecisionDefault, model.PrecisionF32, model.PrecisionInt8} {
+		s := New(m, WithPrecision(prec))
+		if got := firstRequestBytes(s); got >= slab/2 {
+			t.Errorf("precision %v: first request allocated %d bytes, catalog int8 slab is %d", prec, got, slab)
+		}
+		s.Update(m)
+		if got := firstRequestBytes(s); got >= slab/2 {
+			t.Errorf("precision %v: first request after Update allocated %d bytes, catalog int8 slab is %d", prec, got, slab)
+		}
+		s.Close()
+	}
 }
 
 func TestServerBasicRequest(t *testing.T) {

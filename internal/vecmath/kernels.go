@@ -57,9 +57,12 @@ type KernelSet struct {
 
 // Kernels returns the active kernel dispatch table.
 func Kernels() KernelSet {
-	simd := implGeneric
+	simd, fused := implGeneric, implGeneric
 	if simdActive {
 		simd = simdImpl
+	}
+	if fusedI8Active {
+		fused = simdImpl
 	}
 	return KernelSet{
 		Arch:     runtime.GOARCH,
@@ -69,6 +72,7 @@ func Kernels() KernelSet {
 			"dot_i8":           simd,
 			"matvec_i8":        simd,
 			"matvec_i8_multi":  simd,
+			"sweep_i8_above":   fused,
 			"dot_f32":          simd,
 			"matvec_f32":       simd,
 			"matvec_f32_multi": simd,
@@ -93,3 +97,8 @@ func KernelsID() string {
 // BenchmarkKernel* micro-benchmarks self-skip their SIMD variants when
 // it is false.
 func SIMDEnabled() bool { return simdActive }
+
+// FusedI8Enabled reports whether SweepBiasI8Above runs its assembly body
+// (today AVX2 only). model.Precision.Resolve keys the int8 default on it:
+// the int8 tier beats f32 only where the fused sweep was measured.
+func FusedI8Enabled() bool { return fusedI8Active }

@@ -11,13 +11,28 @@ var (
 	hasAVX2    bool
 	simdOffEnv bool
 	simdActive bool
+	// fusedI8Active selects the AVX2 body of SweepBiasI8Above; amd64 is
+	// the only arm with one.
+	fusedI8Active bool
 )
 
 func init() {
 	hasAVX2 = detectAVX2()
 	simdOffEnv = noSIMDEnv()
 	simdActive = hasAVX2 && !simdOffEnv
+	fusedI8Active = simdActive
 }
+
+// sweep4I8AboveSIMD is the AVX2 body of SweepBiasI8Above over the first
+// nrows rows (a positive multiple of 4) of the slab at f with row stride
+// k = stride ≥ 8. The head dot runs over n16 = k&^15 codes, then one
+// 8-code chunk when n8 = k&^7 exceeds n16, then — when tail ≥ 0 — the
+// overlapping 8-byte load at row offset tail = k−8 dotted against ut.
+// Surviving (row, score) lanes are written to rows/scores in row order;
+// the count is returned.
+//
+//go:noescape
+func sweep4I8AboveSIMD(f *int8, stride int, u *int8, n16, n8, tail int, ut *int8, scale, offset, bias *float64, qscale, sumQ, tau float64, nrows int, rows *int32, scores *float64) int
 
 func simdFeatures() []string {
 	if hasAVX2 {

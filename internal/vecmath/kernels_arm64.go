@@ -19,6 +19,16 @@ func init() {
 	simdActive = !simdOffEnv
 }
 
+// fusedI8Active is false: the fused int8 sweep has no NEON body yet, so
+// SweepBiasI8Above runs its portable path (the NEON MatVecBiasI8 plus a
+// scalar survivor pass) and the platform default precision stays f32
+// (see FusedI8Enabled).
+const fusedI8Active = false
+
+func sweep4I8AboveSIMD(f *int8, stride int, u *int8, n16, n8, tail int, ut *int8, scale, offset, bias *float64, qscale, sumQ, tau float64, nrows int, rows *int32, scores *float64) int {
+	panic("vecmath: fused int8 kernel on arm64")
+}
+
 func simdFeatures() []string { return []string{"neon"} }
 
 func simdDisabled() string {

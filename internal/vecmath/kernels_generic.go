@@ -10,8 +10,9 @@ import "runtime"
 // kernels.
 
 const (
-	simdActive = false
-	simdImpl   = implGeneric
+	simdActive    = false
+	fusedI8Active = false
+	simdImpl      = implGeneric
 )
 
 func simdFeatures() []string { return nil }
@@ -32,6 +33,10 @@ func simdDisabled() string {
 func dotI8SIMD(a, b *int8, n int) int32 { panic("vecmath: SIMD kernel on generic build") }
 
 func dot4I8SIMD(f *int8, stride int, u *int8, n int, out *[4]int32) {
+	panic("vecmath: SIMD kernel on generic build")
+}
+
+func sweep4I8AboveSIMD(f *int8, stride int, u *int8, n16, n8, tail int, ut *int8, scale, offset, bias *float64, qscale, sumQ, tau float64, nrows int, rows *int32, scores *float64) int {
 	panic("vecmath: SIMD kernel on generic build")
 }
 

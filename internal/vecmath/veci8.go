@@ -200,15 +200,7 @@ const MaxDotLenI8 = (1<<31 - 1) / (127 * 127)
 // identical whether computed row-at-a-time or in any blocked sweep. It
 // panics if the lengths differ.
 func DotBiasI8(u, row []int8, scale, offset, bias, qscale, sumQ float64) float64 {
-	d := DotI8(u, row)
-	// explicit intermediates force one rounding per step (no fused
-	// multiply-add ambiguity), pinning the combine to a single bit pattern
-	// across every kernel that replicates these statements
-	m := qscale * scale
-	a := m * float64(d)
-	c := offset * sumQ
-	s := a + c
-	return s + bias
+	return combineI8(DotI8(u, row), scale, offset, bias, qscale, sumQ)
 }
 
 // MatVecBiasI8 sweeps a contiguous row-major int8 slab: dst[r] gets the
@@ -290,8 +282,13 @@ func MatVecBiasI8(factors []int8, k int, scale, offset, bias []float64, u []int8
 	}
 }
 
-// combineI8 is the shared float64 tail of every int8 kernel — the same
-// single-rounded statement sequence as DotBiasI8's.
+// combineI8 is the shared float64 tail of every int8 kernel: the
+// single-rounded statement sequence
+//
+//	m = qscale·scale;  a = m·d;  c = offset·Σq;  s = a + c;  s + bias
+//
+// that pins every int8 score to one bit pattern across the row, blocked,
+// multi-query and fused kernels.
 func combineI8(d int32, scale, offset, bias, qscale, sumQ float64) float64 {
 	return combineI8F(float64(d), scale, offset, bias, qscale, sumQ)
 }
@@ -301,12 +298,106 @@ func combineI8(d int32, scale, offset, bias, qscale, sumQ float64) float64 {
 // same statement sequence keeps every score bitwise identical regardless
 // of which representation carried the (always exact) integer dot.
 func combineI8F(d, scale, offset, bias, qscale, sumQ float64) float64 {
-	// explicit intermediates force one rounding per step — see DotBiasI8
-	m := qscale * scale
-	a := m * d
-	c := offset * sumQ
+	// one rounding per step: the float64 conversions forbid the compiler
+	// from fusing a product into the following add (the spec allows
+	// fusion otherwise, and arm64 and GOAMD64=v3 builds do it), so every
+	// build rounds exactly like the unfused vector combine of the fused
+	// sweep kernel
+	m := float64(qscale * scale)
+	a := float64(m * d)
+	c := float64(offset * sumQ)
 	s := a + c
 	return s + bias
+}
+
+// SweepBiasI8Above is the fused threshold-aware sweep of the int8 tier. It
+// scores every row of a contiguous row-major int8 slab exactly as
+// MatVecBiasI8 does — the exact integer dot, then DotBiasI8's combine —
+// and keeps only the rows whose score s satisfies !(s < tau): rows[:n]
+// receives their slab-relative indices in ascending order, scores[:n]
+// their scores, and n is returned. The predicate is the negation of a
+// full top-k collector's "strictly below the k-th score" rejection, so
+// ties with tau and NaN scores survive exactly as they would be offered
+// to the collector; tau = −Inf keeps every row. rows and scores must hold
+// one entry per slab row (every row may survive). It panics on any shape
+// mismatch.
+//
+// On AVX2 hosts the whole 4-row block — dot over all of k including the
+// k%8 tail, the vector combine (separate multiplies and adds, never FMA,
+// so each lane rounds exactly like combineI8F), the compare against the
+// broadcast tau and the emission of surviving lanes — runs in one
+// assembly loop; elsewhere MatVecBiasI8 scores the slab and a scalar pass
+// compacts the survivors.
+func SweepBiasI8Above(factors []int8, k int, scale, offset, bias []float64, u []int8, qscale, sumQ, tau float64, rows []int32, scores []float64) int {
+	n := len(bias)
+	if len(factors) != n*k {
+		panicSlab("SweepBiasI8Above", len(factors), n, k)
+	}
+	if len(scale) != n || len(offset) != n {
+		panic(fmt.Sprintf("vecmath: SweepBiasI8Above param lengths %d/%d != rows %d", len(scale), len(offset), n))
+	}
+	if len(u) != k {
+		panicQueryLen("SweepBiasI8Above", len(u), k)
+	}
+	if len(rows) < n || len(scores) < n || n > math.MaxInt32 {
+		panic(fmt.Sprintf("vecmath: SweepBiasI8Above output lengths %d/%d below rows %d", len(rows), len(scores), n))
+	}
+	if !fusedI8Active || k < 8 {
+		MatVecBiasI8(factors, k, scale, offset, bias, u, qscale, sumQ, scores[:n])
+		return compactAbove(scores[:n], tau, rows)
+	}
+	c := 0
+	if n4 := n &^ 3; n4 > 0 {
+		// the k%8 tail is one overlapping 8-byte load ending at the row's
+		// last code, dotted against the query tail shifted into the top
+		// lanes with zeros below it — the overlap re-reads codes the head
+		// already counted, and the zero lanes cancel them exactly
+		n8, tail := k&^7, -1
+		var ut [8]int8
+		if n8 < k {
+			tail = k - 8
+			copy(ut[8-(k-n8):], u[n8:])
+		}
+		c = sweep4I8AboveSIMD(&factors[0], k, &u[0], k&^15, n8, tail, &ut[0],
+			&scale[0], &offset[0], &bias[0], qscale, sumQ, tau, n4, &rows[0], &scores[0])
+	}
+	for r := n &^ 3; r < n; r++ {
+		s := DotBiasI8(u, factors[r*k:(r+1)*k], scale[r], offset[r], bias[r], qscale, sumQ)
+		if !(s < tau) {
+			rows[c], scores[c] = int32(r), s
+			c++
+		}
+	}
+	return c
+}
+
+// compactAbove moves the scores satisfying !(s < tau) to the front of
+// scores in order, writing their indices into rows, and returns the
+// count. In place is safe: the write index never passes the read index.
+func compactAbove(scores []float64, tau float64, rows []int32) int {
+	c := 0
+	for r, s := range scores {
+		if !(s < tau) {
+			rows[c], scores[c] = int32(r), s
+			c++
+		}
+	}
+	return c
+}
+
+// sweepBiasI8AboveRef is the row-at-a-time pure-Go reference of
+// SweepBiasI8Above: the reference integer dot, the shared combine, the
+// same predicate. The differential suite pins every dispatch arm to it.
+func sweepBiasI8AboveRef(factors []int8, k int, scale, offset, bias []float64, u []int8, qscale, sumQ, tau float64, rows []int32, scores []float64) int {
+	c := 0
+	for r := range bias {
+		s := combineI8(dotI8Ref(u, factors[r*k:(r+1)*k]), scale[r], offset[r], bias[r], qscale, sumQ)
+		if !(s < tau) {
+			rows[c], scores[c] = int32(r), s
+			c++
+		}
+	}
+	return c
 }
 
 // widenK and widenGroup bound the stack buffers of the widened multi-query

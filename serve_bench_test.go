@@ -42,8 +42,10 @@ func benchServeModel(b *testing.B) *model.TF {
 	return m
 }
 
+// The cached pair pins f32 so its baseline rows keep measuring the tier
+// they were recorded at, whatever the platform default resolves to.
 func BenchmarkServeUncached(b *testing.B) {
-	srv := serve.New(benchServeModel(b))
+	srv := serve.New(benchServeModel(b), serve.WithPrecision(model.PrecisionF32))
 	req := serve.Request{User: 1, K: 10}
 	if _, err := srv.Recommend(req); err != nil {
 		b.Fatal(err)
@@ -58,7 +60,7 @@ func BenchmarkServeUncached(b *testing.B) {
 }
 
 func BenchmarkServeCachedHit(b *testing.B) {
-	srv := serve.New(benchServeModel(b), serve.WithCache(16))
+	srv := serve.New(benchServeModel(b), serve.WithPrecision(model.PrecisionF32), serve.WithCache(16))
 	req := serve.Request{User: 1, K: 10}
 	if _, err := srv.Recommend(req); err != nil { // fill
 		b.Fatal(err)
