@@ -11,266 +11,177 @@ import (
 
 // This file is the engine layer of the query-plan executor: the naive
 // sweep and the multi-query batch, each taking the full parameterization
-// — precision, worker cap, eligibility mask — as arguments, plus the
-// cascade and diversified strategies as thin layers over the naive
-// engine (a beam-built eligibility mask; a quota scan over an exact
-// ranked prefix). Every public entry point funnels through the Plan
-// executor into these functions, so a new serving capability is one
-// parameter threaded through two engines. All engines are methods on
-// *Pool with a nil receiver meaning "serial".
-
-// ---- masked sweeps ------------------------------------------------------
-
-// sweepRangeMaskedInto is sweepRangeInto restricted to items whose mask
-// bit is set. Each block adapts to its eligible count: empty blocks are
-// skipped without touching their factor rows, fully eligible blocks run
-// the original branch-free blocked kernel, mostly eligible blocks are
-// scored whole and filtered at push time (the shared-q blocked kernel
-// beats per-row gathers while most rows are needed anyway), and sparse
-// blocks gather only their eligible rows through the per-row kernel —
-// which accumulates in the exact pairwise order of a blocked row, so the
-// scores (and therefore the ranking, ties included) are bitwise identical
-// whichever path a block takes. Sparse gathers are what keep a
-// 95%-excluded scattered mask from paying the whole catalog's bandwidth.
-func sweepRangeMaskedInto(ix *model.ScoringIndex, q []float64, rangeLo, rangeHi int, block []float64, mask *vecmath.Bitset, st *vecmath.TopKStream) {
-	th, full := st.Threshold()
-	for lo := rangeLo; lo < rangeHi; lo += len(block) {
-		hi := lo + len(block)
-		if hi > rangeHi {
-			hi = rangeHi
-		}
-		eligible := mask.CountRange(lo, hi)
-		switch {
-		case eligible == 0:
-			continue
-		case eligible == hi-lo:
-			buf := block[:hi-lo]
-			ix.ItemScoresRangeInto(q, lo, hi, buf)
-			for i, s := range buf {
-				if full && s < th {
-					continue
-				}
-				st.Push(lo+i, s)
-				th, full = st.Threshold()
-			}
-		case eligible*4 >= (hi-lo)*3:
-			buf := block[:hi-lo]
-			ix.ItemScoresRangeInto(q, lo, hi, buf)
-			for i, s := range buf {
-				if !mask.Get(lo + i) {
-					continue
-				}
-				if full && s < th {
-					continue
-				}
-				st.Push(lo+i, s)
-				th, full = st.Threshold()
-			}
-		default:
-			mask.ForEachInRange(lo, hi, func(item int) {
-				s := ix.ScoreItem(item, q)
-				if full && s < th {
-					return
-				}
-				st.Push(item, s)
-				th, full = st.Threshold()
-			})
-		}
-	}
-}
-
-// sweepRange32MaskedInto is the compact-slab twin of sweepRangeMaskedInto.
-func sweepRange32MaskedInto(ix *model.ScoringIndex, q32 []float32, rangeLo, rangeHi int, block []float32, mask *vecmath.Bitset, st *vecmath.TopKStream32) {
-	th, full := st.Threshold()
-	for lo := rangeLo; lo < rangeHi; lo += len(block) {
-		hi := lo + len(block)
-		if hi > rangeHi {
-			hi = rangeHi
-		}
-		eligible := mask.CountRange(lo, hi)
-		switch {
-		case eligible == 0:
-			continue
-		case eligible == hi-lo:
-			buf := block[:hi-lo]
-			ix.ItemScoresRange32Into(q32, lo, hi, buf)
-			for i, s := range buf {
-				if full && s < th {
-					continue
-				}
-				st.Push(lo+i, s)
-				th, full = st.Threshold()
-			}
-		case eligible*4 >= (hi-lo)*3:
-			buf := block[:hi-lo]
-			ix.ItemScoresRange32Into(q32, lo, hi, buf)
-			for i, s := range buf {
-				if !mask.Get(lo + i) {
-					continue
-				}
-				if full && s < th {
-					continue
-				}
-				st.Push(lo+i, s)
-				th, full = st.Threshold()
-			}
-		default:
-			mask.ForEachInRange(lo, hi, func(item int) {
-				s := ix.ScoreItem32(item, q32)
-				if full && s < th {
-					return
-				}
-				st.Push(item, s)
-				th, full = st.Threshold()
-			})
-		}
-	}
-}
-
-// ---- fan-out-aware sweep drivers ----------------------------------------
-
-// runSweep streams the f64 score of every eligible item into the armed
-// collector, fanning the shard claims across the pool when it pays. The
-// done channel is polled at every shard boundary — serial and fanned
-// alike — so a fired deadline abandons the sweep within one shard's work;
-// the caller decides what to do with the (possibly partial) collector.
-//
-// The serial claim loop below recurs, with only its per-shard body
-// differing, in runSweep32, runSweepI8 and the three executeMulti serial
-// arms. The duplication is deliberate: a
-// forEachShard(done, ix, func(lo, hi)) helper would capture each
-// caller's stack block buffer in a closure, heap-escaping it and
-// breaking the zero-alloc-per-query guarantee the serving benches gate.
-// A change to the poll policy must be applied at all six sites.
-func (p *Pool) runSweep(done <-chan struct{}, ix *model.ScoringIndex, q []float64, mask *vecmath.Bitset, maxWorkers int, st *vecmath.TopKStream) {
-	fan := p.fanout(maxWorkers, ix.NumShards())
-	if fan <= 1 {
-		var block [blockItems]float64
-		for s, n := 0, ix.NumShards(); s < n; s++ {
-			if canceled(done) {
-				return
-			}
-			lo, hi := ix.Shard(s)
-			if mask == nil {
-				sweepRangeInto(ix, q, lo, hi, block[:], st)
-			} else {
-				sweepRangeMaskedInto(ix, q, lo, hi, block[:], mask, st)
-			}
-		}
-		return
-	}
-	t := p.getSweepTask()
-	t.ix, t.q, t.k, t.out, t.mask, t.done = ix, q, st.K(), st, mask, done
-	t.numShards = int32(ix.NumShards())
-	t.next.Store(0)
-	p.dispatch(t, fan)
-	t.ix, t.q, t.out, t.mask, t.done = nil, nil, nil, nil, nil
-	p.sweeps.Put(t)
-}
-
-// runSweep32 is runSweep over the compact f32 slab into a candidate heap
-// of budget kp (per participant, merged under the f32 total order).
-func (p *Pool) runSweep32(done <-chan struct{}, ix *model.ScoringIndex, q32 []float32, mask *vecmath.Bitset, maxWorkers, kp int, cand *vecmath.TopKStream32) {
-	fan := p.fanout(maxWorkers, ix.NumShards())
-	if fan <= 1 {
-		var block [blockItems]float32
-		for s, n := 0, ix.NumShards(); s < n; s++ {
-			if canceled(done) {
-				return
-			}
-			lo, hi := ix.Shard(s)
-			if mask == nil {
-				sweepRange32Into(ix, q32, lo, hi, block[:], cand)
-			} else {
-				sweepRange32MaskedInto(ix, q32, lo, hi, block[:], mask, cand)
-			}
-		}
-		return
-	}
-	t := p.getSweepTask()
-	t.ix, t.q32, t.k, t.out32, t.mask, t.done = ix, q32, kp, cand, mask, done
-	t.numShards = int32(ix.NumShards())
-	t.next.Store(0)
-	p.dispatch(t, fan)
-	t.ix, t.q32, t.out32, t.mask, t.done = nil, nil, nil, nil, nil
-	p.sweeps.Put(t)
-}
+// — tier, worker cap, eligibility mask — as arguments, plus the cascade
+// and diversified strategies as thin layers over the naive engine (a
+// beam-built eligibility mask; a quota scan over an exact ranked prefix).
+// Every public entry point funnels through the Plan executor into these
+// functions, so a new serving capability is one parameter threaded
+// through two engines. All engines are methods on *Pool with a nil
+// receiver meaning "serial".
 
 // ---- naive --------------------------------------------------------------
 
 // executeNaive fills the armed collector with the exact f64 top-K of the
-// eligible items, at either precision and any fan-out. eligible is the
-// mask's surviving item count (NumItems when mask is nil); the f32
-// escalation loop stops pruning once its candidate budget covers it.
-// pruned routes each precision tier through its branch-and-bound variant
-// (prune.go) — same ranking, sublinear work when the bounds bite.
+// eligible items, at any precision and fan-out. eligible is the mask's
+// surviving item count (NumItems when mask is nil). pruned runs stage one
+// as the branch-and-bound descent (prune.go) — same ranking, sublinear
+// work when the bounds bite.
 func (p *Pool) executeNaive(done <-chan struct{}, c *model.Composed, q []float64, prec model.Precision, maxWorkers int, mask *vecmath.Bitset, eligible int, st *vecmath.TopKStream, pruned bool) {
-	switch prec.Resolve() {
-	case model.PrecisionF32:
-		if pruned {
-			p.prunedF32(done, c, q, maxWorkers, mask, eligible, st, f32OverFetch(st.K()))
-			return
-		}
-		p.naiveF32(done, c, q, maxWorkers, mask, eligible, st, f32OverFetch(st.K()))
-	case model.PrecisionInt8:
-		if pruned {
-			p.prunedI8(done, c, q, maxWorkers, mask, eligible, st, i8OverFetch(st.K()))
-			return
-		}
-		p.naiveI8(done, c, q, maxWorkers, mask, eligible, st, i8OverFetch(st.K()))
-	default:
-		if pruned {
-			p.prunedF64(done, c, q, maxWorkers, mask, eligible, st)
-			return
-		}
-		p.runSweep(done, c.Index, q, mask, maxWorkers, st)
-	}
+	t := tierOf(prec)
+	p.sweepTier(done, c, q, t, maxWorkers, mask, eligible, st, t.overFetch(st.K()), pruned)
 }
 
-// naiveF32 runs the two-stage pipeline from an explicit starting
-// candidate budget (a failed shared-batch pass resumes at the next
-// doubling instead of repeating work). Steady-state calls allocate
-// nothing: query rounding and the candidate heap live in pooled scratch.
-func (p *Pool) naiveF32(done <-chan struct{}, c *model.Composed, q []float64, maxWorkers int, mask *vecmath.Bitset, eligible int, st *vecmath.TopKStream, kp0 int) {
+// sweepTier is the one escalation loop: it runs tier t's stage one from
+// candidate budget kp0 (a failed shared-batch pass resumes at the next
+// doubling instead of repeating work), rescores, and doubles the budget
+// until the certificate separates (tier.go). The f64 tier — and any tier
+// whose ε is non-finite for this query, or whose budget covers the
+// eligible items — sweeps straight into st. A pruned plan whose prune ε
+// is non-finite, or whose collector covers the eligible set (nothing
+// could ever prune), runs the dense sweep of its tier instead, counted in
+// PruneStats.Fallbacks. Steady-state calls allocate nothing.
+func (p *Pool) sweepTier(done <-chan struct{}, c *model.Composed, q []float64, t tier, maxWorkers int, mask *vecmath.Bitset, eligible int, st *vecmath.TopKStream, kp0 int, pruned bool) {
 	ix := c.Index
 	k := st.K()
-	if k <= 0 {
+	if k <= 0 || ix.NumItems() == 0 {
 		return
 	}
-	sc := getF32Scratch(q)
-	defer f32Scratches.Put(sc)
-	eps := ix.ItemErrBound32(q)
+	sc := tierScratches.Get().(*tierScratch)
+	defer sc.release()
+	tq := &sc.tq
+	tq.prepare(ix, t, q)
+	var epsPrune float64
+	if pruned {
+		epsPrune = ix.ItemPruneBound(q)
+		if k >= eligible || !finite(epsPrune) {
+			pruneFallbacks.Add(1)
+			pruned = false
+		}
+	}
 	for kp := kp0; ; kp *= 2 {
 		if canceled(done) {
 			return
 		}
-		if kp >= eligible {
-			// the candidate budget covers every eligible item: nothing to
-			// prune, run the exact sweep directly
+		if !staged(tq, kp, eligible) {
+			tq.prepare(ix, tierF64, q)
 			st.Reset(k)
-			p.runSweep(done, ix, q, mask, maxWorkers, st)
+			p.stageOne(done, c, tq, maxWorkers, mask, st, pruned, epsPrune)
 			return
 		}
 		sc.cand.Reset(kp)
-		p.runSweep32(done, ix, sc.q32, mask, maxWorkers, kp, &sc.cand)
+		// the prune allowance adds the tier's scoring error, so a pruned
+		// item's tier score also sits strictly below the candidate threshold
+		pruned = p.stageOne(done, c, tq, maxWorkers, mask, &sc.cand, pruned, epsPrune+tq.eps)
 		if canceled(done) {
 			// a cancelled sweep left a truncated candidate set; rescoring it
 			// could "certify" a wrong ranking, so bail before stage two
 			return
 		}
 		st.Reset(k)
-		if rescoreItems(done, ix, q, &sc.cand, st, eps) {
+		if rescore(done, ix, q, &sc.cand, st, tq.eps) {
 			return
 		}
-		f32Escalations.Add(1)
+		t.escalations().Add(1)
 	}
+}
+
+// stageOne streams tq's tier score of every eligible item into the armed
+// collector: the dense sweep, or — pruned — the branch-and-bound descent
+// with total prune allowance eps, which hands a walk that bails at its
+// loose-bounds checkpoint back to the dense sweep. It reports whether the
+// query should keep pruning: a bailed walk means its bounds are too loose
+// for this query, so the later escalation passes run dense.
+func (p *Pool) stageOne(done <-chan struct{}, c *model.Composed, tq *tierQuery, maxWorkers int, mask *vecmath.Bitset, out *vecmath.TopKStream, pruned bool, eps float64) bool {
+	if pruned && p.prunedSweep(done, c, tq, maxWorkers, mask, out, eps) != descendBailed {
+		return true
+	}
+	p.runSweep(done, c.Index, tq, mask, maxWorkers, out)
+	return false
+}
+
+// runSweep streams tq's tier score of every eligible item into the armed
+// collector, fanning the shard claims across the pool when it pays. The
+// done channel is polled at every shard boundary — serial and fanned
+// alike — so a fired deadline abandons the sweep within one shard's work;
+// the caller decides what to do with the (possibly partial) collector.
+//
+// The serial claim loop below recurs, with only its per-shard body
+// differing, in executeMulti and sweepRanges. The duplication is
+// deliberate: a forEachShard(done, ix, func(lo, hi)) helper would capture
+// each caller's stack block buffer in a closure, heap-escaping it and
+// breaking the zero-alloc-per-query guarantee the serving benches gate.
+// A change to the poll policy must be applied at all three sites and in
+// the two task bodies of parallel.go.
+func (p *Pool) runSweep(done <-chan struct{}, ix *model.ScoringIndex, tq *tierQuery, mask *vecmath.Bitset, maxWorkers int, st *vecmath.TopKStream) {
+	fan := p.fanout(maxWorkers, ix.NumShards())
+	if fan <= 1 {
+		var b blockBuf
+		for s, n := 0, ix.NumShards(); s < n; s++ {
+			if canceled(done) {
+				return
+			}
+			lo, hi := ix.Shard(s)
+			sweepRange(ix, tq, lo, hi, &b, mask, st)
+		}
+		return
+	}
+	p.fanSweep(done, ix, tq, mask, nil, fan, st)
 }
 
 // ---- multi-query batch --------------------------------------------------
 
+// multiScratch is the reusable state of a batched sweep: the prepared
+// queries, the reduced tiers' per-query candidate heaps, the heaps the
+// shared sweep pushes into (the candidates, or the final collectors at
+// f64), and the indices of the queries the shared sweep runs for. Pooled
+// so steady-state batched serving allocates nothing.
+type multiScratch struct {
+	tqs    []tierQuery
+	cands  []vecmath.TopKStream
+	ptrs   []*vecmath.TopKStream
+	active []int
+}
+
+var multiScratches = sync.Pool{New: func() any { return new(multiScratch) }}
+
+// arm prepares every query at tier t and points the shared sweep at its
+// heap. A reduced-tier query the stage cannot help — its budget covers
+// the catalog, or its bound cannot certify — is left out of active; the
+// finish stage runs it through the exact tier directly.
+func (sc *multiScratch) arm(ix *model.ScoringIndex, t tier, qs [][]float64, outs []*vecmath.TopKStream) {
+	b := len(qs)
+	if cap(sc.tqs) < b {
+		sc.tqs = make([]tierQuery, b)
+		sc.cands = make([]vecmath.TopKStream, b)
+		sc.ptrs = make([]*vecmath.TopKStream, b)
+	}
+	sc.tqs, sc.cands, sc.ptrs, sc.active = sc.tqs[:b], sc.cands[:b], sc.ptrs[:b], sc.active[:0]
+	for i, q := range qs {
+		tq := &sc.tqs[i]
+		tq.prepare(ix, t, q)
+		sc.ptrs[i] = outs[i]
+		if t != tierF64 {
+			sc.cands[i].Reset(t.overFetch(outs[i].K()))
+			sc.ptrs[i] = &sc.cands[i]
+			if !staged(tq, sc.cands[i].K(), ix.NumItems()) {
+				continue
+			}
+		}
+		sc.active = append(sc.active, i)
+	}
+}
+
+func (sc *multiScratch) release() {
+	clear(sc.ptrs)
+	for i := range sc.tqs {
+		sc.tqs[i].q = nil
+	}
+	multiScratches.Put(sc)
+}
+
 // executeMulti scores a batch of queries in one pass over the shared item
 // slab — each cache-sized shard is loaded once and dotted against every
-// query — at either precision and any fan-out. Each collector ends up
+// query — at any precision and fan-out. Each collector ends up
 // byte-identical to its serial single-query f64 ranking. Filtered plans
 // do not batch: the shared sweep is one pass at one visitation pattern,
 // so callers route filtered queries through executeNaive instead.
@@ -279,89 +190,65 @@ func (p *Pool) executeMulti(done <-chan struct{}, c *model.Composed, qs [][]floa
 		return
 	}
 	ix := c.Index
+	t := tierOf(prec)
+	sc := multiScratches.Get().(*multiScratch)
+	defer sc.release()
+	sc.arm(ix, t, qs, outs)
 	fan := p.fanout(maxWorkers, ix.NumShards())
-	if prec.Resolve() == model.PrecisionInt8 {
-		sc := getMultiI8Scratch(qs, outs)
-		defer multiI8Scratches.Put(sc)
-		if fan <= 1 {
-			// queries whose budget covers the catalog skip the quantized
-			// sweep; the finish stage runs them through the f64 path directly
-			sc.active = activeI8Into(sc.active, sc.cands, ix.NumItems())
-			for s, n := 0, ix.NumShards(); s < n; s++ {
-				if canceled(done) {
-					return
-				}
-				lo, hi := ix.Shard(s)
-				sweepShardI8Multi(ix, sc.us, sc.qscales, sc.sumQs, sc.ptrs, sc.active, lo, hi)
-			}
-		} else {
-			t := p.getMultiTask()
-			t.ix, t.usI8, t.qscalesI8, t.sumQsI8, t.outs, t.done = ix, sc.us, sc.qscales, sc.sumQs, sc.ptrs, done
-			t.numShards = int32(ix.NumShards())
-			t.next.Store(0)
-			p.dispatch(t, fan)
-			t.ix, t.usI8, t.qscalesI8, t.sumQsI8, t.outs, t.done = nil, nil, nil, nil, nil, nil
-			p.multis.Put(t)
-		}
-		if canceled(done) {
-			// truncated candidate sets must not reach the rescore stage
-			return
-		}
-		finishMultiI8(done, c, qs, outs, sc)
-		return
-	}
-	if prec.Resolve() == model.PrecisionF32 {
-		sc := getMultiF32Scratch(qs, outs)
-		defer multiF32Scratches.Put(sc)
-		if fan <= 1 {
-			// a budget covering the catalog means that query goes straight to
-			// the f64 sweep in the finish stage; don't pay the f32 sweep for it
-			sc.active = activeF32Into(sc.active, sc.cands, ix.NumItems())
-			for s, n := 0, ix.NumShards(); s < n; s++ {
-				if canceled(done) {
-					return
-				}
-				lo, hi := ix.Shard(s)
-				sweepShard32Multi(ix, sc.qs32, sc.ptrs, sc.active, lo, hi)
-			}
-		} else {
-			t := p.getMultiTask()
-			t.ix, t.qs32, t.outs32, t.done = ix, sc.qs32, sc.ptrs, done
-			t.numShards = int32(ix.NumShards())
-			t.next.Store(0)
-			p.dispatch(t, fan)
-			t.ix, t.qs32, t.outs32, t.done = nil, nil, nil, nil
-			p.multis.Put(t)
-		}
-		if canceled(done) {
-			// truncated candidate sets must not reach the rescore stage
-			return
-		}
-		finishMultiF32(done, c, qs, outs, sc.cands)
-		return
-	}
 	if fan <= 1 {
-		var block [blockItems]float64
 		for s, n := 0, ix.NumShards(); s < n; s++ {
 			if canceled(done) {
 				return
 			}
 			lo, hi := ix.Shard(s)
-			// query-major within one cache-resident shard: the shard's
-			// factor rows are loaded once and scored against every query
-			for i, q := range qs {
-				sweepRangeInto(ix, q, lo, hi, block[:], outs[i])
-			}
+			sweepGroups(ix, sc.tqs, sc.active, lo, hi, sc.ptrs)
 		}
+	} else {
+		mt := p.getMultiTask()
+		mt.ix, mt.tqs, mt.active, mt.outs, mt.done = ix, sc.tqs, sc.active, sc.ptrs, done
+		mt.numShards = int32(ix.NumShards())
+		mt.next.Store(0)
+		p.dispatch(mt, fan)
+		mt.ix, mt.tqs, mt.active, mt.outs, mt.done = nil, nil, nil, nil, nil
+		p.multis.Put(mt)
+	}
+	if t == tierF64 || canceled(done) {
+		// f64 swept straight into the collectors; truncated candidate sets
+		// must not reach the rescore stage
 		return
 	}
-	t := p.getMultiTask()
-	t.ix, t.qs, t.outs, t.done = ix, qs, outs, done
-	t.numShards = int32(ix.NumShards())
-	t.next.Store(0)
-	p.dispatch(t, fan)
-	t.ix, t.qs, t.outs, t.done = nil, nil, nil, nil
-	p.multis.Put(t)
+	finishMulti(done, c, sc, outs)
+}
+
+// finishMulti runs the per-query rescore stage of a batched reduced-tier
+// sweep. A query whose margin fails to separate escalates alone through
+// sweepTier at the next budget doubling — the shared sweep is not
+// repeated for the batch — and one the shared sweep skipped goes there at
+// its own budget, which sends it to the exact tier. The done channel
+// gates the per-query re-sweeps; a fired deadline abandons the remaining
+// queries (the caller discards the batch).
+func finishMulti(done <-chan struct{}, c *model.Composed, sc *multiScratch, outs []*vecmath.TopKStream) {
+	n := c.Index.NumItems()
+	for i, st := range outs {
+		if canceled(done) {
+			return
+		}
+		k := st.K()
+		if k <= 0 {
+			continue
+		}
+		tq := &sc.tqs[i]
+		kp := sc.cands[i].K()
+		st.Reset(k)
+		if staged(tq, kp, n) {
+			if rescore(done, c.Index, tq.q, &sc.cands[i], st, tq.eps) {
+				continue
+			}
+			tq.tier.escalations().Add(1)
+			kp *= 2
+		}
+		(*Pool)(nil).sweepTier(done, c, tq.q, tq.tier, 1, nil, n, st, kp, false)
+	}
 }
 
 // ---- cascade ------------------------------------------------------------

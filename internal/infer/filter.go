@@ -84,10 +84,10 @@ func (f *Filter) validate(c *model.Composed) error {
 }
 
 // compiledFilter is a filter rendered against one snapshot: an item
-// eligibility bitset plus the surviving item count (which bounds the f32
-// escalation budget — once the candidate heap covers every eligible item
-// there is nothing left to prune). Compiled filters are pooled so the
-// steady-state filtered serving path reuses the mask words.
+// eligibility bitset plus the surviving item count (which bounds the
+// two-stage escalation budget — once the candidate heap covers every
+// eligible item there is nothing left to prune). Compiled filters are
+// pooled so the steady-state filtered serving path reuses the mask words.
 type compiledFilter struct {
 	mask     vecmath.Bitset
 	eligible int

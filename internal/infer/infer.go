@@ -36,33 +36,6 @@ const blockItems = 256
 // vecmath fast path supports up to groups of eight).
 const qBlock = 8
 
-// sweepRangeInto scores the item range [rangeLo, rangeHi) in block-sized
-// steps into an armed TopKStream, sharing the caller's block buffer so
-// the whole sweep is allocation-free. It is the per-shard unit of work of
-// the f64 sweeps and, over the whole catalog, the exact pass of
-// Structured and of the batched finish stages.
-func sweepRangeInto(ix *model.ScoringIndex, q []float64, rangeLo, rangeHi int, block []float64, st *vecmath.TopKStream) {
-	th, full := st.Threshold()
-	for lo := rangeLo; lo < rangeHi; lo += len(block) {
-		hi := lo + len(block)
-		if hi > rangeHi {
-			hi = rangeHi
-		}
-		buf := block[:hi-lo]
-		ix.ItemScoresRangeInto(q, lo, hi, buf)
-		for i, s := range buf {
-			// once the heap is full, items strictly below the k-th score
-			// can be rejected with this one inlined comparison; ties must
-			// go through Push so the lower-ID tie-break still applies
-			if full && s < th {
-				continue
-			}
-			st.Push(lo+i, s)
-			th, full = st.Threshold()
-		}
-	}
-}
-
 // CascadeConfig sets the per-level keep fractions k_i of §5.1:
 // KeepFrac[d-1] applies to taxonomy depth d (the category levels between
 // the root and the items). n_i = ceil(k_i · size(level i)) nodes survive
@@ -208,8 +181,8 @@ func Structured(c *model.Composed, q []float64, k int) *StructuredRanking {
 		out.Levels = append(out.Levels, vecmath.TopK(level, len(level)))
 	}
 	st := vecmath.NewTopKStream(k)
-	var block [blockItems]float64
-	sweepRangeInto(c.Index, q, 0, c.Index.NumItems(), block[:], st)
+	var b blockBuf
+	sweepRange(c.Index, &tierQuery{q: q}, 0, c.Index.NumItems(), &b, nil, st)
 	out.Items = st.Ranked()
 	return out
 }

@@ -37,7 +37,6 @@ type Pool struct {
 	scratches sync.Pool // *scratch for submitting goroutines
 	sweeps    sync.Pool // *sweepTask
 	multis    sync.Pool // *multiTask
-	prunes    sync.Pool // *pruneTask
 	closeOnce sync.Once
 }
 
@@ -98,22 +97,13 @@ func runTask(t task, sc *scratch) {
 }
 
 // scratch is the per-participant reusable state: one bounded heap for
-// single-query sweeps and per-query heaps for batched sweeps — each in a
-// float64 and a float32 variant, since a task sweeps exactly one
-// precision. Background workers own one for life; submitting goroutines
-// borrow one from the pool per dispatch.
+// single-query sweeps and per-query heaps for batched sweeps, with the
+// pointer view the group sweep pushes through. Background workers own one
+// for life; submitting goroutines borrow one from the pool per dispatch.
 type scratch struct {
-	st      vecmath.TopKStream
-	multi   []vecmath.TopKStream
-	st32    vecmath.TopKStream32
-	multi32 []vecmath.TopKStream32
-	// the blocked batched sweeps address their per-worker heaps through
-	// pointer slices (the wire format of the shard-sweep helpers) and an
-	// active-query index list; both live here so steady-state batches
-	// allocate nothing
-	idx      []int
+	st       vecmath.TopKStream
+	multi    []vecmath.TopKStream
 	multiPtr []*vecmath.TopKStream
-	multi32P []*vecmath.TopKStream32
 }
 
 // NewPool starts a pool of the given total parallelism; workers <= 0 uses
@@ -194,100 +184,43 @@ func (p *Pool) dispatch(t task, fan int) {
 	}
 }
 
-// ---- single-query sharded sweep -----------------------------------------
+// ---- single-query sweep -------------------------------------------------
 
-// sweepTask is the fan-out state of one parallel catalog sweep:
-// participants claim shard indices from next and merge their partial
-// heaps into out. In f32 mode (out32 non-nil) the claimed shards are
-// swept through the compact slab into per-worker f32 candidate heaps
-// instead; the caller owns the rescore stage. A non-nil mask restricts
-// the sweep to eligible items (filtered plans).
+// sweepTask is the fan-out state of one parallel single-query sweep at
+// any tier: participants claim work units from next — the index's shards
+// when ranges is nil, else the pruned descent's deferred ranges — sweep
+// them into per-worker heaps of budget k, and merge those into out (the
+// final collector, or a reduced tier's candidate heap; the caller owns
+// the rescore stage). A non-nil mask restricts the sweep to eligible
+// items (filtered plans).
 type sweepTask struct {
 	taskBase
-	ix    *model.ScoringIndex
-	q     []float64
-	k     int
-	q32   []float32
-	out32 *vecmath.TopKStream32
-	// int8 mode (qi8 non-nil): the claimed shards are swept through the
-	// quantized slab with the pre-quantized query codes into per-worker
-	// float64 candidate heaps of budget k, merged into out.
-	qi8       []int8
-	qscale    float64
-	sumQ      float64
-	mask      *vecmath.Bitset
-	done      <-chan struct{}
-	numShards int32
-	next      atomic.Int32
-	mu        sync.Mutex
-	out       *vecmath.TopKStream
+	ix     *model.ScoringIndex
+	tq     tierQuery
+	k      int
+	mask   *vecmath.Bitset
+	ranges []itemRange
+	done   <-chan struct{}
+	units  int32
+	next   atomic.Int32
+	mu     sync.Mutex
+	out    *vecmath.TopKStream
 }
 
 func (t *sweepTask) run(sc *scratch) {
-	if t.qi8 != nil {
-		st := &sc.st
-		st.Reset(t.k)
-		var sv i8Survivors
-		for {
-			if canceled(t.done) {
-				break
-			}
-			s := int(t.next.Add(1)) - 1
-			if s >= int(t.numShards) {
-				break
-			}
-			lo, hi := t.ix.Shard(s)
-			sweepRangeI8Into(t.ix, t.qi8, t.qscale, t.sumQ, lo, hi, &sv, t.mask, st)
-		}
-		if st.Len() > 0 {
-			t.mu.Lock()
-			t.out.Merge(st)
-			t.mu.Unlock()
-		}
-		return
-	}
-	if t.out32 != nil {
-		st := &sc.st32
-		st.Reset(t.k)
-		var block [blockItems]float32
-		for {
-			if canceled(t.done) {
-				break
-			}
-			s := int(t.next.Add(1)) - 1
-			if s >= int(t.numShards) {
-				break
-			}
-			lo, hi := t.ix.Shard(s)
-			if t.mask == nil {
-				sweepRange32Into(t.ix, t.q32, lo, hi, block[:], st)
-			} else {
-				sweepRange32MaskedInto(t.ix, t.q32, lo, hi, block[:], t.mask, st)
-			}
-		}
-		if st.Len() > 0 {
-			t.mu.Lock()
-			t.out32.Merge(st)
-			t.mu.Unlock()
-		}
-		return
-	}
 	st := &sc.st
 	st.Reset(t.k)
-	var block [blockItems]float64
-	for {
-		if canceled(t.done) {
+	var b blockBuf
+	for !canceled(t.done) {
+		u := int(t.next.Add(1)) - 1
+		if u >= int(t.units) {
 			break
 		}
-		s := int(t.next.Add(1)) - 1
-		if s >= int(t.numShards) {
-			break
-		}
-		lo, hi := t.ix.Shard(s)
-		if t.mask == nil {
-			sweepRangeInto(t.ix, t.q, lo, hi, block[:], st)
+		if t.ranges == nil {
+			lo, hi := t.ix.Shard(u)
+			sweepRange(t.ix, &t.tq, lo, hi, &b, t.mask, st)
 		} else {
-			sweepRangeMaskedInto(t.ix, t.q, lo, hi, block[:], t.mask, st)
+			t.ranges[u].sweep(t.ix, &t.tq, &b, t.mask, st)
 		}
 	}
 	if st.Len() > 0 {
@@ -297,28 +230,36 @@ func (t *sweepTask) run(sc *scratch) {
 	}
 }
 
-func (p *Pool) getSweepTask() *sweepTask {
+// fanSweep sweeps the index's shards — or ranges, when non-nil — across
+// fan participants into st.
+func (p *Pool) fanSweep(done <-chan struct{}, ix *model.ScoringIndex, tq *tierQuery, mask *vecmath.Bitset, ranges []itemRange, fan int, st *vecmath.TopKStream) {
 	t, _ := p.sweeps.Get().(*sweepTask)
 	if t == nil {
 		t = new(sweepTask)
 	}
-	return t
+	t.ix, t.tq, t.k, t.mask, t.ranges, t.done, t.out = ix, *tq, st.K(), mask, ranges, done, st
+	t.units = int32(ix.NumShards())
+	if ranges != nil {
+		t.units = int32(len(ranges))
+	}
+	t.next.Store(0)
+	p.dispatch(t, fan)
+	t.ix, t.tq, t.mask, t.ranges, t.done, t.out = nil, tierQuery{}, nil, nil, nil, nil
+	p.sweeps.Put(t)
 }
 
 // ---- batched multi-query sweep ------------------------------------------
 
+// multiTask is the fan-out state of one parallel batched sweep:
+// participants claim shards, sweep them for the active queries into
+// per-worker per-query heaps, and merge those into outs (final
+// collectors at f64, candidate heaps at the reduced tiers — the rescore
+// stage runs after the dispatch joins).
 type multiTask struct {
 	taskBase
-	ix     *model.ScoringIndex
-	qs     [][]float64
-	qs32   [][]float32
-	outs32 []*vecmath.TopKStream32
-	// int8 mode (usI8 non-nil): the quantized queries and their code
-	// parameters; outs then points at the batch's float64 candidate heaps
-	// rather than final collectors.
-	usI8      [][]int8
-	qscalesI8 []float64
-	sumQsI8   []float64
+	ix        *model.ScoringIndex
+	tqs       []tierQuery
+	active    []int
 	done      <-chan struct{}
 	numShards int32
 	next      atomic.Int32
@@ -335,129 +276,23 @@ func (p *Pool) getMultiTask() *multiTask {
 }
 
 func (t *multiTask) run(sc *scratch) {
-	if t.usI8 != nil {
-		t.runI8(sc)
-		return
-	}
-	if t.outs32 != nil {
-		t.run32(sc)
-		return
-	}
-	b := len(t.qs)
+	b := len(t.outs)
 	if cap(sc.multi) < b {
 		sc.multi = make([]vecmath.TopKStream, b)
-	}
-	parts := sc.multi[:b]
-	for i := range parts {
-		parts[i].Reset(t.outs[i].K())
-	}
-	var block [blockItems]float64
-	for {
-		if canceled(t.done) {
-			break
-		}
-		s := int(t.next.Add(1)) - 1
-		if s >= int(t.numShards) {
-			break
-		}
-		lo, hi := t.ix.Shard(s)
-		// query-major within one cache-resident shard: the shard's factor
-		// rows are loaded once and scored against every query in the batch
-		for i, q := range t.qs {
-			sweepRangeInto(t.ix, q, lo, hi, block[:], &parts[i])
-		}
-	}
-	t.mu.Lock()
-	for i := range parts {
-		if parts[i].Len() > 0 {
-			t.outs[i].Merge(&parts[i])
-		}
-	}
-	t.mu.Unlock()
-}
-
-// run32 is the f32-mode multiTask body: a blocked sweep over the
-// cache-resident compact shards — each shard's rows read once per qBlock
-// query group — into per-worker per-query candidate heaps, merged into
-// the shared per-query candidate sets.
-func (t *multiTask) run32(sc *scratch) {
-	b := len(t.qs32)
-	if cap(sc.multi32) < b {
-		sc.multi32 = make([]vecmath.TopKStream32, b)
-	}
-	if cap(sc.multi32P) < b {
-		sc.multi32P = make([]*vecmath.TopKStream32, b)
-	}
-	if cap(sc.idx) < b {
-		sc.idx = make([]int, 0, b)
-	}
-	parts, ptrs, active := sc.multi32[:b], sc.multi32P[:b], sc.idx[:0]
-	items := t.ix.NumItems()
-	for i := range parts {
-		parts[i].Reset(t.outs32[i].K())
-		ptrs[i] = &parts[i]
-		// queries whose budget covers the catalog skip the f32 sweep; the
-		// finish stage runs them through the f64 path directly
-		if t.outs32[i].K() < items {
-			active = append(active, i)
-		}
-	}
-	sc.idx = active
-	for {
-		if canceled(t.done) {
-			break
-		}
-		s := int(t.next.Add(1)) - 1
-		if s >= int(t.numShards) {
-			break
-		}
-		lo, hi := t.ix.Shard(s)
-		sweepShard32Multi(t.ix, t.qs32, ptrs, active, lo, hi)
-	}
-	t.mu.Lock()
-	for i := range parts {
-		if parts[i].Len() > 0 {
-			t.outs32[i].Merge(&parts[i])
-		}
-	}
-	t.mu.Unlock()
-}
-
-// runI8 is the int8-mode multiTask body: the blocked sweep over the
-// quantized shards into per-worker float64 candidate heaps, merged into
-// the batch's shared candidate sets (t.outs, which point at candidate
-// heaps in int8 mode — the rescore stage runs after the dispatch joins).
-func (t *multiTask) runI8(sc *scratch) {
-	b := len(t.usI8)
-	if cap(sc.multi) < b {
-		sc.multi = make([]vecmath.TopKStream, b)
-	}
-	if cap(sc.multiPtr) < b {
 		sc.multiPtr = make([]*vecmath.TopKStream, b)
 	}
-	if cap(sc.idx) < b {
-		sc.idx = make([]int, 0, b)
-	}
-	parts, ptrs, active := sc.multi[:b], sc.multiPtr[:b], sc.idx[:0]
-	items := t.ix.NumItems()
+	parts, ptrs := sc.multi[:b], sc.multiPtr[:b]
 	for i := range parts {
 		parts[i].Reset(t.outs[i].K())
 		ptrs[i] = &parts[i]
-		if t.outs[i].K() < items {
-			active = append(active, i)
-		}
 	}
-	sc.idx = active
-	for {
-		if canceled(t.done) {
-			break
-		}
+	for !canceled(t.done) {
 		s := int(t.next.Add(1)) - 1
 		if s >= int(t.numShards) {
 			break
 		}
 		lo, hi := t.ix.Shard(s)
-		sweepShardI8Multi(t.ix, t.usI8, t.qscalesI8, t.sumQsI8, ptrs, active, lo, hi)
+		sweepGroups(t.ix, t.tqs, t.active, lo, hi, ptrs)
 	}
 	t.mu.Lock()
 	for i := range parts {

@@ -114,9 +114,11 @@ type Diversify struct {
 type Plan struct {
 	// Strategy picks the ranking shape; the zero value is the naive sweep.
 	Strategy Strategy
-	// Precision picks the scoring pipeline; model.PrecisionDefault
-	// resolves to the two-stage f32 sweep. Rankings are byte-identical
-	// either way.
+	// Precision picks the scoring tier; model.PrecisionDefault resolves
+	// by platform (Precision.Resolve): the two-stage int8 sweep where the
+	// fused int8 kernel runs, the two-stage f32 sweep elsewhere.
+	// PrecisionF64 is the exact one-stage sweep. Rankings are
+	// byte-identical at every tier.
 	Precision model.Precision
 	// K is the number of items returned (after filtering and Offset).
 	K int

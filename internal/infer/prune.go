@@ -1,7 +1,6 @@
 package infer
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -39,12 +38,12 @@ import (
 // starts at the root (whose DFS span is the whole catalog) and a node is
 // only ever replaced by all of its children, whose DFS spans partition its
 // own by construction. The reduced-precision tiers run the identical
-// descent over their own slabs into the stage-one candidate heap, with
-// the tier's scoring error (ItemErrBound32 / ItemErrBoundI8) added to the
-// prune ε so a pruned item's tier score also sits strictly below the
-// stage-one threshold; the unchanged rescore certificates of §5.7/§5.10
-// (separated / separatedI8) then decide exactness and escalate on
-// failure, so certify-or-escalate discipline is preserved end to end.
+// descent over their own slabs as stage one, into the candidate heap,
+// with the tier's scoring error ε added to the prune ε so a pruned item's
+// tier score also sits strictly below the candidate threshold; the
+// unchanged rescore certificate (tier.go's separated) then decides
+// exactness and escalates on failure, so certify-or-escalate discipline
+// is preserved end to end.
 //
 // When pruning cannot pay, the descent gets out of the way instead of
 // limping through the catalog in gather order. Plans whose collector
@@ -138,48 +137,55 @@ type boundedSubtree struct {
 	node  int32
 }
 
-// itemRange is one span deferred for pooled sweeping: a contiguous raw
-// item range [lo, hi) when gather is false, a span of the depth-first item
-// order (to gather-score item by item) when gather is true.
+// itemRange is one unit of subtree sweeping: a contiguous raw item range
+// [lo, hi) when gather is false, a span of the depth-first item order (to
+// gather-score item by item) when gather is true.
 type itemRange struct {
 	lo, hi int32
 	gather bool
 }
 
+// nodeRange is the unit covering node's subtree, whose depth-first span
+// is [dlo, dhi): its raw item range when that is contiguous — the blocked
+// kernels the dense sweep uses — and a gather over the span otherwise.
+// The per-item scorers are bitwise identical to the blocked kernels, so
+// which path visits an item never changes its score.
+func nodeRange(ix *model.ScoringIndex, node, dlo, dhi int) itemRange {
+	if lo, hi, contiguous := ix.ItemRange(node); contiguous {
+		return itemRange{int32(lo), int32(hi), false}
+	}
+	return itemRange{int32(dlo), int32(dhi), true}
+}
+
+// sweep pushes the tier score of every item of r that passes mask into st.
+func (r itemRange) sweep(ix *model.ScoringIndex, tq *tierQuery, b *blockBuf, mask *vecmath.Bitset, st *vecmath.TopKStream) {
+	if r.gather {
+		tq.gather(ix, ix.DFSItems()[r.lo:r.hi], mask, st)
+		return
+	}
+	sweepRange(ix, tq, int(r.lo), int(r.hi), b, mask, st)
+}
+
 // pruneState is the reusable per-descent state: the subtree priority
-// queue, the deferred range list, the tier wiring (exactly one of st/st32
-// receives pushes; q is always the exact f64 query the bounds are
-// evaluated against), locally batched counters, and the block buffers the
-// range sweeps score into. Pooled so steady-state pruned serving
-// allocates nothing.
+// queue, the deferred range list, the prepared query (whose exact q the
+// bounds are evaluated against) and the collector it sweeps into, locally
+// batched counters, and the block buffer the range sweeps score into.
+// Pooled so steady-state pruned serving allocates nothing.
 type pruneState struct {
 	pq     []boundedSubtree
 	ranges []itemRange
 
-	ix           *model.ScoringIndex
-	mask         *vecmath.Bitset
-	q            []float64
-	st           *vecmath.TopKStream
-	q32          []float32
-	st32         *vecmath.TopKStream32
-	u            []int8
-	qscale, sumQ float64
+	ix   *model.ScoringIndex
+	mask *vecmath.Bitset
+	tq   tierQuery
+	st   *vecmath.TopKStream
 
 	statSubtrees, statItems, statBoundEvals int64
 
-	block     [blockItems]float64
-	block32   [blockItems]float32
-	survivors i8Survivors
+	buf blockBuf
 }
 
 var pruneStates = sync.Pool{New: func() any { return new(pruneState) }}
-
-func getPruneState() *pruneState { return pruneStates.Get().(*pruneState) }
-
-func putPruneState(ps *pruneState) {
-	ps.ix, ps.mask, ps.q, ps.st, ps.q32, ps.st32, ps.u = nil, nil, nil, nil, nil, nil, nil
-	pruneStates.Put(ps)
-}
 
 // flushStats adds the locally batched counters to the process-wide
 // atomics once per descent, keeping atomic traffic off the hot loop.
@@ -198,77 +204,9 @@ func (ps *pruneState) flushStats() {
 	}
 }
 
-// threshold returns the active collector's k-th score in float64 (the
-// space SubtreeBound lives in; widening a float32 threshold is exact).
-func (ps *pruneState) threshold() (float64, bool) {
-	if ps.st32 != nil {
-		th, full := ps.st32.Threshold()
-		return float64(th), full
-	}
-	return ps.st.Threshold()
-}
-
-// sweepRange scores the contiguous item span [lo, hi) into the active
-// collector through the tier's blocked kernel — the same kernels the
-// dense sweep uses, so scores are bitwise identical whichever path
-// visits an item.
-func (ps *pruneState) sweepRange(lo, hi int) {
-	switch {
-	case ps.st32 != nil:
-		if ps.mask == nil {
-			sweepRange32Into(ps.ix, ps.q32, lo, hi, ps.block32[:], ps.st32)
-		} else {
-			sweepRange32MaskedInto(ps.ix, ps.q32, lo, hi, ps.block32[:], ps.mask, ps.st32)
-		}
-	case ps.u != nil:
-		sweepRangeI8Into(ps.ix, ps.u, ps.qscale, ps.sumQ, lo, hi, &ps.survivors, ps.mask, ps.st)
-	default:
-		if ps.mask == nil {
-			sweepRangeInto(ps.ix, ps.q, lo, hi, ps.block[:], ps.st)
-		} else {
-			sweepRangeMaskedInto(ps.ix, ps.q, lo, hi, ps.block[:], ps.mask, ps.st)
-		}
-	}
-}
-
-// gatherRange scores the depth-first span [lo, hi) of ix.DFSItems() one
-// item at a time through the tier's per-item scorer — bitwise identical to
-// the blocked kernels by the scorers' documented contract — for subtrees
-// whose raw item ids interleave with their siblings'.
-func (ps *pruneState) gatherRange(lo, hi int) {
-	gatherSpan(ps.ix, ps.ix.DFSItems()[lo:hi], ps.mask, ps.q, ps.st, ps.q32, ps.st32, ps.u, ps.qscale, ps.sumQ)
-}
-
-// gatherSpan is the tier dispatch shared by the serial descent and the
-// pooled range workers: exactly one of st32 (f32 tier) / u+st (int8 tier)
-// / st alone (f64 tier) is active, mirroring pruneState's wiring.
-func gatherSpan(ix *model.ScoringIndex, span []int32, mask *vecmath.Bitset, q []float64, st *vecmath.TopKStream, q32 []float32, st32 *vecmath.TopKStream32, u []int8, qscale, sumQ float64) {
-	switch {
-	case st32 != nil:
-		for _, it := range span {
-			item := int(it)
-			if mask != nil && !mask.Get(item) {
-				continue
-			}
-			st32.Push(item, ix.ScoreItem32(item, q32))
-		}
-	case u != nil:
-		for _, it := range span {
-			item := int(it)
-			if mask != nil && !mask.Get(item) {
-				continue
-			}
-			st.Push(item, ix.ScoreItemI8(item, u, qscale, sumQ))
-		}
-	default:
-		for _, it := range span {
-			item := int(it)
-			if mask != nil && !mask.Get(item) {
-				continue
-			}
-			st.Push(item, ix.ScoreItem(item, q))
-		}
-	}
+// sweep scores every item of r into the collector.
+func (ps *pruneState) sweep(r itemRange) {
+	r.sweep(ps.ix, &ps.tq, &ps.buf, ps.mask, ps.st)
 }
 
 // sweepProbe gather-scores the depth-first span [dlo, dhi) one item at a
@@ -279,23 +217,12 @@ func gatherSpan(ix *model.ScoringIndex, span []int32, mask *vecmath.Bitset, q []
 func (ps *pruneState) sweepProbe(dlo, dhi int) int {
 	dfs := ps.ix.DFSItems()
 	for p := dlo; p < dhi; p++ {
-		gatherSpan(ps.ix, dfs[p:p+1], ps.mask, ps.q, ps.st, ps.q32, ps.st32, ps.u, ps.qscale, ps.sumQ)
-		if _, full := ps.threshold(); full {
+		ps.tq.gather(ps.ix, dfs[p:p+1], ps.mask, ps.st)
+		if _, full := ps.st.Threshold(); full {
 			return p + 1
 		}
 	}
 	return dhi
-}
-
-// sweepNode scores every item in node's subtree into the active collector,
-// through the blocked kernels when the node's raw item range is contiguous
-// and through the depth-first gather otherwise.
-func (ps *pruneState) sweepNode(node, dlo, dhi int) {
-	if lo, hi, contiguous := ps.ix.ItemRange(node); contiguous {
-		ps.sweepRange(lo, hi)
-		return
-	}
-	ps.gatherRange(dlo, dhi)
 }
 
 // pqPush inserts into the bound-ordered max-heap. NaN bounds (possible
@@ -391,7 +318,7 @@ func (ps *pruneState) descend(done <-chan struct{}, tree *taxonomy.Tree, eps flo
 	ps.ranges = ps.ranges[:0]
 	root := tree.Root()
 	ps.statBoundEvals++
-	ps.pqPush(boundedSubtree{bound: ix.SubtreeBound(root, ps.q), node: int32(root)})
+	ps.pqPush(boundedSubtree{bound: ix.SubtreeBound(root, ps.tq.q), node: int32(root)})
 	swept := 0
 	deferring := false
 	bailChecked := false
@@ -405,7 +332,7 @@ func (ps *pruneState) descend(done <-chan struct{}, tree *taxonomy.Tree, eps flo
 		// prune: the collector is full and no item under node can beat (or
 		// tie, by the strict inequality) its k-th score. The threshold only
 		// rises, so the certificate holds against the final ranking too.
-		if th, full := ps.threshold(); full && top.bound+eps < th {
+		if th, full := ps.st.Threshold(); full && top.bound+eps < th {
 			ps.statSubtrees++
 			ps.statItems += int64(dhi - dlo)
 			continue
@@ -422,17 +349,13 @@ func (ps *pruneState) descend(done <-chan struct{}, tree *taxonomy.Tree, eps flo
 						continue
 					}
 					ps.statBoundEvals++
-					ps.pqPush(boundedSubtree{bound: ix.SubtreeBound(int(ch), ps.q), node: ch})
+					ps.pqPush(boundedSubtree{bound: ix.SubtreeBound(int(ch), ps.tq.q), node: ch})
 				}
 				continue
 			}
 		}
 		if deferring {
-			if lo, hi, contiguous := ix.ItemRange(node); contiguous {
-				ps.ranges = append(ps.ranges, itemRange{int32(lo), int32(hi), false})
-			} else {
-				ps.ranges = append(ps.ranges, itemRange{int32(dlo), int32(dhi), true})
-			}
+			ps.ranges = append(ps.ranges, nodeRange(ix, node, dlo, dhi))
 			continue
 		}
 		if !bailChecked {
@@ -442,22 +365,20 @@ func (ps *pruneState) descend(done <-chan struct{}, tree *taxonomy.Tree, eps flo
 			// and almost nothing prunable means the envelopes cannot beat
 			// this query's score range; bail before sinking real work.
 			p := ps.sweepProbe(dlo, dhi)
-			if th, full := ps.threshold(); full {
+			if th, full := ps.st.Threshold(); full {
 				bailChecked = true
 				if ps.statItems == 0 && !ps.prunableMass(eps, th) {
 					return descendBailed
 				}
 				expand = budget
 			}
-			if p < dhi {
-				ps.gatherRange(p, dhi)
-			}
+			ps.sweep(itemRange{int32(p), int32(dhi), true})
 		} else {
-			ps.sweepNode(node, dlo, dhi)
+			ps.sweep(nodeRange(ix, node, dlo, dhi))
 		}
 		swept += dhi - dlo
 		if wantDefer && !deferring && swept >= prunedSeedItems {
-			if _, full := ps.threshold(); full {
+			if _, full := ps.st.Threshold(); full {
 				deferring = true
 			}
 		}
@@ -465,329 +386,45 @@ func (ps *pruneState) descend(done <-chan struct{}, tree *taxonomy.Tree, eps flo
 	return descendDone
 }
 
-// pruneTask is the fan-out state of the pooled pruned sweep: the descent's
-// surviving ranges become the claimable work units (mirroring sweepTask's
-// shard claiming), each participant sweeps its claims into a per-worker
-// heap through the tier picked by the set fields, and partials merge into
-// out/out32 — byte-identical to sweeping the ranges serially, by the
-// bounded-heap merge invariant.
-type pruneTask struct {
-	taskBase
-	ix     *model.ScoringIndex
-	ranges []itemRange
-	dfs    []int32
-	q      []float64
-	k      int
-	q32    []float32
-	out32  *vecmath.TopKStream32
-	qi8    []int8
-	qscale float64
-	sumQ   float64
-	mask   *vecmath.Bitset
-	done   <-chan struct{}
-	next   atomic.Int32
-	mu     sync.Mutex
-	out    *vecmath.TopKStream
+// prunedSweep is stage one as the branch-and-bound descent: descend with
+// total prune allowance eps, then sweep the deferred ranges — out ends
+// byte-identical to runSweep's. It returns the descent outcome; a bailed
+// walk is counted in PruneStats.Fallbacks and leaves out re-armed empty
+// for the caller's dense sweep.
+func (p *Pool) prunedSweep(done <-chan struct{}, c *model.Composed, tq *tierQuery, maxWorkers int, mask *vecmath.Bitset, out *vecmath.TopKStream, eps float64) int {
+	ix := c.Index
+	ps := pruneStates.Get().(*pruneState)
+	ps.ix, ps.mask, ps.tq, ps.st = ix, mask, *tq, out
+	res := ps.descend(done, c.Tree, eps, p.fanout(maxWorkers, ix.NumShards()) > 1)
+	if res == descendDone {
+		p.sweepRanges(done, ps, maxWorkers)
+	}
+	ps.flushStats()
+	ps.ix, ps.mask, ps.tq, ps.st = nil, nil, tierQuery{}, nil
+	pruneStates.Put(ps)
+	if res == descendBailed {
+		// loose bounds: discard the partial collector; the caller runs the
+		// blocked dense sweep the descent would otherwise have gather-mimicked
+		pruneFallbacks.Add(1)
+		out.Reset(out.K())
+	}
+	return res
 }
 
-func (t *pruneTask) run(sc *scratch) {
-	if t.qi8 != nil {
-		st := &sc.st
-		st.Reset(t.k)
-		var sv i8Survivors
-		for {
-			if canceled(t.done) {
-				break
-			}
-			r := int(t.next.Add(1)) - 1
-			if r >= len(t.ranges) {
-				break
-			}
-			lo, hi := int(t.ranges[r].lo), int(t.ranges[r].hi)
-			if t.ranges[r].gather {
-				gatherSpan(t.ix, t.dfs[lo:hi], t.mask, nil, st, nil, nil, t.qi8, t.qscale, t.sumQ)
-			} else {
-				sweepRangeI8Into(t.ix, t.qi8, t.qscale, t.sumQ, lo, hi, &sv, t.mask, st)
-			}
-		}
-		if st.Len() > 0 {
-			t.mu.Lock()
-			t.out.Merge(st)
-			t.mu.Unlock()
-		}
-		return
-	}
-	if t.out32 != nil {
-		st := &sc.st32
-		st.Reset(t.k)
-		var block [blockItems]float32
-		for {
-			if canceled(t.done) {
-				break
-			}
-			r := int(t.next.Add(1)) - 1
-			if r >= len(t.ranges) {
-				break
-			}
-			lo, hi := int(t.ranges[r].lo), int(t.ranges[r].hi)
-			if t.ranges[r].gather {
-				gatherSpan(t.ix, t.dfs[lo:hi], t.mask, nil, nil, t.q32, st, nil, 0, 0)
-			} else if t.mask == nil {
-				sweepRange32Into(t.ix, t.q32, lo, hi, block[:], st)
-			} else {
-				sweepRange32MaskedInto(t.ix, t.q32, lo, hi, block[:], t.mask, st)
-			}
-		}
-		if st.Len() > 0 {
-			t.mu.Lock()
-			t.out32.Merge(st)
-			t.mu.Unlock()
-		}
-		return
-	}
-	st := &sc.st
-	st.Reset(t.k)
-	var block [blockItems]float64
-	for {
-		if canceled(t.done) {
-			break
-		}
-		r := int(t.next.Add(1)) - 1
-		if r >= len(t.ranges) {
-			break
-		}
-		lo, hi := int(t.ranges[r].lo), int(t.ranges[r].hi)
-		if t.ranges[r].gather {
-			gatherSpan(t.ix, t.dfs[lo:hi], t.mask, t.q, st, nil, nil, nil, 0, 0)
-		} else if t.mask == nil {
-			sweepRangeInto(t.ix, t.q, lo, hi, block[:], st)
-		} else {
-			sweepRangeMaskedInto(t.ix, t.q, lo, hi, block[:], t.mask, st)
-		}
-	}
-	if st.Len() > 0 {
-		t.mu.Lock()
-		t.out.Merge(st)
-		t.mu.Unlock()
-	}
-}
-
-func (p *Pool) getPruneTask() *pruneTask {
-	t, _ := p.prunes.Get().(*pruneTask)
-	if t == nil {
-		t = new(pruneTask)
-	}
-	return t
-}
-
-// dispatchRanges sweeps the descent's deferred ranges, fanning them across
-// the pool when it pays; the serial path simply drains them inline.
-func (p *Pool) dispatchRanges(done <-chan struct{}, ps *pruneState, maxWorkers int) {
-	if len(ps.ranges) == 0 {
-		return
-	}
+// sweepRanges sweeps the descent's deferred ranges, fanning them across
+// the pool when it pays (the surviving ranges are the claimable work
+// units, byte-identical to sweeping them serially by the bounded-heap
+// merge invariant); the serial path drains them inline.
+func (p *Pool) sweepRanges(done <-chan struct{}, ps *pruneState, maxWorkers int) {
 	fan := p.fanout(maxWorkers, len(ps.ranges))
 	if fan <= 1 {
 		for _, r := range ps.ranges {
 			if canceled(done) {
 				return
 			}
-			if r.gather {
-				ps.gatherRange(int(r.lo), int(r.hi))
-			} else {
-				ps.sweepRange(int(r.lo), int(r.hi))
-			}
+			ps.sweep(r)
 		}
 		return
 	}
-	t := p.getPruneTask()
-	t.ix, t.ranges, t.dfs, t.mask, t.done = ps.ix, ps.ranges, ps.ix.DFSItems(), ps.mask, done
-	switch {
-	case ps.st32 != nil:
-		t.q32, t.k, t.out32 = ps.q32, ps.st32.K(), ps.st32
-	case ps.u != nil:
-		t.qi8, t.qscale, t.sumQ, t.k, t.out = ps.u, ps.qscale, ps.sumQ, ps.st.K(), ps.st
-	default:
-		t.q, t.k, t.out = ps.q, ps.st.K(), ps.st
-	}
-	t.next.Store(0)
-	p.dispatch(t, fan)
-	t.ix, t.ranges, t.dfs, t.q, t.q32, t.qi8, t.out, t.out32, t.mask, t.done = nil, nil, nil, nil, nil, nil, nil, nil, nil, nil
-	p.prunes.Put(t)
-}
-
-// wantDefer decides whether a descent should hand surviving ranges to the
-// pool instead of sweeping everything inline, using the same fan-out
-// arithmetic as the dense sweep.
-func (p *Pool) wantDefer(maxWorkers int, ix *model.ScoringIndex) bool {
-	return p.fanout(maxWorkers, ix.NumShards()) > 1
-}
-
-// prunedF64 is the exact-tier branch-and-bound sweep: descend, sweep the
-// survivors, done — the collector ends byte-identical to runSweep's. Plans
-// whose collector covers the eligible set (the heap could never fill below
-// the catalog, so nothing can prune) and non-certifiable ε fall back to
-// the dense sweep, counted in PruneStats.Fallbacks.
-func (p *Pool) prunedF64(done <-chan struct{}, c *model.Composed, q []float64, maxWorkers int, mask *vecmath.Bitset, eligible int, st *vecmath.TopKStream) {
-	ix := c.Index
-	if st.K() <= 0 || ix.NumItems() == 0 {
-		return
-	}
-	eps := ix.ItemPruneBound(q)
-	if st.K() >= eligible || math.IsInf(eps, 0) || math.IsNaN(eps) {
-		pruneFallbacks.Add(1)
-		p.runSweep(done, ix, q, mask, maxWorkers, st)
-		return
-	}
-	ps := getPruneState()
-	ps.ix, ps.mask, ps.q, ps.st = ix, mask, q, st
-	res := ps.descend(done, c.Tree, eps, p.wantDefer(maxWorkers, ix))
-	if res == descendDone {
-		p.dispatchRanges(done, ps, maxWorkers)
-	}
-	ps.flushStats()
-	putPruneState(ps)
-	if res == descendBailed {
-		// loose bounds: discard the partial collector and run the blocked
-		// dense sweep the descent would otherwise have gather-mimicked
-		pruneFallbacks.Add(1)
-		st.Reset(st.K())
-		p.runSweep(done, ix, q, mask, maxWorkers, st)
-	}
-}
-
-// prunedF32 is naiveF32 with the stage-one candidate sweep replaced by the
-// branch-and-bound descent over the compact slab. The prune ε adds the f32
-// scoring error to the f64 allowance, so every pruned item's f32 score is
-// strictly below the candidate threshold — the retained candidate set is
-// exactly the dense f32 sweep's, and the unchanged separation certificate
-// (rescoreItems/separated) decides exactness, escalating the budget on
-// failure just like the dense pipeline.
-func (p *Pool) prunedF32(done <-chan struct{}, c *model.Composed, q []float64, maxWorkers int, mask *vecmath.Bitset, eligible int, st *vecmath.TopKStream, kp0 int) {
-	ix := c.Index
-	k := st.K()
-	if k <= 0 {
-		return
-	}
-	if ix.NumItems() == 0 {
-		return
-	}
-	epsPrune := ix.ItemPruneBound(q)
-	if math.IsInf(epsPrune, 0) || math.IsNaN(epsPrune) {
-		// the bound cannot certify for this query; the dense two-stage
-		// pipeline handles the non-finite regime via its own escalation
-		pruneFallbacks.Add(1)
-		p.naiveF32(done, c, q, maxWorkers, mask, eligible, st, kp0)
-		return
-	}
-	sc := getF32Scratch(q)
-	defer f32Scratches.Put(sc)
-	eps32 := ix.ItemErrBound32(q)
-	ps := getPruneState()
-	defer putPruneState(ps)
-	ps.ix, ps.mask, ps.q, ps.q32 = ix, mask, q, sc.q32
-	for kp := kp0; ; kp *= 2 {
-		if canceled(done) {
-			ps.flushStats()
-			return
-		}
-		if kp >= eligible {
-			// the candidate budget covers every eligible item: stage one
-			// cannot prune candidates, so run the exact pruned f64 path
-			st.Reset(k)
-			p.prunedF64(done, c, q, maxWorkers, mask, eligible, st)
-			return
-		}
-		sc.cand.Reset(kp)
-		ps.st32 = &sc.cand
-		switch ps.descend(done, c.Tree, epsPrune+eps32, p.wantDefer(maxWorkers, ix)) {
-		case descendCanceled:
-			ps.flushStats()
-			return
-		case descendBailed:
-			// loose bounds: hand this query to the dense two-stage pipeline
-			// at the current candidate budget, discarding the partial heap
-			ps.flushStats()
-			pruneFallbacks.Add(1)
-			st.Reset(k)
-			p.naiveF32(done, c, q, maxWorkers, mask, eligible, st, kp)
-			return
-		}
-		p.dispatchRanges(done, ps, maxWorkers)
-		ps.flushStats()
-		if canceled(done) {
-			// a cancelled sweep left a truncated candidate set; rescoring it
-			// could "certify" a wrong ranking, so bail before stage two
-			return
-		}
-		st.Reset(k)
-		if rescoreItems(done, ix, q, &sc.cand, st, eps32) {
-			return
-		}
-		f32Escalations.Add(1)
-	}
-}
-
-// prunedI8 is naiveI8 with the quantized stage-one sweep replaced by the
-// branch-and-bound descent, mirroring prunedF32 with the int8 error bound
-// folded into the prune ε and the int8 certificate (rescoreEntries/
-// separatedI8) unchanged. A non-certifiable int8 bound goes to the exact
-// pruned f64 path — the bounds still prune there even when quantization
-// cannot certify.
-func (p *Pool) prunedI8(done <-chan struct{}, c *model.Composed, q []float64, maxWorkers int, mask *vecmath.Bitset, eligible int, st *vecmath.TopKStream, kp0 int) {
-	ix := c.Index
-	k := st.K()
-	if k <= 0 || ix.NumItems() == 0 {
-		return
-	}
-	sc := getI8Scratch(q)
-	defer i8Scratches.Put(sc)
-	epsI8 := ix.ItemErrBoundI8(q, sc.sumAbsErr)
-	epsPrune := ix.ItemPruneBound(q)
-	if math.IsInf(epsI8, 0) || math.IsNaN(epsI8) || math.IsInf(epsPrune, 0) || math.IsNaN(epsPrune) {
-		st.Reset(k)
-		p.prunedF64(done, c, q, maxWorkers, mask, eligible, st)
-		return
-	}
-	ps := getPruneState()
-	defer putPruneState(ps)
-	ps.ix, ps.mask, ps.q = ix, mask, q
-	ps.u, ps.qscale, ps.sumQ = sc.u, sc.qscale, sc.sumQ
-	for kp := kp0; ; kp *= 2 {
-		if canceled(done) {
-			ps.flushStats()
-			return
-		}
-		if kp >= eligible {
-			st.Reset(k)
-			// ps.st still points at the candidate heap; the f64 fallback
-			// builds its own state, so clear the tier wiring first
-			ps.u = nil
-			p.prunedF64(done, c, q, maxWorkers, mask, eligible, st)
-			return
-		}
-		sc.cand.Reset(kp)
-		ps.st = &sc.cand
-		switch ps.descend(done, c.Tree, epsPrune+epsI8, p.wantDefer(maxWorkers, ix)) {
-		case descendCanceled:
-			ps.flushStats()
-			return
-		case descendBailed:
-			ps.flushStats()
-			pruneFallbacks.Add(1)
-			st.Reset(k)
-			p.naiveI8(done, c, q, maxWorkers, mask, eligible, st, kp)
-			return
-		}
-		p.dispatchRanges(done, ps, maxWorkers)
-		ps.flushStats()
-		if canceled(done) {
-			return
-		}
-		st.Reset(k)
-		if rescoreEntries(done, ix, q, &sc.cand, st, epsI8) {
-			return
-		}
-		i8Escalations.Add(1)
-	}
+	p.fanSweep(done, ps.ix, &ps.tq, ps.mask, ps.ranges, fan, ps.st)
 }

@@ -147,6 +147,93 @@ func TestPrunedSkewedWorldPrunesAndMatches(t *testing.T) {
 	}
 }
 
+// prunedDeferWorld builds an 8192-item world whose first four level-1
+// subtrees carry a +5 bias and the other four −5: the descent passes the
+// loose-bounds checkpoint (half the catalog is prunable once the heap
+// fills), then sweeps the favored half past prunedSeedItems, so with a
+// multi-shard pool it defers the remaining ranges to the workers. With
+// contiguous set the taxonomy is built from a parent array whose every
+// subtree spans a raw item-id range, so the deferred ranges take the
+// blocked kernels; otherwise generated ids interleave and they gather.
+func prunedDeferWorld(t *testing.T, contiguous bool) (*model.Composed, []float64) {
+	t.Helper()
+	const cats, subs, items = 8, 64, 8192
+	rng := vecmath.NewRNG(6161)
+	var tree *taxonomy.Tree
+	var err error
+	if contiguous {
+		parents := make([]int, 1+cats+subs+items)
+		parents[0] = taxonomy.NoParent
+		for j := 0; j < subs; j++ {
+			parents[1+cats+j] = 1 + j/(subs/cats)
+		}
+		for i := 0; i < items; i++ {
+			parents[1+cats+subs+i] = 1 + cats + i/(items/subs)
+		}
+		tree, err = taxonomy.NewFromParents(parents)
+	} else {
+		tree, err = taxonomy.Generate(taxonomy.GenConfig{CategoryLevels: []int{cats, subs}, Items: items, Skew: 0.3}, rng)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.New(tree, 3, model.Params{K: 6, TaxonomyLevels: 3, Alpha: 1, InitStd: 0.05, UseBias: true}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range tree.Level(1) {
+		m.Bias.Row(int(n))[0] = 5
+		if i >= cats/2 {
+			m.Bias.Row(int(n))[0] = -5
+		}
+	}
+	c := m.Compose()
+	c.Index.SetShardItems(512)
+	if lo, hi, ok := c.Index.ItemRange(int(tree.Level(1)[1])); ok != contiguous {
+		t.Fatalf("contiguous=%v world has level-1 range [%d,%d) contiguous=%v", contiguous, lo, hi, ok)
+	}
+	q := make([]float64, 6)
+	for i := range q {
+		q[i] = rng.NormFloat64() * 0.1
+	}
+	return c, q
+}
+
+// Property: a pooled pruned descent that defers its surviving ranges to
+// the workers — contiguous ranges through the blocked kernels, interleaved
+// ones through gathers — returns the brute-force oracle page at every
+// tier, with and without a filter mask.
+func TestPrunedDeferredRangesMatchOracle(t *testing.T) {
+	pool := NewPool(4)
+	defer pool.Close()
+	for _, contiguous := range []bool{false, true} {
+		c, q := prunedDeferWorld(t, contiguous)
+		// the mask leaves mostly eligible blocks below item 2048 and sparse
+		// ones above it, so both masked block paths run
+		mask := &Filter{DenyNodes: []int32{c.Tree.Level(1)[7]}}
+		for i := 0; i < c.NumItems(); i++ {
+			if (i < 2048) == (i%5 == 0) {
+				mask.ExcludeItems = append(mask.ExcludeItems, int32(i))
+			}
+		}
+		for _, flt := range []*Filter{nil, mask} {
+			eligible := eligibleSet(c, flt)
+			scores := make(map[int]float64)
+			for item, ok := range eligible {
+				if ok {
+					scores[item] = c.Index.ScoreItem(item, q)
+				}
+			}
+			for _, k := range []int{1, 20} {
+				pl := Plan{K: k, Offset: 2, Filter: flt, Pruned: true}
+				if !executeAll(t, pool, c, q, pl, rankEligible(scores, k, 2)) {
+					t.Fatalf("contiguous=%v filtered=%v k=%d diverged from the oracle", contiguous, flt != nil, k)
+				}
+			}
+		}
+	}
+}
+
 // The dense fallback (k covers the catalog) must bump the fallback
 // counter and leave the page identical to the dense sweep.
 func TestPrunedFallbackCounter(t *testing.T) {

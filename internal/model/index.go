@@ -444,12 +444,6 @@ func (ix *ScoringIndex) ScoreItem32(item int, q32 []float32) float32 {
 	return vecmath.DotBias32(q32, ix.item32.Row(item), ix.itemBias32[item])
 }
 
-// ScoreNode32 returns the float32 affinity of any taxonomy node.
-func (ix *ScoringIndex) ScoreNode32(node int, q32 []float32) float32 {
-	ix.ensure32()
-	return vecmath.DotBias32(q32, ix.node32.Row(node), ix.nodeBias32[node])
-}
-
 // ItemScoresRange32Into scores the contiguous item range [lo, hi) through
 // the compact f32 slab into dst[:hi-lo] — the bandwidth-halved twin of
 // ItemScoresRangeInto.
@@ -469,12 +463,6 @@ func (ix *ScoringIndex) ItemErrBound32(q []float64) float64 {
 	return errBound32(q, ix.maxAbsItemFactor, ix.maxAbsItemBias)
 }
 
-// NodeErrBound32 is ItemErrBound32 for ScoreNode32 over the node slab.
-func (ix *ScoringIndex) NodeErrBound32(q []float64) float64 {
-	ix.ensure32()
-	return errBound32(q, ix.maxAbsNodeFactor, ix.maxAbsNodeBias)
-}
-
 // errBound32 bounds the absolute difference between a score computed by
 // the f32 pipeline (f32-rounded factors, query and bias, f32-accumulated
 // n-term dot) and the exact f64 score, for any row whose factor entries
@@ -483,14 +471,21 @@ func (ix *ScoringIndex) NodeErrBound32(q []float64) float64 {
 // standard γ_{n+1} accumulation bound. We charge 2⁻²³ per step — a ≥2x
 // slack that also absorbs the (1+u)² cross terms — plus a tiny absolute
 // term covering subnormal conversions, whose error is absolute, not
-// relative.
+// relative. Rounding error is all it bounds: when an operand or a partial
+// dot could leave float32's range (overflowing to ±Inf, or NaN from
+// +Inf − Inf) the bound is +Inf and nothing certifies.
 func errBound32(q []float64, maxF, maxB float64) float64 {
 	var sumAbs float64
 	for _, v := range q {
 		sumAbs += math.Abs(v)
 	}
+	const lim = math.MaxFloat32 / 2
+	mag := sumAbs*maxF + maxB
+	if !(sumAbs < lim && maxF < lim && mag < lim) {
+		return math.Inf(1)
+	}
 	const u = 1.0 / (1 << 23)
-	return (float64(len(q))+4)*u*(sumAbs*maxF+maxB) + 1e-30
+	return (float64(len(q))+4)*u*mag + 1e-30
 }
 
 // ItemRange returns the item-id bounds [lo, hi) of node's leaf

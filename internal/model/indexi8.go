@@ -57,14 +57,6 @@ func (ix *ScoringIndex) ScoreItemI8(item int, u []int8, qscale, sumQ float64) fl
 	return vecmath.DotBiasI8(u, ix.itemI8.Row(item), ix.itemScaleI8[item], ix.itemOffsetI8[item], ix.itemBias[item], qscale, sumQ)
 }
 
-// ScoreNodeI8 is ScoreItemI8 for any taxonomy node over the node slab. A
-// leaf node scores bitwise identically to its item (the rows and their
-// quantization parameters are equal).
-func (ix *ScoringIndex) ScoreNodeI8(node int, u []int8, qscale, sumQ float64) float64 {
-	ix.ensure8()
-	return vecmath.DotBiasI8(u, ix.nodeI8.Row(node), ix.nodeScaleI8[node], ix.nodeOffsetI8[node], ix.nodeBias[node], qscale, sumQ)
-}
-
 // ItemScoresRangeI8Into scores the contiguous item range [lo, hi) through
 // the quantized slab into dst[:hi-lo] — the quarter-bandwidth sibling of
 // ItemScoresRangeInto.
@@ -115,12 +107,6 @@ func (ix *ScoringIndex) ItemScoresRange32MultiInto(qs32 [][]float32, lo, hi int,
 func (ix *ScoringIndex) ItemErrBoundI8(q []float64, sumAbsQErr float64) float64 {
 	ix.ensure8()
 	return ix.errBoundI8(q, sumAbsQErr, ix.maxItemRowErrI8, ix.maxItemScaleI8, ix.maxAbsItemOffsetI8, ix.maxAbsItemFactor, ix.maxAbsItemBias)
-}
-
-// NodeErrBoundI8 is ItemErrBoundI8 for ScoreNodeI8 over the node slab.
-func (ix *ScoringIndex) NodeErrBoundI8(q []float64, sumAbsQErr float64) float64 {
-	ix.ensure8()
-	return ix.errBoundI8(q, sumAbsQErr, ix.maxNodeRowErrI8, ix.maxNodeScaleI8, ix.maxAbsNodeOffsetI8, ix.maxAbsNodeFactor, ix.maxAbsNodeBias)
 }
 
 // errBoundI8 bounds |int8-tier score − exact f64 score|. Writing the

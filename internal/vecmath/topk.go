@@ -108,9 +108,8 @@ func (t *TopKStream) Merge(other *TopKStream) {
 }
 
 // Entries returns the retained set in unspecified (heap) order, aliasing
-// the collector's storage — the float64 counterpart of
-// TopKStream32.Entries, consumed by the int8 pipeline's exact rescore
-// (candidate order is irrelevant there).
+// the collector's storage. The two-stage pipelines' exact rescore
+// consumes it directly — it re-ranks, so candidate order is irrelevant.
 func (t *TopKStream) Entries() []Scored { return t.h }
 
 // Threshold returns the score an entry must strictly beat (or tie with a
