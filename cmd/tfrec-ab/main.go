@@ -2,8 +2,9 @@
 // (bench/run.sh): for every workload, seed and pass it prints each
 // declared metric's parent ("before") and change ("after") median and
 // interquartile range, the median of the per-pair after/before ratios,
-// the change's wins out of the pairs, and a verdict under the paired-claim
-// and no-regression rules (see summarize). scripts/ab.sh collects the
+// the change's wins out of the pairs, the exact two-sided sign-test
+// p-value of those wins against the losses, and a verdict under the
+// paired-claim and no-regression rules (see summarize). scripts/ab.sh collects the
 // runs and calls it.
 //
 // Usage:
@@ -186,8 +187,8 @@ func report(w io.Writer, defs []metricDef, pairs []pair) {
 		}
 		fmt.Fprintf(w, "== %s  seed %d  %s  %d pairs  ops_failed before %d after %d  incorrect runs %d\n",
 			k.workload, k.seed, pass, len(ps), failedB, failedA, wrong)
-		fmt.Fprintf(w, "  %-34s %14s %10s %14s %10s %8s %7s  %s\n",
-			"metric", "before med", "IQR", "after med", "IQR", "ratio", "wins", "verdict")
+		fmt.Fprintf(w, "  %-34s %14s %10s %14s %10s %8s %7s %7s  %s\n",
+			"metric", "before med", "IQR", "after med", "IQR", "ratio", "wins", "sign p", "verdict")
 		for _, def := range defs {
 			before := make([]float64, len(ps))
 			after := make([]float64, len(ps))
@@ -198,8 +199,8 @@ func report(w io.Writer, defs []metricDef, pairs []pair) {
 			if r.n == 0 {
 				continue
 			}
-			fmt.Fprintf(w, "  %-34s %14.4g %10.3g %14.4g %10.3g %7.3fx %3d/%-3d  %s\n",
-				def.Name, r.beforeMed, r.beforeIQR, r.afterMed, r.afterIQR, r.ratio, r.wins, r.n, r.verdict)
+			fmt.Fprintf(w, "  %-34s %14.4g %10.3g %14.4g %10.3g %7.3fx %3d/%-3d %7.3g  %s\n",
+				def.Name, r.beforeMed, r.beforeIQR, r.afterMed, r.afterIQR, r.ratio, r.wins, r.n, r.signP, r.verdict)
 		}
 	}
 }

@@ -36,6 +36,7 @@ type row struct {
 	beforeMed, beforeIQR  float64
 	afterMed, afterIQR    float64
 	ratio                 float64 // median of the per-pair after/before ratios
+	signP                 float64 // two-sided sign-test p-value of wins vs losses
 	verdict               string
 	beforeRuns, afterRuns []float64
 }
@@ -70,6 +71,7 @@ func summarize(def metricDef, before, after []float64) row {
 			ratios = append(ratios, a/b)
 		}
 	}
+	r.signP = signTestP(r.wins, r.losses)
 	if r.n == 0 {
 		r.verdict = verdictNeutral
 		return r
@@ -93,6 +95,23 @@ func summarize(def metricDef, before, after []float64) row {
 		r.verdict = verdictNeutral
 	}
 	return r
+}
+
+// signTestP is the exact two-sided binomial sign-test p-value of wins
+// against losses (ties already dropped): the probability, were each pair
+// a fair coin, of a split at least as lopsided in either direction. No
+// pairs give 1.
+func signTestP(wins, losses int) float64 {
+	n, k := wins+losses, min(wins, losses)
+	// tail = P(X ≤ k) for X ~ Binomial(n, ½), summed term by term from
+	// C(n,0)/2ⁿ
+	term := math.Ldexp(1, -n)
+	tail := 0.0
+	for i := 0; i <= k; i++ {
+		tail += term
+		term *= float64(n-i) / float64(i+1)
+	}
+	return min(1, 2*tail)
 }
 
 // pairedVerdict withholds a paired claim v made on fewer than minPairs

@@ -43,6 +43,43 @@ func TestSummarizeDetectsTenPercentShift(t *testing.T) {
 	}
 }
 
+// The sign test's p-value: ten wins of ten pairs (the synthetic 10%
+// shift) give 2/1024 ≈ 0.002, a balanced 5/5 A/A set gives 1, and ties
+// count for neither side.
+func TestSignTestP(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	b, a := noisyRuns(rng, 10, 1000, 1100, 0.03)
+	r := summarize(throughput, b, a)
+	if r.wins != 10 || math.Abs(r.signP-2.0/1024) > 1e-12 {
+		t.Fatalf("10%% shift: wins %d/%d, sign p %g, want 10/10 and %g", r.wins, r.n, r.signP, 2.0/1024)
+	}
+	aa := summarize(throughput,
+		[]float64{100, 100, 100, 100, 100, 100, 100, 100, 100, 100},
+		[]float64{101, 99, 102, 98, 103, 97, 101, 99, 102, 98})
+	if aa.wins != 5 || aa.losses != 5 || aa.signP != 1 {
+		t.Fatalf("balanced A/A: %d wins, %d losses, sign p %g, want 5/5 and 1", aa.wins, aa.losses, aa.signP)
+	}
+	for _, tc := range []struct {
+		wins, losses int
+		want         float64
+	}{
+		{0, 0, 1},
+		{1, 0, 1},
+		{9, 1, 22.0 / 1024}, // 2·(C(10,0)+C(10,1))/2¹⁰
+		{1, 9, 22.0 / 1024},
+		{6, 0, 2.0 / 64},
+		{3, 2, 1},
+	} {
+		if got := signTestP(tc.wins, tc.losses); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("signTestP(%d, %d) = %g, want %g", tc.wins, tc.losses, got, tc.want)
+		}
+	}
+	// a tie drops its pair
+	if r := summarize(throughput, []float64{5, 5, 5}, []float64{6, 6, 5}); r.wins != 2 || r.signP != 0.5 {
+		t.Fatalf("2 wins and a tie: wins %d, sign p %g, want 2 and 0.5", r.wins, r.signP)
+	}
+}
+
 // A/A pairs — both sides from one distribution — never claim a gain.
 func TestSummarizeAANoWin(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -124,7 +161,7 @@ func TestRunPairsAndMerges(t *testing.T) {
 	if err := run(&out, spec, "", merged, []string{runs}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "node_dense") || !strings.Contains(out.String(), "10/10   better") {
+	if !strings.Contains(out.String(), "node_dense") || !strings.Contains(out.String(), "10/10  0.00195  better") {
 		t.Fatalf("report:\n%s", out.String())
 	}
 	b, err := os.ReadFile(merged)

@@ -267,6 +267,116 @@ func TestPoolPanicFailsOnlyItsQuery(t *testing.T) {
 	}
 }
 
+// A panic while a participant holds its task's merge mutex must fail only
+// its query too: the mutex is released on the way out, so the other
+// participants still merge (here: fault in turn), the dispatch joins, the
+// submitter raises *TaskPanic, and the pool answers the next query
+// byte-identically — for the single-query sweep at every tier and for a
+// batch. With the mutex left held the query would hang, so each call runs
+// under a watchdog. The participants start behind a barrier. A batch
+// participant always merges, so the batch always contends; a sweep
+// participant merges only if it claimed a shard, so on a single P one
+// participant may sweep them all — there the sweeps only check recovery,
+// and elsewhere the catalog is large enough that a sweep outlasts a
+// wake-up and each tier retries until one query saw two merges.
+func TestPoolPanicUnderMergeMutex(t *testing.T) {
+	tree, err := taxonomy.Generate(taxonomy.GenConfig{
+		CategoryLevels: []int{4, 16, 64},
+		Items:          60000,
+		Skew:           0.4,
+	}, vecmath.NewRNG(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.New(tree, 5, model.Params{K: 16, TaxonomyLevels: 3, Alpha: 1, InitStd: 0.3}, vecmath.NewRNG(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := m.Compose()
+	c.Index.SetShardItems(64)
+	q := query(c.K())
+	const fan = 3
+	pool := NewPool(fan)
+	defer pool.Close()
+	defer func() { taskHook, mergeHook = nil, nil }()
+	ctx := context.Background()
+
+	// fault runs fn with every merge panicking and the participants held
+	// at a start barrier until all fan have arrived; it returns what fn
+	// raised and how many participants reached the merge mutex
+	fault := func(what string, fn func()) (any, int64) {
+		var arrived atomic.Int32
+		var merges atomic.Int64
+		start := make(chan struct{})
+		taskHook = func() {
+			if arrived.Add(1) == fan {
+				close(start)
+			}
+			<-start
+		}
+		mergeHook = func() {
+			merges.Add(1)
+			panic("injected merge fault")
+		}
+		defer func() { taskHook, mergeHook = nil, nil }()
+		ch := make(chan any, 1)
+		go func() {
+			defer func() { ch <- recover() }()
+			fn()
+		}()
+		select {
+		case v := <-ch:
+			return v, merges.Load()
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: query wedged after a panic under the merge mutex", what)
+			return nil, 0
+		}
+	}
+	// shape faults run until a query had two participants reach the mutex
+	// (once, when contention is not required), then checks that the pool
+	// answers run's query byte-identically
+	shape := func(what string, run func() any, want any, needContention bool) {
+		t.Helper()
+		for try := 0; ; try++ {
+			v, n := fault(what, func() { run() })
+			if tp, ok := v.(*TaskPanic); !ok || tp.Value != "injected merge fault" {
+				t.Fatalf("%s: raised %T %v, want the injected *TaskPanic", what, v, v)
+			}
+			if n >= 2 || !needContention {
+				break
+			}
+			if try == 50 {
+				t.Fatalf("%s: no query had two participants reach the merge mutex", what)
+			}
+		}
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: result diverged after a panic under the merge mutex", what)
+		}
+	}
+	multiP := runtime.GOMAXPROCS(0) > 1
+	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8} {
+		pl := Plan{K: 10, Precision: prec}
+		want, err := (*Pool)(nil).Execute(ctx, c, q, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shape(prec.String(), func() any {
+			res, _ := pool.Execute(ctx, c, q, pl)
+			return res.Items
+		}, want.Items, multiP)
+	}
+	qs := [][]float64{q, q}
+	pls := []Plan{{K: 5}, {K: 7}}
+	want, err := (*Pool)(nil).ExecuteBatch(ctx, c, qs, pls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape("batch", func() any {
+		res, _ := pool.ExecuteBatch(ctx, c, qs, pls)
+		return res
+	}, want, true)
+}
+
 // A deadline (as opposed to a cancellation) must surface the stdlib's
 // DeadlineExceeded through the ErrDeadline wrapper.
 func TestExecuteDeadlineWrapsDeadlineExceeded(t *testing.T) {

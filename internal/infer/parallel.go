@@ -73,8 +73,10 @@ func (p *TaskPanic) Error() string {
 }
 
 // taskHook, when non-nil, runs at the start of every participant's share
-// of a pooled task; the panic-containment tests inject faults through it.
-var taskHook func()
+// of a pooled task; mergeHook runs under the task's merge mutex, just
+// before the participant merges its heaps into the query's collectors.
+// The panic-containment tests inject faults through them.
+var taskHook, mergeHook func()
 
 // runTask runs one participant's share of t. A panic is recovered into
 // t's base — the first one wins — so the participant still reaches its
@@ -224,10 +226,20 @@ func (t *sweepTask) run(sc *scratch) {
 		}
 	}
 	if st.Len() > 0 {
-		t.mu.Lock()
-		t.out.Merge(st)
-		t.mu.Unlock()
+		t.merge(st)
 	}
+}
+
+// merge folds one participant's heap into the query's collector. The
+// deferred unlock keeps a panic in Merge from leaving the mutex held,
+// which would block every other participant and so the dispatch.
+func (t *sweepTask) merge(st *vecmath.TopKStream) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if mergeHook != nil {
+		mergeHook()
+	}
+	t.out.Merge(st)
 }
 
 // fanSweep sweeps the index's shards — or ranges, when non-nil — across
@@ -294,11 +306,20 @@ func (t *multiTask) run(sc *scratch) {
 		lo, hi := t.ix.Shard(s)
 		sweepGroups(t.ix, t.tqs, t.active, lo, hi, ptrs)
 	}
+	t.merge(parts)
+}
+
+// merge folds one participant's per-query heaps into the queries'
+// collectors, unlocking on every path as sweepTask.merge does.
+func (t *multiTask) merge(parts []vecmath.TopKStream) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if mergeHook != nil {
+		mergeHook()
+	}
 	for i := range parts {
 		if parts[i].Len() > 0 {
 			t.outs[i].Merge(&parts[i])
 		}
 	}
-	t.mu.Unlock()
 }

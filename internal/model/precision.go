@@ -12,8 +12,9 @@ import (
 // candidate heap, then an exact float64 rescore of the candidates), which
 // halves sweep bandwidth while producing rankings byte-identical to the
 // pure float64 path; PrecisionInt8 runs the same pipeline over quantized
-// slabs at a quarter of the bandwidth; PrecisionF64 forces the pure
-// float64 sweep.
+// slabs at a quarter of the bandwidth; PrecisionF64 is the pure float64
+// sweep, which the serving edge never runs as a first stage (see
+// PrecisionF64).
 //
 // The zero value PrecisionDefault means "no explicit choice" and resolves
 // per platform (Resolve) unless an outer layer (server option, model
@@ -28,7 +29,11 @@ const (
 	// PrecisionF32 is the two-stage exact pipeline: f32 slab sweep with
 	// k' over-fetch, then f64 rescore of the candidates.
 	PrecisionF32
-	// PrecisionF64 is the pure float64 sweep.
+	// PrecisionF64 is the pure float64 sweep: the exact reference the
+	// reduced tiers are certified against and fall back to. infer runs it
+	// as asked; the serving edge (serve) treats it as a request for the
+	// exact ranking every tier certifies and runs the platform default
+	// tier instead.
 	PrecisionF64
 	// PrecisionInt8 is the two-stage pipeline over the quantized int8
 	// slabs — a quarter of the f32 sweep bandwidth, with a larger

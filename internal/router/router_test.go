@@ -1,12 +1,14 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +17,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/dataset"
+	"repro/internal/infer"
 	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/internal/synth"
@@ -209,6 +212,17 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 					t.Errorf("%s%s %s:\nrouter (%d): %s\nsingle (%d): %s",
 						rq.path, rq.query, rq.body, gotCode, got, wantCode, want)
 				}
+				if rq.query == "?precision=f64" {
+					// served f64 runs the platform tier on every node, so
+					// anchor it to infer's literal f64 plan as well
+					var out api.RecommendResponse
+					if err := json.Unmarshal([]byte(got), &out); err != nil {
+						t.Fatal(err)
+					}
+					if want := exactF64Items(t, rq.body); !reflect.DeepEqual(out.Items, want) {
+						t.Errorf("%s %s through the router: %+v\ninfer's f64 plan: %+v", rq.query, rq.body, out.Items, want)
+					}
+				}
 				if p, ok := strings.CutPrefix(rq.query, "?precision="); ok {
 					// the default tier is resolved per platform; whichever it
 					// is, the answer must equal every explicit tier's
@@ -232,6 +246,29 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 			}
 		})
 	}
+}
+
+// exactF64Items is infer's exact f64 plan for a plain {"user","k"} body
+// on the shared model, as the wire's items.
+func exactF64Items(t *testing.T, body string) []api.Item {
+	t.Helper()
+	var wr api.RecommendRequest
+	if err := json.Unmarshal([]byte(body), &wr); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := trainedModel()
+	c := m.Compose()
+	q := make([]float64, c.K())
+	c.BuildQueryInto(wr.User, nil, q)
+	res, err := infer.Execute(context.Background(), c, q, infer.Plan{K: wr.K, Precision: model.PrecisionF64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]api.Item, len(res.Items))
+	for i, it := range res.Items {
+		items[i] = api.Item{Item: it.ID, Score: it.Score}
+	}
+	return items
 }
 
 // A dead shard must degrade per policy: shed everything with a typed

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/infer"
-	"repro/internal/model"
 	"repro/internal/vecmath"
 )
 
@@ -182,15 +181,9 @@ func (b *Batcher) run(mb *microBatch) {
 		idxs []int
 	)
 	for i, req := range mb.reqs {
-		// the multi-query sweep is shared work at one precision and one
-		// visitation pattern, so a request pinning a different precision,
-		// carrying an item filter, or asking for the pruned descent (whose
-		// visitation depends on the query) — as well as the cascaded and
-		// diversified shapes — sub-groups onto the per-request path, where
-		// its plan holds in full
-		if req.Cascade != nil || req.MaxPerCategory > 0 || req.hasFilter() ||
-			req.Pruned || b.s.pruned || b.s.ranged() ||
-			(req.Precision != model.PrecisionDefault && req.Precision != batchPrec) {
+		// a request the shared sweep cannot carry sub-groups onto the
+		// per-request path, where its plan holds in full
+		if !b.s.coalescable(c, req) {
 			mb.resps[i] = b.s.run(context.Background(), epoch, c, req)
 			continue
 		}

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,5 +180,48 @@ func TestBatcherCloseEmpty(t *testing.T) {
 	b.Close()
 	if _, err := b.Recommend(Request{User: 1, K: 2}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A ?precision=f64 request resolves to the batch's tier, so it joins the
+// coalesced batch — one shared sweep for both members, not a per-request
+// detour — and answers the default request's bytes.
+func TestBatcherCoalescesF64Request(t *testing.T) {
+	m, _ := trainedModel(t)
+	s := New(m, WithWorkers(2))
+	defer s.Close()
+	h := NewHTTP(s, nil)
+	defer h.Close()
+	// the batch cuts only when both requests have joined it
+	h.EnableBatching(2, 10*time.Second)
+	var execs atomic.Int64
+	execHook = func() { execs.Add(1) }
+	defer func() { execHook = nil }()
+	ts := httptest.NewServer(h.Handler())
+	defer ts.Close()
+
+	urls := []string{ts.URL + "/v1/recommend", ts.URL + "/v1/recommend?precision=f64"}
+	bodies := make([][]byte, len(urls))
+	var wg sync.WaitGroup
+	for i, url := range urls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			code, body := postRaw(t, ts.Client(), url, `{"user":3,"k":8}`)
+			if code != http.StatusOK {
+				t.Errorf("%s: status %d: %s", url, code, body)
+			}
+			bodies[i] = body
+		}()
+	}
+	wg.Wait()
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("?precision=f64 changed the bytes:\n%s\ndefault:\n%s", bodies[1], bodies[0])
+	}
+	if batches, coalesced := h.batcher.Stats(); batches != 1 || coalesced != 2 {
+		t.Fatalf("batcher stats %d batches / %d coalesced, want 1/2", batches, coalesced)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("the batch reached the executor %d times, want one shared sweep", n)
 	}
 }

@@ -352,18 +352,10 @@ func (h *HTTP) recommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// a request pinning a non-zero fan-out opts out of coalescing, as
-	// do item filters (the shared sweep is one visitation pattern; the
-	// batcher would only sub-group them back onto the per-request
-	// path after the window wait), a shard-scoped server (whose range
-	// mask is a filter on every plan) and a precision override the
-	// batch would not honor; pinning the precision the batch already
-	// runs at keeps the coalescing win
+	// does one the shared sweep cannot carry (the batcher would only
+	// sub-group it back onto the per-request path after the window wait)
 	var resp Response
-	batchable := req.Precision == model.PrecisionDefault ||
-		req.Precision == h.srv.effectivePrecision(c, Request{})
-	if h.batcher != nil && req.Workers == 0 && batchable && !req.hasFilter() &&
-		req.Cascade == nil && req.MaxPerCategory <= 0 &&
-		!req.Pruned && !h.srv.pruned && !h.srv.ranged() {
+	if h.batcher != nil && req.Workers == 0 && h.srv.coalescable(c, req) {
 		// probe the cache before joining a batch: a hot key must not
 		// pay the coalescing window for a result that is already sitting
 		// in memory (the batcher fills the same epoch-stamped cache)

@@ -128,12 +128,13 @@ func WithWorkers(n int) Option {
 
 // WithPrecision pins the server's scoring precision, overriding the
 // model's recorded preference. model.PrecisionInt8 and PrecisionF32 run
-// the two-stage reduced-precision-sweep + exact-f64-rescore pipeline;
-// model.PrecisionF64 forces the pure float64 sweep. When nothing chooses,
-// the platform default applies: int8 where the SIMD kernels run, f32
-// elsewhere. Rankings are byte-identical either way; the knob trades
-// sweep bandwidth against the (rare) escalation re-sweeps of near-tie
-// score regimes.
+// the two-stage reduced-precision-sweep + exact-f64-rescore pipeline at
+// that tier. model.PrecisionF64 is accepted but names the exact ranking
+// every tier already certifies, not a sweep: it is served by the
+// platform default tier, like no choice at all. That default is int8
+// where the fused SIMD int8 kernel runs, f32 elsewhere. Rankings are
+// byte-identical either way; the knob trades sweep bandwidth against the
+// (rare) escalation re-sweeps of near-tie score regimes.
 func WithPrecision(p model.Precision) Option {
 	return func(s *Server) { s.prec = p }
 }
@@ -416,6 +417,9 @@ type Request struct {
 	Workers int
 	// Precision overrides the scoring pipeline for this request;
 	// model.PrecisionDefault defers to the server and then the snapshot.
+	// model.PrecisionF64 runs the platform default tier: every tier
+	// returns the exact f64 ranking, so f64 is never swept as a first
+	// stage here (see effectivePrecision).
 	Precision model.Precision
 	// Pruned turns on taxonomy-guided branch-and-bound retrieval for this
 	// request's catalog sweep. Rankings are byte-identical to the dense
@@ -433,16 +437,37 @@ func (r Request) hasFilter() bool {
 	return r.ExcludePurchased || len(r.Categories) > 0 || len(r.ExcludeCategories) > 0
 }
 
-// effectivePrecision resolves one request's scoring pipeline: request
-// override, then the server-level WithPrecision choice, then the
-// snapshot's recorded preference, bottoming out at the platform default.
+// effectivePrecision resolves the tier one request's sweep runs at; Warm,
+// the batcher and /v1/stats all read it from here. The first explicit
+// choice wins — request override, then the server-level WithPrecision
+// choice, then the snapshot's recorded preference — and no choice falls
+// to the platform default. An f64 choice also resolves to the platform
+// default: every tier returns the byte-identical exact f64 ranking, so
+// f64 asks for a certificate the fastest tier already gives, and a full
+// f64 first-stage sweep would only read 8x the int8 tier's bytes for the
+// same answer.
 func (s *Server) effectivePrecision(c *model.Composed, req Request) model.Precision {
 	for _, p := range [...]model.Precision{req.Precision, s.prec, c.Precision} {
+		if p == model.PrecisionF64 {
+			break
+		}
 		if p != model.PrecisionDefault {
 			return p
 		}
 	}
 	return model.PrecisionDefault.Resolve()
+}
+
+// coalescable reports whether req can share the batcher's multi-query
+// sweep, which is one visitation pattern at one tier: a naive request
+// with no item filter and no pruned descent, on a server that is neither
+// pruned by default nor shard-scoped (its range mask is a filter on
+// every plan), whose resolved tier is the batch's. Everything else runs
+// its own plan on the per-request path.
+func (s *Server) coalescable(c *model.Composed, req Request) bool {
+	return req.Cascade == nil && req.MaxPerCategory <= 0 && !req.hasFilter() &&
+		!req.Pruned && !s.pruned && !s.ranged() &&
+		s.effectivePrecision(c, req) == s.effectivePrecision(c, Request{})
 }
 
 // validate checks a request against the snapshot. Every rejection is a
