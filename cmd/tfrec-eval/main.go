@@ -39,7 +39,7 @@ func main() {
 	topk := flag.Int("topk", 10, "cut for precision/recall/NDCG")
 	catDepth := flag.Int("cat-depth", 1, "taxonomy depth for category metrics")
 	workers := flag.Int("workers", 0, "evaluation goroutines (0 = GOMAXPROCS)")
-	precision := flag.String("precision", "", "top-k scoring precision: f32 (two-stage compact-slab pipeline), f64, int8 (two-stage quantized pipeline), or empty to follow the model file (default: int8 on SIMD hosts, else f32)")
+	precision := flag.String("precision", "", "top-k scoring precision: f32 (two-stage compact-slab pipeline), f64, int8 (two-stage quantized pipeline), or empty for the host's fastest tier (int8 on AVX2, else f32); every tier gives identical metrics")
 	pruned := flag.Bool("pruned", false, "score top-k via the branch-and-bound taxonomy descent (identical metrics; throughput knob)")
 	flag.Parse()
 
@@ -90,10 +90,6 @@ func main() {
 		fmt.Printf("  coldAUC      %.4f over %d new-item purchases\n", res.ColdAUC, res.ColdCount)
 	}
 
-	// flag > model-file preference > f32, mirroring serve's resolution
-	if prec == model.PrecisionDefault {
-		prec = c.Precision.Resolve()
-	}
 	tk, err := eval.EvaluateTopKPlan(c, history, split.Test, *workers,
 		infer.Plan{K: *topk, Precision: prec.Resolve(), MaxWorkers: 1, Pruned: *pruned})
 	if err != nil {

@@ -86,8 +86,8 @@ func main() {
 	c := m.Compose()
 	fmt.Println()
 
-	fmt.Printf("model: K=%d taxonomyUpdateLevels=%d markovOrder=%d bias=%v precision=%s\n",
-		m.P.K, m.P.TaxonomyLevels, m.P.MarkovOrder, m.P.UseBias, m.Precision.Resolve())
+	fmt.Printf("model: K=%d taxonomyUpdateLevels=%d markovOrder=%d bias=%v\n",
+		m.P.K, m.P.TaxonomyLevels, m.P.MarkovOrder, m.P.UseBias)
 	fmt.Printf("taxonomy: %v nodes per level, %d items, depth %d\n",
 		tree.LevelSizes(), tree.NumItems(), tree.Depth())
 

@@ -51,6 +51,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -69,7 +70,8 @@ type scenario struct {
 	Keep             float64 `json:"keep"`             // cascade keep fraction
 	MaxPerCategory   int     `json:"max_per_category"` // diversified quota
 	CatDepth         int     `json:"cat_depth"`
-	Precision        string  `json:"precision"` // "", "f32", "f64", "int8" (query param)
+	Precision        string  `json:"precision"` // "", "f32", "f64", "int8" (query param; validated, no effect)
+	Workers          int     `json:"workers"`   // > 0 sends ?workers= (validated, no effect)
 	Pruned           bool    `json:"pruned"`    // branch-and-bound taxonomy descent (query param)
 	Session          bool    `json:"session"`   // user = -1 (needs markov_order > 0)
 	ExcludePurchased bool    `json:"exclude_purchased"`
@@ -94,6 +96,7 @@ func defaultScenarios() []scenario {
 		{Name: "naive", Weight: 6},
 		{Name: "naive-f64", Weight: 1, Precision: "f64"},
 		{Name: "naive-int8", Weight: 1, Precision: "int8"},
+		{Name: "naive-f32-serial", Weight: 1, Precision: "f32", Workers: 1},
 		{Name: "naive-pruned", Weight: 1, Pruned: true},
 		{Name: "paged", Weight: 1, Offset: 5},
 		{Name: "cascade", Weight: 1, Strategy: "cascade", Keep: 0.4},
@@ -165,6 +168,10 @@ func buildRequest(rng *rand.Rand, sc scenario, info modelInfo, defaultK int) (st
 	sep := "?"
 	if sc.Precision != "" {
 		path += sep + "precision=" + sc.Precision
+		sep = "&"
+	}
+	if sc.Workers > 0 {
+		path += sep + "workers=" + strconv.Itoa(sc.Workers)
 		sep = "&"
 	}
 	if sc.Pruned {

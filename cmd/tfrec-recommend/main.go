@@ -6,11 +6,11 @@
 //
 // Usage:
 //
-//	tfrec-recommend -model model.gob -data data/ -user 17 -k 10
-//	tfrec-recommend -model model.gob -data data/ -user 17 -strategy cascade -cascade 0.2
-//	tfrec-recommend -model model.gob -data data/ -user 17 -exclude-purchased -offset 10
-//	tfrec-recommend -model model.gob -data data/ -user 17 -category 3,17 -workers 4 -precision f64
-//	tfrec-recommend -model model.gob -data data/ -user 17 -structured
+//	tfrec-recommend -model model.tfrec -data data/ -user 17 -k 10
+//	tfrec-recommend -model model.tfrec -data data/ -user 17 -strategy cascade -cascade 0.2
+//	tfrec-recommend -model model.tfrec -data data/ -user 17 -exclude-purchased -offset 10
+//	tfrec-recommend -model model.tfrec -data data/ -user 17 -category 3,17 -workers 4 -precision f64
+//	tfrec-recommend -model model.tfrec -data data/ -user 17 -structured
 package main
 
 import (
@@ -43,7 +43,7 @@ func main() {
 	maxPerCat := flag.Int("max-per-category", 2, "category quota (with -strategy diversified)")
 	catDepth := flag.Int("cat-depth", 0, "quota category depth (0 = lowest category level)")
 	workers := flag.Int("workers", 1, "parallel sweep workers (0 = GOMAXPROCS, 1 = serial)")
-	precision := flag.String("precision", "", "scoring precision: f32, f64, int8, or empty to follow the model file")
+	precision := flag.String("precision", "", "scoring precision: f32, f64 (the exact reference sweep), int8, or empty for the host's fastest tier (int8 on AVX2, else f32); every tier ranks identically")
 	excludePurchased := flag.Bool("exclude-purchased", false, "drop items the user already bought")
 	category := flag.String("category", "", "comma-separated taxonomy node ids to restrict results to")
 	excludeCategory := flag.String("exclude-category", "", "comma-separated taxonomy node ids to remove")

@@ -60,7 +60,6 @@ func main() {
 	workers := flag.Int("workers", 0, "inference pool parallelism (0 = GOMAXPROCS, 1 = serial sweeps)")
 	batchMax := flag.Int("batch-max", 0, "coalesce up to this many concurrent full-scan requests per sweep (0 = batching off)")
 	batchWindow := flag.Duration("batch-window", 500*time.Microsecond, "max wait to fill a request batch")
-	precision := flag.String("precision", "", "scoring precision: f32 (compact-slab sweep + exact rescore), int8 (quantized-slab sweep + exact rescore), f64 (accepted; served by the platform default tier, which already returns the exact f64 ranking), or empty to follow the model file (default: int8 on SIMD hosts, else f32)")
 	maxBody := flag.Int64("max-body", 0, "request body size limit in bytes (0 = 1MiB default); oversize bodies get 413")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	cacheSize := flag.Int("cache-size", 0, "versioned LRU result cache capacity in entries (0 = caching off); SIGHUP reload invalidates all entries atomically")
@@ -71,15 +70,11 @@ func main() {
 	itemRange := flag.String("item-range", "", "shard mode: serve only catalog items in the half-open range lo:hi (empty = full catalog); a tfrec-router merges shard rankings")
 	flag.Parse()
 
-	prec, err := model.ParsePrecision(*precision)
-	if err != nil {
-		log.Fatal(err)
-	}
 	sn, loadDur, err := loadSnapshot(*modelPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := []serve.Option{serve.WithWorkers(*workers), serve.WithPrecision(prec), serve.WithCache(*cacheSize), serve.WithPruned(*pruned)}
+	opts := []serve.Option{serve.WithWorkers(*workers), serve.WithCache(*cacheSize), serve.WithPruned(*pruned)}
 	if *itemRange != "" {
 		rng, err := api.ParseItemRange(*itemRange)
 		if err != nil {

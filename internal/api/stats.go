@@ -106,10 +106,11 @@ type StatsPruning struct {
 }
 
 // StatsInference describes the parallel sweep, precision and batching
-// configuration. F32Escalations and I8Escalations count process-wide
-// two-stage margin escalations per tier — a steady climb means scores are
-// tighter than that tier's resolution and a higher-precision sweep may
-// serve cheaper. DiversifyRefetches counts diversified requests' doubled
+// configuration. Precision is the host's sweep tier, the one every
+// request runs: "int8" where the fused AVX2 int8 kernel runs, else "f32".
+// F32Escalations and I8Escalations count process-wide two-stage margin
+// escalations per tier — a steady climb means scores are tighter than
+// that tier's resolution and requests pay re-sweeps. DiversifyRefetches counts diversified requests' doubled
 // prefix re-fetches (infer.DiversifyRefetches) — a climb means a few
 // categories dominate the top of the ranking and quota pages cost extra
 // sweeps.

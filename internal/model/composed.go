@@ -26,12 +26,8 @@ type Composed struct {
 	// Index is the flattened scoring view of EffNode/EffBias — contiguous
 	// item-major and node-major slabs with the bias folded in. All scoring
 	// methods of Composed run off it; infer and serve use it directly.
-	Index *ScoringIndex
-	// Precision is the serving precision preference inherited from the
-	// model (file format v2); serve resolves it when neither the request
-	// nor the server configuration chooses one.
-	Precision Precision
-	weights   []float64
+	Index   *ScoringIndex
+	weights []float64
 
 	// fp caches Fingerprint(): a content id computed lazily on first use
 	// (the strided slab hash would otherwise tax mmap-load startup).
@@ -45,14 +41,13 @@ type Composed struct {
 // alias model rows.
 func (m *TF) Compose() *Composed {
 	c := &Composed{
-		P:         m.P,
-		Tree:      m.Tree,
-		User:      m.User.Clone(),
-		EffNode:   composeTree(m.Tree, m.Node),
-		EffNext:   composeTree(m.Tree, m.Next),
-		EffBias:   composeTree(m.Tree, m.Bias),
-		Precision: m.Precision,
-		weights:   m.P.DecayWeights(),
+		P:       m.P,
+		Tree:    m.Tree,
+		User:    m.User.Clone(),
+		EffNode: composeTree(m.Tree, m.Node),
+		EffNext: composeTree(m.Tree, m.Next),
+		EffBias: composeTree(m.Tree, m.Bias),
+		weights: m.P.DecayWeights(),
 	}
 	c.Index = buildIndex(m.Tree, c.EffNode, c.EffBias, m.P.UseBias)
 	return c

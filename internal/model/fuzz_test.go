@@ -14,23 +14,22 @@ import (
 )
 
 // fuzzSeedTF builds the tiny trained-shaped model every seed derives from.
-func fuzzSeedTF(tb testing.TB, prec Precision, mutate func(*TF)) *TF {
+func fuzzSeedTF(tb testing.TB, mutate func(*TF)) *TF {
 	tb.Helper()
 	tree := taxonomy.MustGenerate(taxonomy.GenConfig{CategoryLevels: []int{2, 4}, Items: 12, Skew: 0}, vecmath.NewRNG(3))
 	m, err := New(tree, 3, Params{K: 4, TaxonomyLevels: 3, MarkovOrder: 1, Alpha: 1, InitStd: 0.1, UseBias: true}, vecmath.NewRNG(4))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m.Precision = prec
 	mutate(m)
 	return m
 }
 
 // fuzzSeedV4 returns the model's current (v4 flat) file bytes.
-func fuzzSeedV4(tb testing.TB, prec Precision, mutate func(*TF)) []byte {
+func fuzzSeedV4(tb testing.TB, mutate func(*TF)) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := fuzzSeedTF(tb, prec, mutate).Save(&buf); err != nil {
+	if err := fuzzSeedTF(tb, mutate).Save(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -40,7 +39,7 @@ func fuzzSeedV4(tb testing.TB, prec Precision, mutate func(*TF)) []byte {
 func fuzzSeedGob(tb testing.TB) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := fuzzSeedTF(tb, PrecisionF32, func(*TF) {}).SaveGob(&buf); err != nil {
+	if err := fuzzSeedTF(tb, func(*TF) {}).SaveGob(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -60,6 +59,20 @@ func patchV4Table(tb testing.TB, raw []byte, idx int, patch func(entry []byte)) 
 	patch(table[idx*tableEntryV4Len:])
 	binary.LittleEndian.PutUint32(out[24:], crc32.Checksum(table, castagnoli))
 	return out
+}
+
+// patchV4MetaPrecision copies a v4 file with the meta section's precision
+// word set to p, fixing up the meta section's and the table's checksums
+// so the value is reached by meta validation, not by the CRC check.
+func patchV4MetaPrecision(tb testing.TB, raw []byte, p uint64) []byte {
+	tb.Helper()
+	idx, off, length := v4SectionEntry(tb, raw, secMeta)
+	out := append([]byte(nil), raw...)
+	meta := out[off : off+length]
+	binary.LittleEndian.PutUint64(meta[9*8:], p)
+	return patchV4Table(tb, out, idx, func(e []byte) {
+		binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(meta, castagnoli))
+	})
 }
 
 // v4SectionEntry locates the table entry for a section id.
@@ -83,16 +96,17 @@ func v4SectionEntry(tb testing.TB, raw []byte, id uint32) (idx int, off, length 
 //
 // Run longer with: go test -run '^$' -fuzz '^FuzzLoad$' ./internal/model
 func FuzzLoad(f *testing.F) {
-	v4 := fuzzSeedV4(f, PrecisionF32, func(*TF) {})
+	v4 := fuzzSeedV4(f, func(*TF) {})
 	f.Add(v4) // current flat format
-	// the int8 precision byte recorded — the newest accepted precision
-	f.Add(fuzzSeedV4(f, PrecisionInt8, func(*TF) {}))
+	// an int8 precision byte, as older writers recorded it — the newest
+	// accepted value (validated, then ignored)
+	f.Add(patchV4MetaPrecision(f, v4, uint64(PrecisionInt8)))
 	// hostile payloads: a NaN factor and an Inf bias must be rejected at
 	// (heap) load, never surface at score time
-	f.Add(fuzzSeedV4(f, PrecisionInt8, func(m *TF) {
+	f.Add(fuzzSeedV4(f, func(m *TF) {
 		m.Node.Row(1)[0] = math.NaN()
 	}))
-	f.Add(fuzzSeedV4(f, PrecisionF32, func(m *TF) {
+	f.Add(fuzzSeedV4(f, func(m *TF) {
 		m.Bias.Row(0)[0] = math.Inf(1)
 	}))
 
@@ -160,9 +174,6 @@ func FuzzLoad(f *testing.F) {
 		if m.K() <= 0 || m.NumUsers() < 0 {
 			t.Fatalf("accepted model has impossible shape: K=%d users=%d", m.K(), m.NumUsers())
 		}
-		if m.Precision > PrecisionInt8 {
-			t.Fatalf("accepted model carries unknown precision %d", m.Precision)
-		}
 		if err := m.Tree.Validate(); err != nil {
 			t.Fatalf("accepted model has inconsistent taxonomy: %v", err)
 		}
@@ -176,7 +187,7 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("re-load failed: %v", err)
 		}
 		if m2.K() != m.K() || m2.NumUsers() != m.NumUsers() ||
-			m2.Tree.NumNodes() != m.Tree.NumNodes() || m2.Precision != m.Precision {
+			m2.Tree.NumNodes() != m.Tree.NumNodes() {
 			t.Fatal("round-trip changed the model shape")
 		}
 	})
@@ -186,7 +197,7 @@ func FuzzLoad(f *testing.F) {
 // carrying the long-standing "corrupt or truncated" phrasing — the
 // deterministic counterpart of the fuzz seeds above.
 func TestLoadV4TypedErrors(t *testing.T) {
-	v4 := fuzzSeedV4(t, PrecisionF32, func(*TF) {})
+	v4 := fuzzSeedV4(t, func(*TF) {})
 	_, metaOff, _ := v4SectionEntry(t, v4, secMeta)
 
 	cases := []struct {
@@ -227,6 +238,9 @@ func TestLoadV4TypedErrors(t *testing.T) {
 			binary.LittleEndian.PutUint64(bad[metaOff+8:], 1<<40) // numItems
 			return bad
 		}, "out of range"},
+		{"unknown precision", func() []byte {
+			return patchV4MetaPrecision(t, v4, uint64(PrecisionInt8)+1)
+		}, "unknown precision"},
 		{"duplicate section", func() []byte {
 			return patchV4Table(t, v4, 3, func(e []byte) {
 				binary.LittleEndian.PutUint32(e[0:], secMeta)

@@ -37,46 +37,32 @@ type ScoringIndex struct {
 	nodeFactors []float64 // numNodes x k, node-major
 	nodeBias    []float64 // numNodes
 
-	// Compact float32 mirrors of the two slabs (biases folded the same
-	// way), at half the bytes per row, built lazily on first f32 use so
-	// f64-pinned deployments never pay the extra 50% slab memory. The
-	// two-stage serving pipeline sweeps these and rescores its candidates
+	// Compact float32 mirror of the item slab (bias folded the same way),
+	// at half the bytes per row, built lazily on first f32 use so a host
+	// sweeping another tier never pays the extra 50% slab memory. The
+	// two-stage serving pipeline sweeps it and rescores its candidates
 	// from the float64 slabs above; the float64 slabs stay authoritative
-	// for training, the cascade beam walk and the exact rescore. The
-	// item-major f64 rows are exact copies of their leaf node rows and
-	// float64→float32 rounding is deterministic, so a leaf scores
-	// bit-identically through either f32 slab — exactly as the float64
-	// slabs relate.
+	// for training, the cascade beam walk and the exact rescore.
 	f32Once    sync.Once
 	item32     *vecmath.Matrix32 // numItems x k
 	itemBias32 []float32         // numItems
-	node32     *vecmath.Matrix32 // numNodes x k
-	nodeBias32 []float32         // numNodes
 
-	// Quantized int8 mirrors of the two slabs — the tier below f32 at a
+	// Quantized int8 mirror of the item slab — the tier below f32 at a
 	// quarter of its bytes per row — with per-row affine code parameters
-	// and the slab-wide aggregates ErrBoundI8 charges. Like the f32
-	// mirrors they are built lazily on first int8 use; the f64 slabs stay
-	// authoritative for the exact rescore. Item rows are exact copies of
-	// their leaf node rows and per-row quantization is a deterministic
-	// function of the row's values, so a leaf quantizes identically
-	// through either slab — the same relation the f32 mirrors keep.
+	// and the slab-wide aggregates ItemErrBoundI8 charges. Like the f32
+	// mirror it is built lazily on first int8 use; the f64 slabs stay
+	// authoritative for the exact rescore.
 	i8Once       sync.Once
 	itemI8       *vecmath.MatrixI8 // numItems x k
 	itemScaleI8  []float64         // numItems
 	itemOffsetI8 []float64         // numItems
-	nodeI8       *vecmath.MatrixI8 // numNodes x k
-	nodeScaleI8  []float64         // numNodes
-	nodeOffsetI8 []float64         // numNodes
 
 	maxItemRowErrI8, maxItemScaleI8, maxAbsItemOffsetI8 float64
-	maxNodeRowErrI8, maxNodeScaleI8, maxAbsNodeOffsetI8 float64
 
-	// Magnitude bounds of the float64 slabs, shared by both reduced-
-	// precision tiers' certified error bounds (ensureBounds).
+	// Magnitude bounds of the item slab, shared by both reduced-precision
+	// tiers' certified error bounds and the prune bound (ensureBounds).
 	boundsOnce                       sync.Once
 	maxAbsItemFactor, maxAbsItemBias float64
-	maxAbsNodeFactor, maxAbsNodeBias float64
 
 	// itemCat[d][i] is item i's ancestor node at taxonomy depth d
 	// (itemCat[0] is all-root, itemCat[Depth] the leaf nodes themselves);
@@ -127,9 +113,10 @@ type ScoringIndex struct {
 	subMaxBias   []float64 // numNodes
 }
 
-// buildIndex flattens the composed factor matrices for a taxonomy. Bias is
-// folded only when useBias is set, matching the scoring semantics of
-// Composed.NodeScore.
+// buildIndex flattens the composed factor matrices for a taxonomy. The
+// node-major slab aliases eff's compact data (a Composed snapshot is
+// immutable), as the mapped v4 path does. Bias is folded only when
+// useBias is set, matching the scoring semantics of Composed.NodeScore.
 func buildIndex(tree *taxonomy.Tree, eff *vecmath.Matrix, effBias *vecmath.Matrix, useBias bool) *ScoringIndex {
 	k := eff.Cols()
 	numItems := tree.NumItems()
@@ -139,14 +126,11 @@ func buildIndex(tree *taxonomy.Tree, eff *vecmath.Matrix, effBias *vecmath.Matri
 		numItems:    numItems,
 		itemFactors: make([]float64, numItems*k),
 		itemBias:    make([]float64, numItems),
-		nodeFactors: make([]float64, numNodes*k),
+		nodeFactors: eff.CompactData(),
 		nodeBias:    make([]float64, numNodes),
 	}
-	for node := 0; node < numNodes; node++ {
-		copy(ix.nodeFactors[node*k:(node+1)*k], eff.Row(node))
-		if useBias {
-			ix.nodeBias[node] = effBias.Row(node)[0]
-		}
+	if useBias {
+		copy(ix.nodeBias, effBias.CompactData())
 	}
 	for item := 0; item < numItems; item++ {
 		node := tree.ItemNode(item)
@@ -307,19 +291,12 @@ func foldEnvelopes(tree *taxonomy.Tree, env func(node int) (lo, hi []float64, ma
 	}
 }
 
-// ensure32 materializes the compact float32 slabs and the magnitude
+// ensure32 materializes the compact float32 item slab and the magnitude
 // bounds on first use; every f32 accessor funnels through it, so the
 // conversion cost (and the extra memory) is paid only by snapshots that
 // actually sweep f32. Safe for concurrent first use.
 func (ix *ScoringIndex) ensure32() {
 	ix.f32Once.Do(func() {
-		ix.node32 = vecmath.NewMatrix32(len(ix.nodeBias), ix.k)
-		ix.node32.SetFrom(ix.nodeFactors)
-		ix.nodeBias32 = make([]float32, len(ix.nodeBias))
-		vecmath.Downconvert32(ix.nodeBias32, ix.nodeBias)
-		// the f64 item rows are exact copies of their leaf node rows, so
-		// rounding them directly yields bitwise the same f32 rows as
-		// copying from node32
 		ix.item32 = vecmath.NewMatrix32(ix.numItems, ix.k)
 		ix.item32.SetFrom(ix.itemFactors)
 		ix.itemBias32 = make([]float32, ix.numItems)
@@ -328,14 +305,12 @@ func (ix *ScoringIndex) ensure32() {
 	})
 }
 
-// ensureBounds records the f64 slab magnitude bounds on first use by
-// either reduced-precision tier; both certified error bounds need them.
+// ensureBounds records the item slab's magnitude bounds on first use by
+// either reduced-precision tier or the prune bound; all three read them.
 func (ix *ScoringIndex) ensureBounds() {
 	ix.boundsOnce.Do(func() {
 		ix.maxAbsItemFactor = vecmath.MaxAbs(ix.itemFactors)
 		ix.maxAbsItemBias = vecmath.MaxAbs(ix.itemBias)
-		ix.maxAbsNodeFactor = vecmath.MaxAbs(ix.nodeFactors)
-		ix.maxAbsNodeBias = vecmath.MaxAbs(ix.nodeBias)
 	})
 }
 

@@ -3,8 +3,8 @@ package model
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/taxonomy"
@@ -39,9 +39,9 @@ func index32World(t *testing.T, useBias bool) (*Composed, []float64) {
 	return m.Compose(), q
 }
 
-// The f32 slabs must be the exact float32 rounding of the f64 slabs, with
-// item leaf rows bit-identical to their node rows, and the blocked range
-// sweep must agree bitwise with per-item ScoreItem32.
+// The f32 item slab must be the exact float32 rounding of the f64 item
+// slab, biases included, and the blocked range sweep must agree bitwise
+// with per-item ScoreItem32.
 func TestIndex32SlabsMirrorF64(t *testing.T) {
 	for _, useBias := range []bool{false, true} {
 		c, q := index32World(t, useBias)
@@ -56,8 +56,8 @@ func TestIndex32SlabsMirrorF64(t *testing.T) {
 					t.Fatalf("useBias=%v item %d dim %d: f32 slab %v != rounded %v", useBias, item, j, f32row[j], float32(f64row[j]))
 				}
 			}
-			if node := c.Tree.ItemNode(item); !slices.Equal(f32row, ix.node32.Row(node)) || ix.itemBias32[item] != ix.nodeBias32[node] {
-				t.Fatalf("useBias=%v item %d: item-slab row differs from its node-slab row", useBias, item)
+			if ix.itemBias32[item] != float32(ix.itemBias[item]) {
+				t.Fatalf("useBias=%v item %d: f32 bias %v != rounded %v", useBias, item, ix.itemBias32[item], float32(ix.itemBias[item]))
 			}
 		}
 		dst := make([]float32, ix.NumItems())
@@ -96,54 +96,74 @@ func TestIndex32ErrBoundDominates(t *testing.T) {
 	}
 }
 
-// A file written with a version-1 header (the pre-precision format) must
-// still load, coming back with PrecisionDefault; a v2 round-trip must
-// preserve the recorded precision.
+// Save records no precision preference in either format, and files that
+// recorded one — v4 meta words and v2/v3 gob fields older writers set —
+// still load, the preference validated and ignored. A file written with a
+// version-1 header (the pre-precision format) must still load too.
 func TestLoadVersion1AndPrecisionRoundTrip(t *testing.T) {
 	tree := taxonomy.MustGenerate(taxonomy.GenConfig{CategoryLevels: []int{3}, Items: 20, Skew: 0}, vecmath.NewRNG(2))
 	m, err := New(tree, 3, Params{K: 4, TaxonomyLevels: 2, Alpha: 1, InitStd: 0.1}, vecmath.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prec := range []Precision{PrecisionF32, PrecisionInt8} {
-		m.Precision = prec
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if v := binary.BigEndian.Uint32(raw[len(fileMagic):headerLen]); v != fileVersion {
+		t.Fatalf("written header version %d, want %d", v, fileVersion)
+	}
+	if _, off, _ := v4SectionEntry(t, raw, secMeta); binary.LittleEndian.Uint64(raw[off+9*8:]) != 0 {
+		t.Fatal("Save recorded a precision preference")
+	}
+	var gbuf bytes.Buffer
+	if err := m.SaveGob(&gbuf); err != nil {
+		t.Fatal(err)
+	}
+	graw := gbuf.Bytes()
+	if v := binary.BigEndian.Uint32(graw[len(fileMagic):headerLen]); v != gobFileVersion {
+		t.Fatalf("gob header version %d, want %d", v, gobFileVersion)
+	}
+	var p persisted
+	if err := gob.NewDecoder(bytes.NewReader(graw[headerLen:])).Decode(&p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Precision != PrecisionDefault {
+		t.Fatalf("SaveGob recorded precision %v", p.Precision)
+	}
+	for _, prec := range []Precision{PrecisionF32, PrecisionF64, PrecisionInt8} {
+		if _, err := Load(bytes.NewReader(patchV4MetaPrecision(t, raw, uint64(prec)))); err != nil {
+			t.Fatalf("v4 file recording %v failed to load: %v", prec, err)
+		}
+		// a gob payload recording the preference, under every gob-era
+		// header: the files older writers produced
+		p.Precision = prec
+		var pbuf bytes.Buffer
+		pbuf.Write(graw[:headerLen])
+		if err := gob.NewEncoder(&pbuf).Encode(&p); err != nil {
 			t.Fatal(err)
 		}
-		raw := buf.Bytes()
-		if v := binary.BigEndian.Uint32(raw[len(fileMagic):headerLen]); v != fileVersion {
-			t.Fatalf("written header version %d, want %d", v, fileVersion)
-		}
-		got, err := Load(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Precision != prec {
-			t.Fatalf("round-trip precision %v, want %v", got.Precision, prec)
-		}
-		// rewrite a gob file's header as older versions: the payload's
-		// extra gob fields are ignored by construction, so these are
-		// exactly the files older writers produced
-		var gbuf bytes.Buffer
-		if err := m.SaveGob(&gbuf); err != nil {
-			t.Fatal(err)
-		}
-		graw := gbuf.Bytes()
-		if v := binary.BigEndian.Uint32(graw[len(fileMagic):headerLen]); v != gobFileVersion {
-			t.Fatalf("gob header version %d, want %d", v, gobFileVersion)
-		}
-		for _, v := range []uint32{1, 2} {
-			old := append([]byte(nil), graw...)
+		for _, v := range []uint32{1, 2, gobFileVersion} {
+			old := append([]byte(nil), pbuf.Bytes()...)
 			binary.BigEndian.PutUint32(old[len(fileMagic):], v)
 			mOld, err := Load(bytes.NewReader(old))
 			if err != nil {
-				t.Fatalf("v%d file failed to load: %v", v, err)
+				t.Fatalf("v%d file recording %v failed to load: %v", v, prec, err)
 			}
 			if mOld.NumItems() != m.NumItems() {
 				t.Fatalf("v%d load lost structure: %d items", v, mOld.NumItems())
 			}
 		}
+	}
+	p.Precision = PrecisionInt8 + 1
+	var bad bytes.Buffer
+	bad.Write(graw[:headerLen])
+	if err := gob.NewEncoder(&bad).Encode(&p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&bad); err == nil {
+		t.Fatal("gob file recording an unknown precision loaded")
 	}
 }
 

@@ -7,23 +7,18 @@ import (
 )
 
 // The int8 quantized face of the scoring index. ensure8 materializes the
-// quantized item and node slabs beside the f64/f32 ones on first int8
-// use, and the accessors below mirror the f32 surface: per-row scoring,
-// range sweeps, a blocked multi-query range sweep, and the certified
-// error bound the two-stage pipeline's separation certificate charges.
+// quantized item slab beside the f64/f32 ones on first int8 use, and the
+// accessors below mirror the f32 surface: per-row scoring, range sweeps,
+// a blocked multi-query range sweep, and the certified error bound the
+// two-stage pipeline's separation certificate charges.
 
-// ensure8 quantizes both slabs and records the aggregates ErrBoundI8
-// needs. Safe for concurrent first use; f64/f32-pinned deployments never
-// pay the quantization pass or the extra ~12.5% slab memory.
+// ensure8 quantizes the item slab and records the aggregates
+// ItemErrBoundI8 needs. Safe for concurrent first use; a host sweeping
+// another tier never pays the quantization pass or the extra ~12.5% slab
+// memory.
 func (ix *ScoringIndex) ensure8() {
 	ix.i8Once.Do(func() {
 		ix.ensureBounds()
-		numNodes := len(ix.nodeBias)
-		ix.nodeI8 = vecmath.NewMatrixI8(numNodes, ix.k)
-		ix.nodeScaleI8 = make([]float64, numNodes)
-		ix.nodeOffsetI8 = make([]float64, numNodes)
-		ix.maxNodeRowErrI8, ix.maxNodeScaleI8, ix.maxAbsNodeOffsetI8 =
-			ix.nodeI8.QuantizeFrom(ix.nodeFactors, ix.nodeScaleI8, ix.nodeOffsetI8)
 		ix.itemI8 = vecmath.NewMatrixI8(ix.numItems, ix.k)
 		ix.itemScaleI8 = make([]float64, ix.numItems)
 		ix.itemOffsetI8 = make([]float64, ix.numItems)
@@ -32,16 +27,16 @@ func (ix *ScoringIndex) ensure8() {
 	})
 }
 
-// Warm materializes everything a query at precision p (after Resolve)
-// would otherwise build lazily on first use: the magnitude bounds every
-// certificate and prune bound reads, plus the f32 or int8 mirror slabs of
-// the reduced-precision tiers. A server calls it before publishing a
+// Warm materializes everything a query at the host's tier
+// (PrecisionDefault.Resolve) would otherwise build lazily on first use:
+// the magnitude bounds every certificate and prune bound reads, plus that
+// tier's f32 or int8 mirror slab. A server calls it before publishing a
 // snapshot so the first request never pays a catalog-sized pass. It is a
 // no-op on snapshots whose tiers came precomputed (v4 files) and safe for
 // concurrent use.
-func (ix *ScoringIndex) Warm(p Precision) {
+func (ix *ScoringIndex) Warm() {
 	ix.ensureBounds()
-	switch p.Resolve() {
+	switch PrecisionDefault.Resolve() {
 	case PrecisionF32:
 		ix.ensure32()
 	case PrecisionInt8:

@@ -13,8 +13,8 @@ import (
 
 // The quantized tier's internal consistency: per-item ScoreItemI8, the
 // blocked range sweep, and the blocked multi-query sweep must agree
-// bitwise, and a leaf node's quantized row must equal its item's (equal
-// rows quantize to equal codes and parameters).
+// bitwise, and every item's codes and parameters must be its f64 row's
+// own quantization (vecmath.QuantizeRow).
 func TestIndexI8SweepsAgreeBitwise(t *testing.T) {
 	for _, useBias := range []bool{false, true} {
 		c, q := index32World(t, useBias)
@@ -27,6 +27,7 @@ func TestIndexI8SweepsAgreeBitwise(t *testing.T) {
 		multi := [][]float64{make([]float64, ix.NumItems()), make([]float64, ix.NumItems())}
 		ix.ItemScoresRangeI8MultiInto([][]int8{u, u}, []float64{qscale, qscale}, []float64{sumQ, sumQ}, 0, ix.NumItems(), multi)
 
+		codes := make([]int8, ix.K())
 		for item := 0; item < ix.NumItems(); item++ {
 			want := ix.ScoreItemI8(item, u, qscale, sumQ)
 			if dst[item] != want {
@@ -35,9 +36,9 @@ func TestIndexI8SweepsAgreeBitwise(t *testing.T) {
 			if multi[0][item] != want || multi[1][item] != want {
 				t.Fatalf("useBias=%v item %d: multi sweep %v/%v != ScoreItemI8 %v", useBias, item, multi[0][item], multi[1][item], want)
 			}
-			node := c.Tree.ItemNode(item)
-			if !slices.Equal(ix.itemI8.Row(item), ix.nodeI8.Row(node)) || ix.itemScaleI8[item] != ix.nodeScaleI8[node] || ix.itemOffsetI8[item] != ix.nodeOffsetI8[node] {
-				t.Fatalf("useBias=%v item %d: item-slab codes differ from its node-slab codes", useBias, item)
+			scale, offset, _ := vecmath.QuantizeRow(codes, ix.ItemFactor(item))
+			if !slices.Equal(ix.itemI8.Row(item), codes) || ix.itemScaleI8[item] != scale || ix.itemOffsetI8[item] != offset {
+				t.Fatalf("useBias=%v item %d: item-slab codes are not its row's quantization", useBias, item)
 			}
 		}
 

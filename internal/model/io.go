@@ -70,8 +70,10 @@ type persisted struct {
 	Node     []float64
 	Next     []float64
 	Bias     []float64
-	// Precision is the serving precision recorded with the model (format
-	// version 2); gob leaves it PrecisionDefault for older payloads.
+	// Precision is the serving precision preference format version 2
+	// recorded. Save writes PrecisionDefault; Load range-checks it and
+	// otherwise ignores it, since the serving tier is the host's (see
+	// Precision.Resolve).
 	Precision Precision
 }
 
@@ -102,14 +104,13 @@ func (m *TF) SaveGob(w io.Writer) error {
 		return fmt.Errorf("model: write header: %w", err)
 	}
 	p := persisted{
-		Params:    m.P,
-		Parents:   m.Tree.ParentArray(),
-		NumUsers:  m.NumUsers(),
-		User:      m.User.CompactData(),
-		Node:      m.Node.CompactData(),
-		Next:      m.Next.CompactData(),
-		Bias:      m.Bias.CompactData(),
-		Precision: m.Precision,
+		Params:   m.P,
+		Parents:  m.Tree.ParentArray(),
+		NumUsers: m.NumUsers(),
+		User:     m.User.CompactData(),
+		Node:     m.Node.CompactData(),
+		Next:     m.Next.CompactData(),
+		Bias:     m.Bias.CompactData(),
 	}
 	return gob.NewEncoder(w).Encode(&p)
 }
@@ -219,7 +220,6 @@ func decodePersisted(r io.Reader) (*TF, error) {
 	if p.Precision > PrecisionInt8 {
 		return nil, fmt.Errorf("unknown precision %d in file", p.Precision)
 	}
-	m.Precision = p.Precision
 	if len(p.Bias) == 0 {
 		// files written before the bias extension: biases stay zero
 		p.Bias = make([]float64, m.Bias.Rows()*m.Bias.Cols())

@@ -302,7 +302,6 @@ func tfFromSections(s *sectionsV4) (*TF, error) {
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
-	m.Precision = Precision(s.meta.precision)
 	m.User.SetCompactData(raws["user"])
 	m.Node.SetCompactData(raws["node"])
 	m.Next.SetCompactData(raws["next"])
@@ -313,10 +312,13 @@ func tfFromSections(s *sectionsV4) (*TF, error) {
 // composedFromSections wraps the precomputed serving sections in a
 // Composed snapshot without a Compose() pass: every slab the ScoringIndex
 // would build — composed factors, folded biases, both reduced-precision
-// tiers, layout tables, prune envelopes — is a zero-copy view of the file
-// image, and the lazy sync.Once builders are burned so no accessor ever
-// recomputes (or mutates) anything. The caller owns the backing memory's
-// lifetime (Snapshot ties it to the mapping).
+// item tiers, layout tables, prune envelopes — is a zero-copy view of the
+// file image, and the lazy sync.Once builders are burned so no accessor
+// ever recomputes (or mutates) anything. The node-major f32/int8 sections,
+// their meta aggregates and the meta precision byte are length-, CRC- and
+// range-checked like every section but not viewed: no sweep reads them.
+// The caller owns the backing memory's lifetime (Snapshot ties it to the
+// mapping).
 func composedFromSections(s *sectionsV4) (*Composed, error) {
 	tree, err := treeFromSections(s)
 	if err != nil {
@@ -337,23 +339,14 @@ func composedFromSections(s *sectionsV4) (*Composed, error) {
 
 		item32:     vecmath.Matrix32FromData(it, k, f32View(s.sec[secItem32])),
 		itemBias32: f32View(s.sec[secItemBias32]),
-		node32:     vecmath.Matrix32FromData(n, k, f32View(s.sec[secNode32])),
-		nodeBias32: f32View(s.sec[secNodeBias32]),
 
 		itemI8:       vecmath.MatrixI8FromData(it, k, i8View(s.sec[secItemI8])),
 		itemScaleI8:  f64View(s.sec[secItemScaleI8]),
 		itemOffsetI8: f64View(s.sec[secItemOffsetI8]),
-		nodeI8:       vecmath.MatrixI8FromData(n, k, i8View(s.sec[secNodeI8])),
-		nodeScaleI8:  f64View(s.sec[secNodeScaleI8]),
-		nodeOffsetI8: f64View(s.sec[secNodeOffsetI8]),
 
 		maxItemRowErrI8: mt.maxItemRowErrI8, maxItemScaleI8: mt.maxItemScaleI8,
 		maxAbsItemOffsetI8: mt.maxAbsItemOffsetI8,
-		maxNodeRowErrI8:    mt.maxNodeRowErrI8, maxNodeScaleI8: mt.maxNodeScaleI8,
-		maxAbsNodeOffsetI8: mt.maxAbsNodeOffsetI8,
-
-		maxAbsItemFactor: mt.maxAbsItemFactor, maxAbsItemBias: mt.maxAbsItemBias,
-		maxAbsNodeFactor: mt.maxAbsNodeFactor, maxAbsNodeBias: mt.maxAbsNodeBias,
+		maxAbsItemFactor:   mt.maxAbsItemFactor, maxAbsItemBias: mt.maxAbsItemBias,
 
 		levelPos:      i32View(s.sec[secLevelPos]),
 		nodeDepth:     i32View(s.sec[secTreeDepth]),
@@ -382,15 +375,14 @@ func composedFromSections(s *sectionsV4) (*Composed, error) {
 	ix.boundsOnce.Do(func() {})
 
 	return &Composed{
-		P:         p,
-		Tree:      tree,
-		User:      vecmath.MatrixFromCompact(int(mt.numUsers), k, f64View(s.sec[secRawUser])),
-		EffNode:   vecmath.MatrixFromCompact(n, k, f64View(s.sec[secEffNode])),
-		EffNext:   vecmath.MatrixFromCompact(n, k, f64View(s.sec[secEffNext])),
-		EffBias:   vecmath.MatrixFromCompact(n, 1, f64View(s.sec[secEffBias])),
-		Index:     ix,
-		Precision: Precision(mt.precision),
-		weights:   p.DecayWeights(),
+		P:       p,
+		Tree:    tree,
+		User:    vecmath.MatrixFromCompact(int(mt.numUsers), k, f64View(s.sec[secRawUser])),
+		EffNode: vecmath.MatrixFromCompact(n, k, f64View(s.sec[secEffNode])),
+		EffNext: vecmath.MatrixFromCompact(n, k, f64View(s.sec[secEffNext])),
+		EffBias: vecmath.MatrixFromCompact(n, 1, f64View(s.sec[secEffBias])),
+		Index:   ix,
+		weights: p.DecayWeights(),
 	}, nil
 }
 

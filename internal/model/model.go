@@ -103,12 +103,6 @@ type TF struct {
 	P    Params
 	Tree *taxonomy.Tree
 
-	// Precision is the serving precision preference persisted with the
-	// model (file format v2): PrecisionDefault lets the server choose
-	// (which resolves to the two-stage f32 pipeline). It does not affect
-	// training, only how snapshots of this model are swept.
-	Precision Precision
-
 	User *vecmath.Matrix // numUsers x K
 	Node *vecmath.Matrix // numNodes x K: item-offset factors wI
 	Next *vecmath.Matrix // numNodes x K: next-item offsets wI→•

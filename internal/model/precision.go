@@ -6,34 +6,30 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Precision selects the scoring data path a query sweeps. It is threaded
-// from the CLIs through serve requests down to infer: PrecisionF32 runs
+// Precision selects the scoring data path a query sweeps, as an
+// infer.Plan field: PrecisionF32 runs
 // the two-stage pipeline (compact float32 slab sweep into an over-fetched
 // candidate heap, then an exact float64 rescore of the candidates), which
 // halves sweep bandwidth while producing rankings byte-identical to the
 // pure float64 path; PrecisionInt8 runs the same pipeline over quantized
 // slabs at a quarter of the bandwidth; PrecisionF64 is the pure float64
-// sweep, which the serving edge never runs as a first stage (see
-// PrecisionF64).
+// sweep, the exact reference.
 //
 // The zero value PrecisionDefault means "no explicit choice" and resolves
-// per platform (Resolve) unless an outer layer (server option, model
-// file) supplies one.
+// to the host's fastest tier (Resolve). The serving edge always runs
+// that tier; only infer callers (the CLIs, tests) pick another.
 type Precision uint8
 
 const (
-	// PrecisionDefault defers the choice to the surrounding configuration
-	// (request → server → model file), bottoming out at Resolve's
-	// platform default.
+	// PrecisionDefault is the host's fastest certified tier (Resolve).
 	PrecisionDefault Precision = iota
 	// PrecisionF32 is the two-stage exact pipeline: f32 slab sweep with
 	// k' over-fetch, then f64 rescore of the candidates.
 	PrecisionF32
 	// PrecisionF64 is the pure float64 sweep: the exact reference the
 	// reduced tiers are certified against and fall back to. infer runs it
-	// as asked; the serving edge (serve) treats it as a request for the
-	// exact ranking every tier certifies and runs the platform default
-	// tier instead.
+	// as asked; the serving edge never does, since every tier already
+	// returns its ranking.
 	PrecisionF64
 	// PrecisionInt8 is the two-stage pipeline over the quantized int8
 	// slabs — a quarter of the f32 sweep bandwidth, with a larger

@@ -157,7 +157,6 @@ func newSaveStream(m *TF) *saveStream {
 		markovOrder:    uint64(m.P.MarkovOrder),
 		root:           uint64(tree.Root()),
 		flags:          flags,
-		precision:      uint64(m.Precision),
 		alpha:          m.P.Alpha,
 		initStd:        m.P.InitStd,
 	}

@@ -80,11 +80,23 @@ func writeRefSectionsV4(w io.Writer, secs []refSectionV4) error {
 }
 
 // refSectionsV4 assembles the full section list from a model and its
-// composed snapshot, forcing the lazy f32/int8 tiers and magnitude bounds.
+// composed snapshot, forcing the lazy f32/int8 item tiers and magnitude
+// bounds. The index keeps no node-major reduced tiers, so the node f32
+// and int8 sections and their aggregates are derived here from the
+// snapshot's node rows.
 func refSectionsV4(m *TF, c *Composed) []refSectionV4 {
 	ix := c.Index
 	ix.ensure32()
 	ix.ensure8()
+	numNodes := m.Tree.NumNodes()
+	node32 := vecmath.NewMatrix32(numNodes, m.P.K)
+	node32.SetFrom(ix.nodeFactors)
+	nodeBias32 := make([]float32, numNodes)
+	vecmath.Downconvert32(nodeBias32, ix.nodeBias)
+	nodeI8 := vecmath.NewMatrixI8(numNodes, m.P.K)
+	nodeScaleI8 := make([]float64, numNodes)
+	nodeOffsetI8 := make([]float64, numNodes)
+	maxNodeRowErrI8, maxNodeScaleI8, maxAbsNodeOffsetI8 := nodeI8.QuantizeFrom(ix.nodeFactors, nodeScaleI8, nodeOffsetI8)
 	parent, depth, childOff, childList, levelOff, levelList, itemNode, nodeItem, root := m.Tree.Layout()
 
 	flags := uint64(0)
@@ -104,16 +116,15 @@ func refSectionsV4(m *TF, c *Composed) []refSectionV4 {
 		markovOrder:    uint64(m.P.MarkovOrder),
 		root:           uint64(root),
 		flags:          flags,
-		precision:      uint64(m.Precision),
 		alpha:          m.P.Alpha,
 		initStd:        m.P.InitStd,
 
 		maxAbsItemFactor: ix.maxAbsItemFactor, maxAbsItemBias: ix.maxAbsItemBias,
-		maxAbsNodeFactor: ix.maxAbsNodeFactor, maxAbsNodeBias: ix.maxAbsNodeBias,
+		maxAbsNodeFactor: vecmath.MaxAbs(ix.nodeFactors), maxAbsNodeBias: vecmath.MaxAbs(ix.nodeBias),
 		maxItemRowErrI8: ix.maxItemRowErrI8, maxItemScaleI8: ix.maxItemScaleI8,
 		maxAbsItemOffsetI8: ix.maxAbsItemOffsetI8,
-		maxNodeRowErrI8:    ix.maxNodeRowErrI8, maxNodeScaleI8: ix.maxNodeScaleI8,
-		maxAbsNodeOffsetI8: ix.maxAbsNodeOffsetI8,
+		maxNodeRowErrI8:    maxNodeRowErrI8, maxNodeScaleI8: maxNodeScaleI8,
+		maxAbsNodeOffsetI8: maxAbsNodeOffsetI8,
 	}
 
 	itemCat := make([]int32, 0, (m.Tree.Depth()+1)*ix.numItems)
@@ -142,14 +153,14 @@ func refSectionsV4(m *TF, c *Composed) []refSectionV4 {
 		{secItemBias, f64Bytes(ix.itemBias)},
 		{secItem32, f32Bytes(ix.item32.Data())},
 		{secItemBias32, f32Bytes(ix.itemBias32)},
-		{secNode32, f32Bytes(ix.node32.Data())},
-		{secNodeBias32, f32Bytes(ix.nodeBias32)},
+		{secNode32, f32Bytes(node32.Data())},
+		{secNodeBias32, f32Bytes(nodeBias32)},
 		{secItemI8, i8Bytes(ix.itemI8.Data())},
 		{secItemScaleI8, f64Bytes(ix.itemScaleI8)},
 		{secItemOffsetI8, f64Bytes(ix.itemOffsetI8)},
-		{secNodeI8, i8Bytes(ix.nodeI8.Data())},
-		{secNodeScaleI8, f64Bytes(ix.nodeScaleI8)},
-		{secNodeOffsetI8, f64Bytes(ix.nodeOffsetI8)},
+		{secNodeI8, i8Bytes(nodeI8.Data())},
+		{secNodeScaleI8, f64Bytes(nodeScaleI8)},
+		{secNodeOffsetI8, f64Bytes(nodeOffsetI8)},
 		{secItemCat, i32Bytes(itemCat)},
 		{secLevelPos, i32Bytes(ix.levelPos)},
 		{secItemLo, i32Bytes(ix.itemLo)},
@@ -177,7 +188,7 @@ func fillRows(mat *vecmath.Matrix, rng *vecmath.RNG, std float64) {
 // raggedTF builds a model over a tree New rejects — items at depths 1
 // and 3, a root that is not node 0, parents with larger ids than their
 // children — by filling the struct directly: Save reads only the factor
-// matrices, the tree, the parameters and the precision. Coordinate 0 mixes
+// matrices, the tree and the parameters. Coordinate 0 mixes
 // +0 and −0 across sibling leaves, so a subtree envelope folded in any
 // other order than buildIndex's keeps a different zero.
 func raggedTF(t *testing.T) *TF {
@@ -193,13 +204,12 @@ func raggedTF(t *testing.T) *TF {
 	}
 	p := Params{K: 5, TaxonomyLevels: 4, MarkovOrder: 1, Alpha: 1, InitStd: 0.3, UseBias: true}
 	m := &TF{
-		P:         p,
-		Tree:      tree,
-		Precision: PrecisionF32,
-		User:      vecmath.NewMatrixPadded(3, p.K),
-		Node:      vecmath.NewMatrixPadded(tree.NumNodes(), p.K),
-		Next:      vecmath.NewMatrixPadded(tree.NumNodes(), p.K),
-		Bias:      vecmath.NewMatrixPadded(tree.NumNodes(), 1),
+		P:    p,
+		Tree: tree,
+		User: vecmath.NewMatrixPadded(3, p.K),
+		Node: vecmath.NewMatrixPadded(tree.NumNodes(), p.K),
+		Next: vecmath.NewMatrixPadded(tree.NumNodes(), p.K),
+		Bias: vecmath.NewMatrixPadded(tree.NumNodes(), 1),
 	}
 	rng := vecmath.NewRNG(21)
 	for _, mat := range []*vecmath.Matrix{m.User, m.Node, m.Next, m.Bias} {
@@ -263,8 +273,8 @@ func TestSaveMatchesComposedReference(t *testing.T) {
 		{"ragged tree", raggedTF(t)},
 		{"markov order 0", newSaveWorld(t, 90, 6, 0, true)},
 		{"K=13, items not a chunk multiple", newSaveWorld(t, 3*saveChunkRows+37, 13, 1, true)},
-		{"fuzz seed with Inf bias", fuzzSeedTF(t, PrecisionF32, func(m *TF) { m.Bias.Row(0)[0] = math.Inf(1) })},
-		{"fuzz seed with NaN factor", fuzzSeedTF(t, PrecisionInt8, func(m *TF) { m.Node.Row(1)[0] = math.NaN() })},
+		{"fuzz seed with Inf bias", fuzzSeedTF(t, func(m *TF) { m.Bias.Row(0)[0] = math.Inf(1) })},
+		{"fuzz seed with NaN factor", fuzzSeedTF(t, func(m *TF) { m.Node.Row(1)[0] = math.NaN() })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

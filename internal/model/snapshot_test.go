@@ -25,7 +25,6 @@ func snapshotWorld(t *testing.T) (*TF, string) {
 	for n := 0; n < tree.NumNodes(); n++ {
 		m.Bias.Row(n)[0] = vecmath.NewRNG(uint64(100 + n)).NormFloat64()
 	}
-	m.Precision = PrecisionInt8
 	path := filepath.Join(t.TempDir(), "model.tfrec")
 	f, err := os.Create(path)
 	if err != nil {
@@ -59,9 +58,6 @@ func TestLoadFileMappedMatchesComposeBitwise(t *testing.T) {
 	ix := sn.Composed.Index
 	if ix.NumItems() != refIx.NumItems() || ix.K() != refIx.K() {
 		t.Fatalf("shape mismatch: (%d,%d) vs (%d,%d)", ix.NumItems(), ix.K(), refIx.NumItems(), refIx.K())
-	}
-	if sn.Composed.Precision != m.Precision {
-		t.Fatalf("precision %v, want %v", sn.Composed.Precision, m.Precision)
 	}
 
 	k := ix.K()
@@ -320,8 +316,8 @@ func TestLoadV4HeapRoundTrip(t *testing.T) {
 		back.Next.MaxAbsDiff(m.Next) != 0 || back.Bias.MaxAbsDiff(m.Bias) != 0 {
 		t.Fatal("heap v4 round trip changed raw factors")
 	}
-	if back.Precision != m.Precision || back.P != m.P {
-		t.Fatalf("metadata drift: precision %v/%v params %+v/%+v", back.Precision, m.Precision, back.P, m.P)
+	if back.P != m.P {
+		t.Fatalf("metadata drift: params %+v/%+v", back.P, m.P)
 	}
 	if math.Abs(float64(back.NumUsers()-m.NumUsers())) != 0 {
 		t.Fatalf("user count drift: %d vs %d", back.NumUsers(), m.NumUsers())

@@ -81,8 +81,8 @@ func (h *HTTP) Handler() http.Handler {
 // must not share an entry with the unfiltered request), and the offset
 // must be absorbed before the scatter rewrite zeroes it (a forwarded
 // ?offset= would re-paginate every shard). Execution knobs (workers,
-// precision, pruned) pass through untouched — they are result-neutral
-// and each shard applies its own.
+// precision, pruned) pass through untouched — they are result-neutral:
+// each shard applies pruned, and validates and ignores the other two.
 func foldQuery(q url.Values, wr *api.RecommendRequest) (string, error) {
 	if es := q.Get("exclude_purchased"); es != "" {
 		v, err := strconv.ParseBool(es)

@@ -166,14 +166,16 @@ func post(t *testing.T, url, body string) (int, string) {
 // The tentpole property: a router over ANY contiguous sharding of the
 // catalog answers every request with the byte-identical response of a
 // single full-catalog node — status, items, scores, tie-breaks, epoch,
-// fingerprint, every JSON byte — across strategies, filters, precision
-// overrides, pagination and the branch-and-bound engine. The retired
-// per-shape routes are rows too: both sides must answer them with the
-// same typed 404 not_found envelope.
+// fingerprint, every JSON byte — across strategies, filters, the ignored
+// execution knobs (?precision= × ?workers=, malformed values included),
+// pagination and the branch-and-bound engine. The retired per-shape
+// routes are rows too: both sides must answer them with the same typed
+// 404 not_found envelope.
 func TestRouterByteIdenticalToSingleNode(t *testing.T) {
-	requests := []struct {
+	type request struct {
 		path, query, body string
-	}{
+	}
+	requests := []request{
 		{"/v1/recommend", "", `{"user":3,"k":10}`},
 		{"/v1/recommend", "", `{"user":7,"k":25,"offset":13}`},
 		{"/v1/recommend", "", `{"user":-1,"k":10,"recent":[[5,9],[12]]}`},
@@ -198,6 +200,22 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 		{"/v1/recommend/cascade", "", `{"user":14,"k":7,"keep":4}`},
 		{"/v1/recommend/diversified", "", `{"user":15,"k":14,"max_per_category":3}`},
 	}
+	// the execution-knob table: every cell must answer the knob-free
+	// request's bytes, or the node's 400 envelope for a malformed value
+	for _, prec := range []string{"", "f32", "f64", "int8", "bogus"} {
+		for _, workers := range []string{"", "0", "1", "3", "-1"} {
+			var params []string
+			if prec != "" {
+				params = append(params, "precision="+prec)
+			}
+			if workers != "" {
+				params = append(params, "workers="+workers)
+			}
+			if len(params) > 0 {
+				requests = append(requests, request{"/v1/recommend", "?" + strings.Join(params, "&"), `{"user":3,"k":10}`})
+			}
+		}
+	}
 	const items = 270 // the trainedModel taxonomy's catalog size
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 5; trial++ {
@@ -212,28 +230,23 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 					t.Errorf("%s%s %s:\nrouter (%d): %s\nsingle (%d): %s",
 						rq.path, rq.query, rq.body, gotCode, got, wantCode, want)
 				}
-				if rq.query == "?precision=f64" {
-					// served f64 runs the platform tier on every node, so
-					// anchor it to infer's literal f64 plan as well
-					var out api.RecommendResponse
-					if err := json.Unmarshal([]byte(got), &out); err != nil {
-						t.Fatal(err)
-					}
-					if want := exactF64Items(t, rq.body); !reflect.DeepEqual(out.Items, want) {
-						t.Errorf("%s %s through the router: %+v\ninfer's f64 plan: %+v", rq.query, rq.body, out.Items, want)
-					}
-				}
-				if p, ok := strings.CutPrefix(rq.query, "?precision="); ok {
-					// the default tier is resolved per platform; whichever it
-					// is, the answer must equal every explicit tier's
-					defQuery := ""
-					if _, rest, ok := strings.Cut(p, "&"); ok {
-						defQuery = "?" + rest
-					}
+				if defQuery := withoutKnobs(rq.query); defQuery != rq.query && wantCode == http.StatusOK {
+					// the knobs are ignored: the answer must equal the
+					// knob-free request's, and a plain request's items are
+					// infer's literal f64 plan
 					defCode, def := post(t, tp.front.URL+rq.path+defQuery, rq.body)
 					if defCode != wantCode || def != want {
-						t.Errorf("%s %s: default precision through the router (%d): %s\nexplicit %s on the control (%d): %s",
+						t.Errorf("%s %s: knob-free through the router (%d): %s\n%s on the control (%d): %s",
 							rq.path, rq.body, defCode, def, rq.query, wantCode, want)
+					}
+					if want, ok := exactF64Items(t, rq.body); ok {
+						var out api.RecommendResponse
+						if err := json.Unmarshal([]byte(got), &out); err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(out.Items, want) {
+							t.Errorf("%s %s through the router: %+v\ninfer's f64 plan: %+v", rq.query, rq.body, out.Items, want)
+						}
 					}
 				}
 				if rq.path != api.EndpointUnified.Path() {
@@ -248,13 +261,32 @@ func TestRouterByteIdenticalToSingleNode(t *testing.T) {
 	}
 }
 
+// withoutKnobs drops the execution knobs (precision, workers) from a
+// "?a=b&c=d" query, keeping the other parameters in order.
+func withoutKnobs(query string) string {
+	var kept []string
+	for _, p := range strings.Split(strings.TrimPrefix(query, "?"), "&") {
+		if p != "" && !strings.HasPrefix(p, "precision=") && !strings.HasPrefix(p, "workers=") {
+			kept = append(kept, p)
+		}
+	}
+	if len(kept) == 0 {
+		return ""
+	}
+	return "?" + strings.Join(kept, "&")
+}
+
 // exactF64Items is infer's exact f64 plan for a plain {"user","k"} body
-// on the shared model, as the wire's items.
-func exactF64Items(t *testing.T, body string) []api.Item {
+// on the shared model, as the wire's items; ok is false for any other
+// body.
+func exactF64Items(t *testing.T, body string) (items []api.Item, ok bool) {
 	t.Helper()
 	var wr api.RecommendRequest
 	if err := json.Unmarshal([]byte(body), &wr); err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wr, api.RecommendRequest{User: wr.User, K: wr.K}) {
+		return nil, false
 	}
 	m, _ := trainedModel()
 	c := m.Compose()
@@ -264,11 +296,11 @@ func exactF64Items(t *testing.T, body string) []api.Item {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := make([]api.Item, len(res.Items))
+	items = make([]api.Item, len(res.Items))
 	for i, it := range res.Items {
 		items[i] = api.Item{Item: it.ID, Score: it.Score}
 	}
-	return items
+	return items, true
 }
 
 // A dead shard must degrade per policy: shed everything with a typed

@@ -174,7 +174,6 @@ func (b *Batcher) run(mb *microBatch) {
 	epoch, ref := b.s.pin()
 	defer ref.release()
 	c := ref.c
-	batchPrec := b.s.effectivePrecision(c, Request{})
 	var (
 		qs   [][]float64
 		pls  []infer.Plan
@@ -183,7 +182,7 @@ func (b *Batcher) run(mb *microBatch) {
 	for i, req := range mb.reqs {
 		// a request the shared sweep cannot carry sub-groups onto the
 		// per-request path, where its plan holds in full
-		if !b.s.coalescable(c, req) {
+		if !b.s.coalescable(req) {
 			mb.resps[i] = b.s.run(context.Background(), epoch, c, req)
 			continue
 		}
@@ -199,7 +198,7 @@ func (b *Batcher) run(mb *microBatch) {
 			c.BuildQueryInto(req.User, req.Recent, q)
 		}
 		qs = append(qs, q)
-		pls = append(pls, infer.Plan{K: req.K, Offset: req.Offset, Precision: batchPrec})
+		pls = append(pls, infer.Plan{K: req.K, Offset: req.Offset})
 		idxs = append(idxs, i)
 	}
 	if len(qs) > 0 {

@@ -15,27 +15,24 @@ import (
 )
 
 // A server with a pool must return exactly what the serial server
-// returns, for every request flavor.
+// returns, for every request flavor and pool size.
 func TestParallelServerMatchesSerial(t *testing.T) {
 	m, data := trainedModel(t)
 	serial := New(m)
-	parallel := New(m, WithWorkers(4))
-	defer parallel.Close()
-	parallel.Snapshot().Index.SetShardItems(37) // force many shards on the tiny catalog
-
 	reqs := []Request{
 		{User: 3, Recent: data.Users[3].Baskets, K: 7},
 		{User: -1, Recent: data.Users[5].Baskets, K: 5},
 		{User: 8, K: 4, Cascade: &infer.CascadeConfig{KeepFrac: []float64{0.5, 0.5, 0.5}}},
 		{User: 2, K: 6, MaxPerCategory: 2},
 	}
-	for i, req := range reqs {
-		want, err := serial.Recommend(req)
-		if err != nil {
-			t.Fatalf("req %d serial: %v", i, err)
-		}
-		for _, workers := range []int{0, 2, 3} {
-			req.Workers = workers
+	for _, workers := range []int{0, 2, 3, 4} {
+		parallel := New(m, WithWorkers(workers))
+		parallel.Snapshot().Index.SetShardItems(37) // force many shards on the tiny catalog
+		for i, req := range reqs {
+			want, err := serial.Recommend(req)
+			if err != nil {
+				t.Fatalf("req %d serial: %v", i, err)
+			}
 			got, err := parallel.Recommend(req)
 			if err != nil {
 				t.Fatalf("req %d workers=%d: %v", i, workers, err)
@@ -44,6 +41,7 @@ func TestParallelServerMatchesSerial(t *testing.T) {
 				t.Fatalf("req %d workers=%d: parallel ranking diverged\nwant %v\ngot  %v", i, workers, want, got)
 			}
 		}
+		parallel.Close()
 	}
 }
 

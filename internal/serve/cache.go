@@ -169,11 +169,12 @@ func newResultCache(capacity int) *resultCache {
 // cacheKey canonicalizes a request into its cache identity: the query
 // subject (user + recent baskets, in order — basket order drives the
 // Markov term) and every plan field that can change the returned page.
-// Workers, Precision and Pruned are deliberately absent: the executor's
-// rankings are byte-identical across worker counts, precisions and the
-// branch-and-bound engine (the properties the plan-equivalence suites
-// pin), so requests differing only in those knobs share one entry. Category lists are sorted copies — filters are
-// set semantics, so permuted lists share an entry too.
+// Precision and Pruned are deliberately absent: the first has no effect,
+// and the executor's rankings are byte-identical with and without the
+// branch-and-bound engine (the property the plan-equivalence suites pin),
+// so requests differing only in those knobs share one entry. Category
+// lists are sorted copies — filters are set semantics, so permuted lists
+// share an entry too.
 func cacheKey(req *Request) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "u%d|k%d|o%d", req.User, req.K, req.Offset)

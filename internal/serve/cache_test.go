@@ -54,8 +54,8 @@ func TestCacheHitIdenticalAcrossEpochBump(t *testing.T) {
 	}
 }
 
-// Requests differing only in execution knobs (Workers, Precision) or in
-// category list order share one cache entry — the executor's rankings are
+// Requests differing only in the ignored Precision field or in category
+// list order share one cache entry — the executor's rankings are
 // byte-identical across all of them.
 func TestCacheKeyCanonicalization(t *testing.T) {
 	m, _ := trainedModel(t)
@@ -66,7 +66,6 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	}
 	variants := []Request{
 		{User: 2, K: 5, Categories: []int32{1, 2, 3}},
-		{User: 2, K: 5, Categories: []int32{3, 1, 2}, Workers: 1},
 		{User: 2, K: 5, Categories: []int32{2, 3, 1}, Precision: model.PrecisionF64},
 	}
 	want, _ := s.Recommend(base)

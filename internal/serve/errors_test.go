@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -14,9 +13,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/infer"
-	"repro/internal/model"
-	"repro/internal/vecmath"
 )
 
 // Every client mistake must come back as a clean 4xx JSON error — and the
@@ -188,131 +184,6 @@ func postRaw(t *testing.T, client *http.Client, url, body string) (int, []byte) 
 		t.Fatal(err)
 	}
 	return resp.StatusCode, b
-}
-
-// Every wire precision must serve the bytes of the default request, and
-// those bytes must carry infer's exact f64 ranking on the same snapshot —
-// the reference stays the literal f64 plan, not the served ?precision=f64
-// (which runs the platform tier). /v1/stats must report the tier that runs
-// — the platform one, also when f64 is pinned server-wide or recorded in
-// the model file — and the escalation counters.
-func TestHTTPPrecisionKnob(t *testing.T) {
-	m, _ := trainedModel(t)
-	pinned := New(m, WithPrecision(model.PrecisionF64))
-	defer pinned.Close()
-	m.Precision = model.PrecisionF64
-	recorded := New(m)
-	defer recorded.Close()
-	m.Precision = model.PrecisionDefault
-	s := New(m)
-	defer s.Close()
-
-	c := s.Snapshot()
-	q := make([]float64, c.K())
-	c.BuildQueryInto(3, nil, q)
-	ref, err := infer.Execute(context.Background(), c, q, infer.Plan{K: 8, Precision: model.PrecisionF64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]api.Item, len(ref.Items))
-	for i, it := range ref.Items {
-		want[i] = api.Item{Item: it.ID, Score: it.Score}
-	}
-	// the tier an unpinned or f64-choosing server runs: int8 where the
-	// fused int8 kernel runs (avx2), f32 elsewhere (neon, TFREC_NOSIMD=1,
-	// purego)
-	platform := "f32"
-	if vecmath.FusedI8Enabled() {
-		platform = "int8"
-	}
-
-	for _, srv := range []struct {
-		name string
-		s    *Server
-	}{{"default", s}, {"WithPrecision(f64)", pinned}, {"file f64", recorded}} {
-		h := NewHTTP(srv.s, nil)
-		ts := httptest.NewServer(h.Handler())
-		_, defBody := postRaw(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":8}`)
-		for _, prec := range []string{"", "f32", "f64", "int8"} {
-			code, body := postRaw(t, ts.Client(), ts.URL+"/v1/recommend?precision="+prec, `{"user":3,"k":8}`)
-			if code != http.StatusOK {
-				t.Fatalf("%s ?precision=%s: status %d: %s", srv.name, prec, code, body)
-			}
-			if !bytes.Equal(body, defBody) {
-				t.Fatalf("%s ?precision=%s changed the bytes:\n%s\ndefault:\n%s", srv.name, prec, body, defBody)
-			}
-			var out api.RecommendResponse
-			if err := json.Unmarshal(body, &out); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(out.Items, want) {
-				t.Fatalf("%s ?precision=%s: ranking is not infer's exact f64 plan:\ngot  %+v\nwant %+v", srv.name, prec, out.Items, want)
-			}
-		}
-
-		resp, err := ts.Client().Get(ts.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats statsResponse
-		err = json.NewDecoder(resp.Body).Decode(&stats)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := stats.Inference.Precision; got != platform {
-			t.Fatalf("%s: stats precision %q on %s, want the platform tier %s", srv.name, got, vecmath.KernelsID(), platform)
-		}
-		if stats.Inference.F32Escalations < 0 || stats.Inference.I8Escalations < 0 {
-			t.Fatal("negative escalation counter")
-		}
-		ts.Close()
-		h.Close()
-	}
-}
-
-// The precision choice resolves in the documented order — request >
-// server > model file > platform default — except that an f64 choice at
-// any level resolves to the platform tier: f64 names the exact ranking
-// every tier certifies, never a first-stage sweep. f32 and int8 pins keep
-// their tier wherever they win.
-func TestPrecisionResolutionOrder(t *testing.T) {
-	m, _ := trainedModel(t)
-	const (
-		def = model.PrecisionDefault
-		f32 = model.PrecisionF32
-		f64 = model.PrecisionF64
-		i8  = model.PrecisionInt8
-	)
-	platform := def.Resolve()
-	if platform == f64 {
-		t.Fatalf("the platform default resolved to f64")
-	}
-	for _, tc := range []struct{ file, server, req, want model.Precision }{
-		{def, def, def, platform},
-		{f64, def, def, platform},
-		{def, f64, def, platform},
-		{def, def, f64, platform},
-		{f64, f64, f64, platform},
-		{f32, def, def, f32},
-		{i8, def, def, i8},
-		{f64, f32, def, f32},      // a server pin beats the file's f64
-		{f32, f64, def, platform}, // the server's f64 beats the file's f32
-		{def, f32, f64, platform}, // the request's f64 beats the server's f32
-		{def, f64, f32, f32},      // a request pin beats the server's f64
-		{f64, f64, i8, i8},
-	} {
-		m.Precision = tc.file
-		s := New(m, WithPrecision(tc.server))
-		got := s.effectivePrecision(s.Snapshot(), Request{Precision: tc.req})
-		if got != tc.want {
-			t.Errorf("file %v, server %v, request %v: resolved %v, want %v", tc.file, tc.server, tc.req, got, tc.want)
-		}
-		if tc.req == def && s.Precision() != tc.want {
-			t.Errorf("file %v, server %v: Precision() = %v, want %v", tc.file, tc.server, s.Precision(), tc.want)
-		}
-		s.Close()
-	}
 }
 
 // A caller abandoning a coalesced request mid-batch must unblock with the

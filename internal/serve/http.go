@@ -136,11 +136,9 @@ func (h *HTTP) Close() {
 
 // EnableBatching puts a coalescing front before the full-scan endpoints:
 // concurrent user/session requests arriving within window are executed as
-// one multi-query sweep (see Batcher). Cascaded and diversified requests
-// are unaffected, as are requests carrying a non-zero ?workers= cap —
-// those run per-request so the cap can be honored (?workers=0, the
-// whole-pool default, still coalesces). Call before the handler starts
-// serving.
+// one multi-query sweep (see Batcher). Cascaded, diversified, filtered
+// and pruned requests are unaffected: they run per-request. Call before
+// the handler starts serving.
 func (h *HTTP) EnableBatching(maxBatch int, window time.Duration) {
 	h.batcher = NewBatcher(h.srv, maxBatch, window)
 }
@@ -242,23 +240,18 @@ func toRequest(wr api.RecommendRequest, c *model.Composed) (Request, error) {
 // parameters; parameters override the JSON body's fields.
 func queryParams(r *http.Request, req *Request) error {
 	qv := r.URL.Query()
-	// ?workers=n caps the request's share of the inference pool
-	// (0 = whole pool, 1 = serial); bad values are a client error
+	// ?workers=n and ?precision=f32|f64|int8 are validated (junk is a
+	// client error) and otherwise ignored: the fan-out is the server's
+	// pool, the tier is the host's, and no value changes the ranking
 	if ws := qv.Get("workers"); ws != "" {
-		n, err := strconv.Atoi(ws)
-		if err != nil || n < 0 {
+		if n, err := strconv.Atoi(ws); err != nil || n < 0 {
 			return fmt.Errorf("bad workers parameter %q", ws)
 		}
-		req.Workers = n
 	}
-	// ?precision=f32|f64|int8 overrides the scoring pipeline (rankings are
-	// identical; the knob is for benchmarking and escalation triage)
 	if ps := qv.Get("precision"); ps != "" {
-		p, err := model.ParsePrecision(ps)
-		if err != nil {
+		if _, err := model.ParsePrecision(ps); err != nil {
 			return fmt.Errorf("bad precision parameter %q (want f32, f64 or int8)", ps)
 		}
-		req.Precision = p
 	}
 	if es := qv.Get("exclude_purchased"); es != "" {
 		v, err := strconv.ParseBool(es)
@@ -351,11 +344,11 @@ func (h *HTTP) recommend(w http.ResponseWriter, r *http.Request) {
 		h.fail(w, api.CodeBadRequest, err)
 		return
 	}
-	// a request pinning a non-zero fan-out opts out of coalescing, as
-	// does one the shared sweep cannot carry (the batcher would only
-	// sub-group it back onto the per-request path after the window wait)
+	// a request the shared sweep cannot carry opts out of coalescing
+	// (the batcher would only sub-group it back onto the per-request
+	// path after the window wait)
 	var resp Response
-	if h.batcher != nil && req.Workers == 0 && h.srv.coalescable(c, req) {
+	if h.batcher != nil && h.srv.coalescable(req) {
 		// probe the cache before joining a batch: a hot key must not
 		// pay the coalescing window for a result that is already sitting
 		// in memory (the batcher fills the same epoch-stamped cache)

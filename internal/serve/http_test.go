@@ -2,15 +2,23 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/infer"
 	"repro/internal/model"
 	"repro/internal/vecmath"
 )
@@ -258,9 +266,9 @@ func TestHTTPHotSwap(t *testing.T) {
 	}
 }
 
-// The ?workers= knob and a batching-enabled server must serve the same
-// rankings as the plain serial HTTP path.
-func TestHTTPWorkersKnobAndBatching(t *testing.T) {
+// A pooled, batching-enabled server must serve the same rankings as the
+// plain serial path, and report its configuration in /v1/stats.
+func TestHTTPBatchingMatchesSerial(t *testing.T) {
 	m, _ := trainedModel(t)
 	serial := New(m)
 	s := New(m, WithWorkers(3))
@@ -274,29 +282,22 @@ func TestHTTPWorkersKnobAndBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, suffix := range []string{"", "?workers=0", "?workers=1", "?workers=2"} {
-		resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/recommend"+suffix, `{"user":3,"k":5}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%q: status %d", suffix, resp.StatusCode)
-		}
-		if len(out.Items) != len(want) {
-			t.Fatalf("%q: got %d items, want %d", suffix, len(out.Items), len(want))
-		}
-		for i := range want {
-			if out.Items[i].Item != want[i].ID || out.Items[i].Score != want[i].Score {
-				t.Fatalf("%q: item %d = %+v, want %+v", suffix, i, out.Items[i], want[i])
-			}
-		}
-	}
-	// cascaded requests bypass the batcher but honor the pool
-	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend?workers=2", `{"user":3,"k":5,"strategy":"cascade","keep":0.6}`)
+	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":5}`)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cascade with workers: status %d", resp.StatusCode)
+		t.Fatalf("status %d", resp.StatusCode)
 	}
-	// malformed knob is a client error
-	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/recommend?workers=lots", `{"user":3,"k":5}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad workers value: status %d, want 400", resp.StatusCode)
+	if len(out.Items) != len(want) {
+		t.Fatalf("got %d items, want %d", len(out.Items), len(want))
+	}
+	for i := range want {
+		if out.Items[i].Item != want[i].ID || out.Items[i].Score != want[i].Score {
+			t.Fatalf("item %d = %+v, want %+v", i, out.Items[i], want[i])
+		}
+	}
+	// cascaded requests bypass the batcher but use the pool
+	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":5,"strategy":"cascade","keep":0.6}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cascade: status %d", resp.StatusCode)
 	}
 	// stats reflect the inference configuration
 	st, err := ts.Client().Get(ts.URL + "/v1/stats")
@@ -313,5 +314,195 @@ func TestHTTPWorkersKnobAndBatching(t *testing.T) {
 	}
 	if stats.Inference.Batches == 0 || stats.Inference.BatchedReqs == 0 {
 		t.Fatalf("batching counters never moved: %+v", stats.Inference)
+	}
+}
+
+// knobQuery is the query string of one ?precision= × ?workers= cell; an
+// empty value leaves its parameter out.
+func knobQuery(prec, workers string) string {
+	var params []string
+	if prec != "" {
+		params = append(params, "precision="+prec)
+	}
+	if workers != "" {
+		params = append(params, "workers="+workers)
+	}
+	if len(params) == 0 {
+		return ""
+	}
+	return "?" + strings.Join(params, "&")
+}
+
+// The execution knobs are validated and otherwise ignored: every
+// ?precision= × ?workers= cell answers the default request's bytes, whose
+// items are infer's exact f64 plan, on a serial server and on a pooled,
+// batching one; a malformed value answers the 400 envelope it always has
+// (workers is checked first). /v1/stats reports the host's tier.
+func TestHTTPExecutionKnobs(t *testing.T) {
+	m, _ := trainedModel(t)
+	serial := New(m)
+	pooled := New(m, WithWorkers(3))
+	defer pooled.Close()
+
+	const body = `{"user":3,"k":8}`
+	c := serial.Snapshot()
+	q := make([]float64, c.K())
+	c.BuildQueryInto(3, nil, q)
+	ref, err := infer.Execute(context.Background(), c, q, infer.Plan{K: 8, Precision: model.PrecisionF64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]api.Item, len(ref.Items))
+	for i, it := range ref.Items {
+		want[i] = api.Item{Item: it.ID, Score: it.Score}
+	}
+	const (
+		badWorkers   = `{"error":{"code":"bad_request","message":"bad workers parameter \"-1\""}}` + "\n"
+		badPrecision = `{"error":{"code":"bad_request","message":"bad precision parameter \"bogus\" (want f32, f64 or int8)"}}` + "\n"
+	)
+	platform := "f32"
+	if vecmath.FusedI8Enabled() {
+		platform = "int8"
+	}
+
+	for _, srv := range []struct {
+		name  string
+		s     *Server
+		batch bool
+	}{{"serial", serial, false}, {"pooled+batching", pooled, true}} {
+		h := NewHTTP(srv.s, nil)
+		if srv.batch {
+			h.EnableBatching(4, time.Millisecond)
+		}
+		ts := httptest.NewServer(h.Handler())
+		code, defBody := postRaw(t, ts.Client(), ts.URL+"/v1/recommend", body)
+		var out api.RecommendResponse
+		if err := json.Unmarshal(defBody, &out); code != http.StatusOK || err != nil {
+			t.Fatalf("%s: default request answered %d: %s", srv.name, code, defBody)
+		}
+		if !reflect.DeepEqual(out.Items, want) {
+			t.Fatalf("%s: ranking is not infer's exact f64 plan:\ngot  %+v\nwant %+v", srv.name, out.Items, want)
+		}
+		for _, prec := range []string{"", "f32", "f64", "int8", "bogus"} {
+			for _, workers := range []string{"", "0", "1", "3", "-1"} {
+				query := knobQuery(prec, workers)
+				wantCode, wantBody := http.StatusOK, string(defBody)
+				switch {
+				case workers == "-1":
+					wantCode, wantBody = http.StatusBadRequest, badWorkers
+				case prec == "bogus":
+					wantCode, wantBody = http.StatusBadRequest, badPrecision
+				}
+				code, got := postRaw(t, ts.Client(), ts.URL+"/v1/recommend"+query, body)
+				if code != wantCode || string(got) != wantBody {
+					t.Errorf("%s %s: %d %s\nwant %d %s", srv.name, query, code, got, wantCode, wantBody)
+				}
+			}
+		}
+
+		var stats statsResponse
+		resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.Inference.Precision; got != platform {
+			t.Errorf("%s: stats precision %q on %s, want the platform tier %s", srv.name, got, vecmath.KernelsID(), platform)
+		}
+		if stats.Inference.F32Escalations < 0 || stats.Inference.I8Escalations < 0 {
+			t.Errorf("%s: negative escalation counter", srv.name)
+		}
+		ts.Close()
+		h.Close()
+	}
+}
+
+// patchMetaPrecision returns a copy of a v4 model file whose meta section
+// records precision word p, as older writers did, with the meta
+// section's and the section table's CRC-32C fixed up. Layout (see
+// internal/model/format4.go): a 32-byte header holding the section count
+// at 12 and the table CRC at 24, then 24-byte table entries {id, crc,
+// off, len}; the meta section has id 1 and the precision is its tenth
+// u64.
+func patchMetaPrecision(t *testing.T, raw []byte, p uint64) []byte {
+	t.Helper()
+	out := bytes.Clone(raw)
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	count := int(binary.LittleEndian.Uint32(out[12:]))
+	table := out[32 : 32+24*count]
+	for i := 0; i < count; i++ {
+		e := table[24*i:]
+		if binary.LittleEndian.Uint32(e) != 1 {
+			continue
+		}
+		off, n := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		meta := out[off : off+n]
+		binary.LittleEndian.PutUint64(meta[9*8:], p)
+		binary.LittleEndian.PutUint32(e[4:], crc32.Checksum(meta, castagnoli))
+		binary.LittleEndian.PutUint32(out[24:], crc32.Checksum(table, castagnoli))
+		return out
+	}
+	t.Fatal("no meta section in the model file")
+	return nil
+}
+
+// A v4 file recording an f32 preference loads and is served at the
+// host's tier with the bytes of a file recording none; /v1/stats reports
+// that tier. A word above int8 is still rejected at load.
+func TestRecordedPrecisionIgnored(t *testing.T) {
+	m, _ := trainedModel(t)
+	dir := t.TempDir()
+	plain := saveV4File(t, m, dir, "plain.tfrec")
+	raw, err := os.ReadFile(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched := filepath.Join(dir, "f32.tfrec")
+	if err := os.WriteFile(patched, patchMetaPrecision(t, raw, uint64(model.PrecisionF32)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad.tfrec")
+	if err := os.WriteFile(bad, patchMetaPrecision(t, raw, uint64(model.PrecisionInt8)+1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := model.LoadFile(bad); err == nil || !strings.Contains(err.Error(), "unknown precision") {
+		t.Fatalf("precision word above int8: LoadFile error %v, want unknown precision", err)
+	}
+
+	serveFile := func(path string) ([]byte, string) {
+		sn, err := model.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSnapshot(sn)
+		defer s.Close()
+		ts := httptest.NewServer(NewHTTP(s, nil).Handler())
+		defer ts.Close()
+		code, body := postRaw(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":8}`)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, code, body)
+		}
+		resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var stats statsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+			t.Fatal(err)
+		}
+		return body, stats.Inference.Precision
+	}
+	wantBody, _ := serveFile(plain)
+	body, prec := serveFile(patched)
+	if !bytes.Equal(body, wantBody) {
+		t.Fatalf("f32-recording file served different bytes:\n%s\nwant\n%s", body, wantBody)
+	}
+	if want := model.PrecisionDefault.Resolve().String(); prec != want {
+		t.Fatalf("f32-recording file: stats precision %q on %s, want the host tier %q", prec, vecmath.KernelsID(), want)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/infer"
-	"repro/internal/model"
 )
 
 // Pruned requests must return byte-identical pages to dense requests —
@@ -21,27 +20,24 @@ func TestPrunedRequestsMatchDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prec := range []model.Precision{model.PrecisionDefault, model.PrecisionF64, model.PrecisionInt8} {
-		req := base
-		req.Pruned = true
-		req.Precision = prec
-		got, err := s.Recommend(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("prec %v: %d items, want %d", prec, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("prec %v rank %d: %+v vs %+v", prec, i, got[i], want[i])
-			}
+	req := base
+	req.Pruned = true
+	got, err := s.Recommend(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("pruned: %d items, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pruned rank %d: %+v vs %+v", i, got[i], want[i])
 		}
 	}
 
 	// server-level default: same page, no per-request flag
 	sp := New(m, WithPruned(true))
-	got, err := sp.Recommend(base)
+	got, err = sp.Recommend(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +48,6 @@ func TestPrunedRequestsMatchDense(t *testing.T) {
 	}
 
 	// the knob is ignored (not rejected) on taxonomy-walking strategies
-	req := base
-	req.Pruned = true
 	req.MaxPerCategory = 2
 	if _, err := s.Recommend(req); err != nil {
 		t.Fatalf("pruned+diversified should ignore the knob, got %v", err)

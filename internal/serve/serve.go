@@ -5,9 +5,11 @@
 // when training (§6.1) runs continuously beside serving (§5).
 //
 // A Request is translated into exactly one infer.Plan and executed by the
-// plan executor; strategy, precision, worker cap, result page and item
-// filters are all plan fields, so the serving layer carries no per-shape
-// dispatch of its own.
+// plan executor; strategy, result page, item filters and pruning are all
+// plan fields, so the serving layer carries no per-shape dispatch of its
+// own. The sweep tier is the host's (model.PrecisionDefault.Resolve) and
+// the fan-out is the server's pool (WithWorkers): neither varies per
+// request.
 package serve
 
 import (
@@ -82,10 +84,6 @@ type Server struct {
 	// requests fan their catalog sweep across it and batches use it for
 	// the multi-query sweep. Nil means every request runs serial.
 	sweep *infer.Pool
-	// prec is the server-level precision choice (WithPrecision).
-	// PrecisionDefault defers to the snapshot's recorded preference and
-	// finally to the platform default (model.Precision.Resolve).
-	prec model.Precision
 	// pruned makes branch-and-bound retrieval the default for naive
 	// request sweeps (WithPruned); individual requests can still opt in
 	// via Request.Pruned when the server default is off.
@@ -124,19 +122,6 @@ func WithWorkers(n int) Option {
 		}
 		s.sweep = infer.NewPool(n)
 	}
-}
-
-// WithPrecision pins the server's scoring precision, overriding the
-// model's recorded preference. model.PrecisionInt8 and PrecisionF32 run
-// the two-stage reduced-precision-sweep + exact-f64-rescore pipeline at
-// that tier. model.PrecisionF64 is accepted but names the exact ranking
-// every tier already certifies, not a sweep: it is served by the
-// platform default tier, like no choice at all. That default is int8
-// where the fused SIMD int8 kernel runs, f32 elsewhere. Rankings are
-// byte-identical either way; the knob trades sweep bandwidth against the
-// (rare) escalation re-sweeps of near-tie score regimes.
-func WithPrecision(p model.Precision) Option {
-	return func(s *Server) { s.prec = p }
 }
 
 // WithPruned makes taxonomy-guided branch-and-bound retrieval the default
@@ -209,23 +194,15 @@ func New(m *model.TF, opts ...Option) *Server {
 }
 
 // newServer applies the options, then warms and publishes the first
-// snapshot — warming needs the server's precision choice.
+// snapshot.
 func newServer(r *snapshotRef, opts []Option) *Server {
 	s := &Server{}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.warm(r.c)
+	r.c.Index.Warm()
 	s.snap.Store(r)
 	return s
-}
-
-// warm builds the slabs a default request on c sweeps (see
-// model.ScoringIndex.Warm) before c is published, so quantizing or
-// down-converting a Compose()-built or gob-loaded catalog never lands on
-// a request.
-func (s *Server) warm(c *model.Composed) {
-	c.Index.Warm(s.effectivePrecision(c, Request{}))
 }
 
 // NewSnapshot builds a server directly from a loaded snapshot — the
@@ -248,12 +225,10 @@ func (s *Server) Close() {
 // Pool exposes the server's inference pool (nil when serving serially).
 func (s *Server) Pool() *infer.Pool { return s.sweep }
 
-// Precision returns the resolved default precision for the current
-// snapshot — what a request with no override runs at.
+// Precision returns the tier every request's sweep runs at: the host's
+// fastest certified tier (model.PrecisionDefault.Resolve).
 func (s *Server) Precision() model.Precision {
-	r := s.acquire()
-	defer r.release()
-	return s.effectivePrecision(r.c, Request{})
+	return model.PrecisionDefault.Resolve()
 }
 
 // ranged reports whether the server is shard-scoped (WithItemRange).
@@ -294,7 +269,10 @@ func (s *Server) UpdateSnapshot(sn *model.Snapshot) {
 // reference is dropped last, after the swap, so acquire's re-check
 // ordering holds (see acquire).
 func (s *Server) swap(r *snapshotRef) {
-	s.warm(r.c)
+	// build the slabs a request sweeps before r is published, so
+	// quantizing or down-converting a Compose()-built or gob-loaded
+	// catalog never lands on a request
+	r.c.Index.Warm()
 	// the ref's generation is assigned before the pointer is published, so
 	// a pin can never observe a ref with a stale gen
 	r.gen = s.gen.Add(1)
@@ -411,15 +389,9 @@ type Request struct {
 	// nodes.
 	Categories        []int32
 	ExcludeCategories []int32
-	// Workers caps this request's share of the server's inference pool:
-	// 0 uses the whole pool, 1 forces the serial sweep, n > 1 fans out to
-	// at most n participants. Ignored when the server has no pool.
-	Workers int
-	// Precision overrides the scoring pipeline for this request;
-	// model.PrecisionDefault defers to the server and then the snapshot.
-	// model.PrecisionF64 runs the platform default tier: every tier
-	// returns the exact f64 ranking, so f64 is never swept as a first
-	// stage here (see effectivePrecision).
+	// Deprecated: Precision is ignored. Every request sweeps at the
+	// host's tier (Server.Precision), and every tier returns the exact
+	// f64 ranking, so no value could change the answer.
 	Precision model.Precision
 	// Pruned turns on taxonomy-guided branch-and-bound retrieval for this
 	// request's catalog sweep. Rankings are byte-identical to the dense
@@ -437,37 +409,14 @@ func (r Request) hasFilter() bool {
 	return r.ExcludePurchased || len(r.Categories) > 0 || len(r.ExcludeCategories) > 0
 }
 
-// effectivePrecision resolves the tier one request's sweep runs at; Warm,
-// the batcher and /v1/stats all read it from here. The first explicit
-// choice wins — request override, then the server-level WithPrecision
-// choice, then the snapshot's recorded preference — and no choice falls
-// to the platform default. An f64 choice also resolves to the platform
-// default: every tier returns the byte-identical exact f64 ranking, so
-// f64 asks for a certificate the fastest tier already gives, and a full
-// f64 first-stage sweep would only read 8x the int8 tier's bytes for the
-// same answer.
-func (s *Server) effectivePrecision(c *model.Composed, req Request) model.Precision {
-	for _, p := range [...]model.Precision{req.Precision, s.prec, c.Precision} {
-		if p == model.PrecisionF64 {
-			break
-		}
-		if p != model.PrecisionDefault {
-			return p
-		}
-	}
-	return model.PrecisionDefault.Resolve()
-}
-
 // coalescable reports whether req can share the batcher's multi-query
-// sweep, which is one visitation pattern at one tier: a naive request
-// with no item filter and no pruned descent, on a server that is neither
-// pruned by default nor shard-scoped (its range mask is a filter on
-// every plan), whose resolved tier is the batch's. Everything else runs
-// its own plan on the per-request path.
-func (s *Server) coalescable(c *model.Composed, req Request) bool {
+// sweep, which is one visitation pattern: a naive request with no item
+// filter and no pruned descent, on a server that is neither pruned by
+// default nor shard-scoped (its range mask is a filter on every plan).
+// Everything else runs its own plan on the per-request path.
+func (s *Server) coalescable(req Request) bool {
 	return req.Cascade == nil && req.MaxPerCategory <= 0 && !req.hasFilter() &&
-		!req.Pruned && !s.pruned && !s.ranged() &&
-		s.effectivePrecision(c, req) == s.effectivePrecision(c, Request{})
+		!req.Pruned && !s.pruned && !s.ranged()
 }
 
 // validate checks a request against the snapshot. Every rejection is a
@@ -538,14 +487,14 @@ func (s *Server) filterFor(req Request) *infer.Filter {
 	return f
 }
 
-// planFor translates a validated request into its query plan.
-func (s *Server) planFor(c *model.Composed, req Request) infer.Plan {
+// planFor translates a validated request into its query plan. The plan
+// leaves Precision at its default, which infer resolves to the host's
+// tier (Server.Precision).
+func (s *Server) planFor(req Request) infer.Plan {
 	pl := infer.Plan{
-		K:          req.K,
-		Offset:     req.Offset,
-		MaxWorkers: req.Workers,
-		Precision:  s.effectivePrecision(c, req),
-		Filter:     s.filterFor(req),
+		K:      req.K,
+		Offset: req.Offset,
+		Filter: s.filterFor(req),
 	}
 	switch {
 	case req.Cascade != nil:
@@ -632,7 +581,7 @@ func (s *Server) run(ctx context.Context, epoch uint64, c *model.Composed, req R
 	if execHook != nil {
 		execHook()
 	}
-	res, err := s.sweep.Execute(ctx, c, q, s.planFor(c, req))
+	res, err := s.sweep.Execute(ctx, c, q, s.planFor(req))
 	if err != nil {
 		// a fired deadline is the caller's budget running out, not a bad
 		// request: pass it through typed so the HTTP layer sheds (503)

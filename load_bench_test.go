@@ -84,7 +84,6 @@ func loadBenchWorld(b *testing.B) (gobBytes, v4Bytes []byte) {
 			loadBench.err = err
 			return
 		}
-		m.Precision = model.PrecisionInt8
 		var gb, vb bytes.Buffer
 		if err := m.SaveGob(&gb); err != nil {
 			loadBench.err = err

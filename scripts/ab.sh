@@ -5,8 +5,11 @@
 #   scripts/ab.sh <base-rev> <workload> <pairs> [bench/run.sh args...]
 #   scripts/ab.sh HEAD~1 node_dense 10 --seed 1
 #
-# The base revision is checked out with `git worktree` under
-# .bench_build/ (no network). Each pair runs `bash bench/run.sh --workload
+# The base revision is exported with `git archive` into a fresh
+# `mktemp -d` directory under .bench_build/ (no network, nothing
+# registered in .git), removed on exit; concurrent runs on one base get
+# separate trees, and a run killed past its trap leaves only a stray
+# directory behind. Each pair runs `bash bench/run.sh --workload
 # <workload>` once in each tree, alternating which side goes first, and
 # keeps both result files as before-<i>.json / after-<i>.json in a fresh
 # directory under .bench_build/ab/. tfrec-ab then prints, per declared
@@ -22,9 +25,10 @@ base=$1 workload=$2 pairs=$3
 shift 3
 root="$(git rev-parse --show-toplevel)"
 rev="$(git -C "$root" rev-parse --verify "$base^{commit}")"
-wt="$root/.bench_build/ab-base-${rev:0:12}"
-git -C "$root" worktree add --detach "$wt" "$rev" >/dev/null
-trap 'git -C "$root" worktree remove --force "$wt"' EXIT
+mkdir -p "$root/.bench_build"
+wt="$(mktemp -d "$root/.bench_build/ab-base-${rev:0:12}-XXXXXX")"
+trap 'rm -rf "$wt"' EXIT
+git -C "$root" archive "$rev" | tar -x -C "$wt"
 
 result="result-$workload.json"
 case " $* " in

@@ -42,10 +42,11 @@ func benchServeModel(b *testing.B) *model.TF {
 	return m
 }
 
-// The cached pair pins f32 so its baseline rows keep measuring the tier
-// they were recorded at, whatever the platform default resolves to.
+// The cached pair runs the host's tier, the only one a server sweeps:
+// int8 on AVX2 hosts, f32 elsewhere. BENCH_baseline.json recorded these
+// rows at f32, so an AVX2 host reads the uncached row below its entry.
 func BenchmarkServeUncached(b *testing.B) {
-	srv := serve.New(benchServeModel(b), serve.WithPrecision(model.PrecisionF32))
+	srv := serve.New(benchServeModel(b))
 	req := serve.Request{User: 1, K: 10}
 	if _, err := srv.Recommend(req); err != nil {
 		b.Fatal(err)
@@ -60,7 +61,7 @@ func BenchmarkServeUncached(b *testing.B) {
 }
 
 func BenchmarkServeCachedHit(b *testing.B) {
-	srv := serve.New(benchServeModel(b), serve.WithPrecision(model.PrecisionF32), serve.WithCache(16))
+	srv := serve.New(benchServeModel(b), serve.WithCache(16))
 	req := serve.Request{User: 1, K: 10}
 	if _, err := srv.Recommend(req); err != nil { // fill
 		b.Fatal(err)
