@@ -222,6 +222,35 @@ func TestGateSpeedupFloorCatchesScalingLoss(t *testing.T) {
 	}
 }
 
+// A speedup floor is reported exactly as the baseline states it: a
+// fractional floor such as 0.95 must not print rounded to "0.9".
+func TestGateSpeedupFloorPrintedExactly(t *testing.T) {
+	base := speedupFixture()
+	base.Speedups = append(base.Speedups, speedupGate{Slow: "BenchmarkExecuteDeadlineNone", Fast: "BenchmarkExecuteDeadlineFar", Min: 0.95, MinProcs: 1})
+	meas := map[string]float64{
+		"BenchmarkTopKIndexStreaming":    100000,
+		"BenchmarkShardedTopKSerial":     100000,
+		"BenchmarkShardedTopK/workers=4": 30000,
+		"BenchmarkExecuteDeadlineNone":   1000,
+		"BenchmarkExecuteDeadlineFar":    1000,
+	}
+	results, _ := gate(base, meas, 8, "")
+	want := map[string]bool{
+		"BenchmarkShardedTopK/workers=4 >= 2x BenchmarkShardedTopKSerial":   false,
+		"BenchmarkExecuteDeadlineFar >= 0.95x BenchmarkExecuteDeadlineNone": false,
+	}
+	for _, r := range results {
+		if _, ok := want[r.name]; ok && r.speedup {
+			want[r.name] = true
+		}
+	}
+	for name, seen := range want {
+		if !seen {
+			t.Errorf("no speedup result named %q in %+v", name, results)
+		}
+	}
+}
+
 // The raw canary bound compares un-normalized times, which only means
 // something on like hardware: against a baseline recorded with a
 // different proc count it must be skipped, not failed.

@@ -58,15 +58,13 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 	workers := flag.Int("workers", 0, "inference pool parallelism (0 = GOMAXPROCS, 1 = serial sweeps)")
-	batchMax := flag.Int("batch-max", 0, "coalesce up to this many concurrent full-scan requests per sweep (0 = batching off)")
-	batchWindow := flag.Duration("batch-window", 500*time.Microsecond, "max wait to fill a request batch")
 	maxBody := flag.Int64("max-body", 0, "request body size limit in bytes (0 = 1MiB default); oversize bodies get 413")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	cacheSize := flag.Int("cache-size", 0, "versioned LRU result cache capacity in entries (0 = caching off); SIGHUP reload invalidates all entries atomically")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: max concurrently executing recommend requests (0 = unlimited); excess waits briefly, then sheds 429/503 with Retry-After")
 	queueWait := flag.Duration("queue-wait", 10*time.Millisecond, "admission control: how long a request may wait for an execution slot before shedding 503 (queue depth is 2x -max-inflight)")
-	timeout := flag.Duration("timeout", 0, "per-request budget covering queue wait, batch window and sweep (0 = unbounded); a deadline firing mid-sweep sheds 503, never a partial ranking")
-	pruned := flag.Bool("pruned", false, "default naive sweeps to taxonomy-guided branch-and-bound retrieval (rankings stay byte-identical; pruned requests bypass batch coalescing)")
+	timeout := flag.Duration("timeout", 0, "per-request budget covering queue wait and sweep (0 = unbounded); a deadline firing mid-sweep sheds 503, never a partial ranking")
+	pruned := flag.Bool("pruned", false, "default naive sweeps to taxonomy-guided branch-and-bound retrieval (rankings stay byte-identical)")
 	itemRange := flag.String("item-range", "", "shard mode: serve only catalog items in the half-open range lo:hi (empty = full catalog); a tfrec-router merges shard rankings")
 	flag.Parse()
 
@@ -107,9 +105,6 @@ func main() {
 		lastLoad.Store(int64(dur))
 		return sn, err
 	})
-	if *batchMax > 0 {
-		h.EnableBatching(*batchMax, *batchWindow)
-	}
 	h.SetMaxBodyBytes(*maxBody)
 	if *maxInflight > 0 {
 		h.SetAdmission(*maxInflight, 2*(*maxInflight), *queueWait)
@@ -133,8 +128,8 @@ func main() {
 	}
 	c := sn.Composed
 	log.Printf("loaded %s in %s: format v%d, mapped=%v, epoch %d", *modelPath, loadDur, sn.Format, sn.Mapped, srv.Epoch())
-	log.Printf("serving %d users x %d items (K=%d) on %s, %d sweep workers, precision %s, pruned=%v, batching max=%d window=%s, cache=%d, max-inflight=%d, timeout=%s",
-		c.User.Rows(), c.NumItems(), c.K(), *addr, srv.Pool().Workers(), srv.Precision(), *pruned, *batchMax, *batchWindow, *cacheSize, *maxInflight, *timeout)
+	log.Printf("serving %d users x %d items (K=%d) on %s, %d sweep workers, precision %s, pruned=%v, cache=%d, max-inflight=%d, timeout=%s",
+		c.User.Rows(), c.NumItems(), c.K(), *addr, srv.Pool().Workers(), srv.Precision(), *pruned, *cacheSize, *maxInflight, *timeout)
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
@@ -158,9 +153,6 @@ func main() {
 		signal.Notify(quit, os.Interrupt, syscall.SIGTERM)
 		<-quit
 		log.Print("shutting down")
-		// flush the batcher first so callers parked on a coalescing window
-		// finish promptly instead of eating into the drain budget
-		h.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {

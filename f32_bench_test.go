@@ -6,7 +6,6 @@ package tfrec
 //
 //	BenchmarkShardedTopKSerial      vs BenchmarkTopKF32Sharded    (single core)
 //	BenchmarkShardedTopKSaturated   vs BenchmarkTopKF32Saturated  (all cores)
-//	BenchmarkShardedBatchSweep      vs BenchmarkTopKF32BatchSweep (coalesced)
 //	BenchmarkTopKIndexStreaming     vs BenchmarkTopKF32Streaming  (small world)
 //
 // The 50k x 32 world's f64 item slab is ~12.8 MB — memory-bound on any
@@ -100,16 +99,4 @@ func BenchmarkTopKF32Saturated(b *testing.B) {
 	pool := infer.NewPool(0)
 	defer pool.Close()
 	runSaturated(b, pool, c, q, f32Top10)
-}
-
-// BenchmarkTopKF32BatchSweep is the coalesced multi-query sweep over the
-// compact slab; compare with BenchmarkShardedBatchSweep (f64) and
-// BenchmarkShardedBatchLoop (per-request f64).
-func BenchmarkTopKF32BatchSweep(b *testing.B) {
-	for _, batch := range []int{4, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			c, qs := benchBatchQueries(b, batch)
-			runBatch(b, c, qs, f32Top10)
-		})
-	}
 }

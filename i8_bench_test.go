@@ -2,17 +2,13 @@ package tfrec
 
 // BenchmarkTopKI8* measure the quantized int8 two-stage pipeline (int8
 // slab sweep into an over-fetched candidate heap, exact f64 rescore)
-// against the f32 pipeline of the same shapes, and the blocked
-// multi-query batch sweep against per-query serial execution. The gated
-// pairs (see BENCH_baseline.json):
+// against the f32 pipeline of the same shapes. The gated pairs (see
+// BENCH_baseline.json):
 //
-//	BenchmarkTopKI8BatchLoop  vs BenchmarkTopKI8BatchSweep (≥1.3x, any machine)
 //	BenchmarkTopKF32Saturated vs BenchmarkTopKI8Saturated  (≥1.3x, ≥4 cores)
 //	BenchmarkTopKF32Wide      vs BenchmarkTopKI8Wide       (≥1.0x, amd64/avx2 dispatch)
 //
-// The blocked batch win is compute amortization: the batch sweep scores
-// a whole query group per pass over each slab block, work the per-query
-// serial sweep repeats on every pass. The saturated pair is a bandwidth
+// The saturated pair is a bandwidth
 // story: concurrent f32 sweeps stream ~4x the bytes of the quarter-size
 // int8 slab and starve when every core contends, hence that floor gates
 // only on ≥4-core machines, like the pool's other parallel-scaling
@@ -30,7 +26,6 @@ package tfrec
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/infer"
@@ -146,70 +141,4 @@ func BenchmarkTopKI8Saturated(b *testing.B) {
 			}
 		}
 	})
-}
-
-// benchWideBatchQueries derives a batch of distinct queries on the wide
-// world — the int8 batch pair runs where the slab-read amortization the
-// blocked kernel targets is actually bandwidth-bound.
-func benchWideBatchQueries(b *testing.B, batch int) (*model.Composed, [][]float64) {
-	c, base := benchWideWorld(b)
-	qs := make([][]float64, batch)
-	for i := range qs {
-		qs[i] = make([]float64, len(base))
-		copy(qs[i], base)
-		qs[i][i%len(base)] += float64(i) * 0.25
-	}
-	return c, qs
-}
-
-// BenchmarkTopKI8BatchLoop executes a batch as independent serial int8
-// queries — the "slow" side of the blocked multi-query pair; ns/op is
-// per-batch.
-func BenchmarkTopKI8BatchLoop(b *testing.B) {
-	for _, batch := range []int{8} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			c, qs := benchWideBatchQueries(b, batch)
-			pl := infer.Plan{Precision: model.PrecisionInt8, K: 10}
-			st := vecmath.NewTopKStream(10)
-			ctx := context.Background()
-			if _, err := infer.ExecuteInto(ctx, c, qs[0], pl, st); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range qs {
-					if _, err := infer.ExecuteInto(ctx, c, q, pl, st); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTopKI8BatchSweep coalesces the same batch into one blocked
-// multi-query int8 sweep — each slab block is read once per qBlock query
-// group — gated ≥1.3x over BenchmarkTopKI8BatchLoop; ns/op is per-batch.
-func BenchmarkTopKI8BatchSweep(b *testing.B) {
-	for _, batch := range []int{8} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			c, qs := benchWideBatchQueries(b, batch)
-			pls := make([]infer.Plan, batch)
-			for i := range pls {
-				pls[i] = infer.Plan{Precision: model.PrecisionInt8, K: 10}
-			}
-			ctx := context.Background()
-			if _, err := (*infer.Pool)(nil).ExecuteBatch(ctx, c, qs, pls); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := (*infer.Pool)(nil).ExecuteBatch(ctx, c, qs, pls); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -105,7 +105,7 @@ type StatsPruning struct {
 	Default        bool  `json:"default"`
 }
 
-// StatsInference describes the parallel sweep, precision and batching
+// StatsInference describes the parallel sweep and precision
 // configuration. Precision is the host's sweep tier, the one every
 // request runs: "int8" where the fused AVX2 int8 kernel runs, else "f32".
 // F32Escalations and I8Escalations count process-wide two-stage margin
@@ -120,9 +120,6 @@ type StatsInference struct {
 	F32Escalations     int64        `json:"f32_escalations"`
 	I8Escalations      int64        `json:"i8_escalations"`
 	DiversifyRefetches int64        `json:"diversify_refetches"`
-	Batching           bool         `json:"batching"`
-	Batches            int64        `json:"batches"`
-	BatchedReqs        int64        `json:"batched_requests"`
 	Filters            StatsFilters `json:"filters"`
 	// Kernels is the active vecmath dispatch table — which scoring kernel
 	// implementation (avx2, neon, generic) serves each op on this
@@ -142,8 +139,8 @@ type CacheStats struct {
 	Evictions int64  `json:"evictions"`
 }
 
-// StatsCache is CacheStats plus HTTPHits, the hits served by the HTTP
-// handler itself (including batch-bypass probes).
+// StatsCache is CacheStats plus HTTPHits, the cache hits that answered
+// HTTP recommend requests.
 type StatsCache struct {
 	CacheStats
 	HTTPHits int64 `json:"http_hits"`
@@ -176,7 +173,7 @@ type Stats struct {
 	// TimeoutMS is the configured per-request budget (0 = unbounded).
 	TimeoutMS int64 `json:"timeout_ms"`
 	// Goroutines is runtime.NumGoroutine() — the loadtest gate watches it
-	// to catch handler or batcher leaks under sustained load.
+	// to catch handler leaks under sustained load.
 	Goroutines    int     `json:"goroutines"`
 	Reloads       int64   `json:"reloads"`
 	UptimeSeconds float64 `json:"uptime_seconds"`

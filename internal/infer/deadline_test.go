@@ -273,12 +273,11 @@ func TestPoolPanicFailsOnlyItsQuery(t *testing.T) {
 // submitter raises *TaskPanic, and the pool answers the next query
 // byte-identically — for the single-query sweep at every tier and for a
 // batch. With the mutex left held the query would hang, so each call runs
-// under a watchdog. The participants start behind a barrier. A batch
-// participant always merges, so the batch always contends; a sweep
+// under a watchdog. The participants start behind a barrier. A
 // participant merges only if it claimed a shard, so on a single P one
-// participant may sweep them all — there the sweeps only check recovery,
+// participant may sweep them all — there the shapes only check recovery,
 // and elsewhere the catalog is large enough that a sweep outlasts a
-// wake-up and each tier retries until one query saw two merges.
+// wake-up and each shape retries until one query saw two merges.
 func TestPoolPanicUnderMergeMutex(t *testing.T) {
 	tree, err := taxonomy.Generate(taxonomy.GenConfig{
 		CategoryLevels: []int{4, 16, 64},
@@ -374,7 +373,7 @@ func TestPoolPanicUnderMergeMutex(t *testing.T) {
 	shape("batch", func() any {
 		res, _ := pool.ExecuteBatch(ctx, c, qs, pls)
 		return res
-	}, want, true)
+	}, want, multiP)
 }
 
 // A deadline (as opposed to a cancellation) must surface the stdlib's

@@ -138,8 +138,8 @@ func TestQuickF32MatchesF64(t *testing.T) {
 	}
 }
 
-// Property: the batched f32 sweep gives every query of the batch exactly
-// its serial f64 ranking, serial and pooled.
+// Property: an f32 batch gives every query of the batch exactly its
+// serial f64 ranking, serial and pooled.
 func TestQuickMultiF32MatchesF64(t *testing.T) {
 	pool := NewPool(3)
 	defer pool.Close()

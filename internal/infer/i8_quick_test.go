@@ -57,11 +57,10 @@ func TestQuickI8MatchesF64(t *testing.T) {
 	}
 }
 
-// Property: the blocked multi-query int8 batch sweep gives every query of
-// the batch exactly its serial f64 ranking, serial and pooled — the
-// bounded candidate heaps, the widened group kernel, and the per-query
-// rescore/escalation finish must compose without breaking a single
-// tie-break.
+// Property: an int8 batch gives every query of the batch exactly its
+// serial f64 ranking, serial and pooled — the bounded candidate heaps and
+// the per-query rescore/escalation finish must compose without breaking a
+// single tie-break.
 func TestQuickMultiI8MatchesF64(t *testing.T) {
 	pool := NewPool(3)
 	defer pool.Close()

@@ -27,15 +27,6 @@ import (
 // block buffer lives on the stack and one block of float64 fits in L1.
 const blockItems = 256
 
-// qBlock is how many queries a batched sweep scores per slab pass: each
-// item block's factor rows are loaded once and dotted against up to
-// qBlock queries before the sweep advances. Eight queries keep the
-// group's score buffers within a few KB of stack while amortizing both
-// the slab read that dominates wide-catalog sweeps and, on the int8
-// tier, the per-block code widening of the quantized kernel (which the
-// vecmath fast path supports up to groups of eight).
-const qBlock = 8
-
 // CascadeConfig sets the per-level keep fractions k_i of §5.1:
 // KeepFrac[d-1] applies to taxonomy depth d (the category levels between
 // the root and the items). n_i = ceil(k_i · size(level i)) nodes survive

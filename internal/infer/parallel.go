@@ -30,32 +30,14 @@ import (
 // allocation: tasks and scratch heaps are recycled via sync.Pool and
 // per-worker state persists across queries.
 //
-// Queries enter through Execute/ExecuteInto/ExecuteBatch (plan.go).
+// Queries enter through Execute/ExecuteInto (plan.go).
 type Pool struct {
 	workers   int
-	tasks     chan task
-	scratches sync.Pool // *scratch for submitting goroutines
+	tasks     chan *sweepTask
+	heaps     sync.Pool // *vecmath.TopKStream for submitting goroutines
 	sweeps    sync.Pool // *sweepTask
-	multis    sync.Pool // *multiTask
 	closeOnce sync.Once
 }
-
-// task is one fanned-out unit of query work; run executes the receiving
-// participant's share and base exposes the completion group.
-type task interface {
-	run(sc *scratch)
-	base() *taskBase
-}
-
-// taskBase carries the per-dispatch completion group shared by all task
-// kinds, and the first panic any participant recovered.
-type taskBase struct {
-	wg      sync.WaitGroup
-	panicMu sync.Mutex
-	panic   *TaskPanic
-}
-
-func (b *taskBase) base() *taskBase { return b }
 
 // TaskPanic is what a query re-raises on its submitting goroutine when a
 // participant of its pooled sweep panicked: the recovered value and the
@@ -79,33 +61,22 @@ func (p *TaskPanic) Error() string {
 var taskHook, mergeHook func()
 
 // runTask runs one participant's share of t. A panic is recovered into
-// t's base — the first one wins — so the participant still reaches its
-// wg.Done and a background worker lives on to serve the next query.
-func runTask(t task, sc *scratch) {
+// t — the first one wins — so the participant still reaches its wg.Done
+// and a background worker lives on to serve the next query.
+func runTask(t *sweepTask, st *vecmath.TopKStream) {
 	defer func() {
 		if v := recover(); v != nil {
-			b := t.base()
-			b.panicMu.Lock()
-			if b.panic == nil {
-				b.panic = &TaskPanic{Value: v, Stack: debug.Stack()}
+			t.panicMu.Lock()
+			if t.panic == nil {
+				t.panic = &TaskPanic{Value: v, Stack: debug.Stack()}
 			}
-			b.panicMu.Unlock()
+			t.panicMu.Unlock()
 		}
 	}()
 	if taskHook != nil {
 		taskHook()
 	}
-	t.run(sc)
-}
-
-// scratch is the per-participant reusable state: one bounded heap for
-// single-query sweeps and per-query heaps for batched sweeps, with the
-// pointer view the group sweep pushes through. Background workers own one
-// for life; submitting goroutines borrow one from the pool per dispatch.
-type scratch struct {
-	st       vecmath.TopKStream
-	multi    []vecmath.TopKStream
-	multiPtr []*vecmath.TopKStream
+	t.run(st)
 }
 
 // NewPool starts a pool of the given total parallelism; workers <= 0 uses
@@ -115,8 +86,8 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, tasks: make(chan task, workers*2)}
-	p.scratches.New = func() any { return new(scratch) }
+	p := &Pool{workers: workers, tasks: make(chan *sweepTask, workers*2)}
+	p.heaps.New = func() any { return new(vecmath.TopKStream) }
 	for i := 1; i < workers; i++ {
 		go p.worker()
 	}
@@ -141,10 +112,10 @@ func (p *Pool) Close() {
 }
 
 func (p *Pool) worker() {
-	sc := new(scratch)
+	st := new(vecmath.TopKStream)
 	for t := range p.tasks {
-		runTask(t, sc)
-		t.base().wg.Done()
+		runTask(t, st)
+		t.wg.Done()
 	}
 }
 
@@ -166,23 +137,22 @@ func (p *Pool) fanout(maxWorkers, parts int) int {
 }
 
 // dispatch hands the task to fan-1 background workers, runs the caller's
-// share on a borrowed scratch, and waits for everyone. If any participant
+// share on a borrowed heap, and waits for everyone. If any participant
 // panicked, the *TaskPanic is re-raised here, on the submitting
 // goroutine, only after every participant is done — so nothing still
 // writes into the caller's collectors while its stack unwinds. The task
 // is then dropped rather than recycled.
-func (p *Pool) dispatch(t task, fan int) {
-	b := t.base()
-	b.wg.Add(fan - 1)
+func (p *Pool) dispatch(t *sweepTask, fan int) {
+	t.wg.Add(fan - 1)
 	for i := 0; i < fan-1; i++ {
 		p.tasks <- t
 	}
-	sc := p.scratches.Get().(*scratch)
-	runTask(t, sc)
-	p.scratches.Put(sc)
-	b.wg.Wait()
-	if b.panic != nil {
-		panic(b.panic)
+	st := p.heaps.Get().(*vecmath.TopKStream)
+	runTask(t, st)
+	p.heaps.Put(st)
+	t.wg.Wait()
+	if t.panic != nil {
+		panic(t.panic)
 	}
 }
 
@@ -194,23 +164,25 @@ func (p *Pool) dispatch(t task, fan int) {
 // them into per-worker heaps of budget k, and merge those into out (the
 // final collector, or a reduced tier's candidate heap; the caller owns
 // the rescore stage). A non-nil mask restricts the sweep to eligible
-// items (filtered plans).
+// items (filtered plans). wg is the dispatch's completion group and
+// panic the first panic any participant recovered.
 type sweepTask struct {
-	taskBase
-	ix     *model.ScoringIndex
-	tq     tierQuery
-	k      int
-	mask   *vecmath.Bitset
-	ranges []itemRange
-	done   <-chan struct{}
-	units  int32
-	next   atomic.Int32
-	mu     sync.Mutex
-	out    *vecmath.TopKStream
+	wg      sync.WaitGroup
+	panicMu sync.Mutex
+	panic   *TaskPanic
+	ix      *model.ScoringIndex
+	tq      tierQuery
+	k       int
+	mask    *vecmath.Bitset
+	ranges  []itemRange
+	done    <-chan struct{}
+	units   int32
+	next    atomic.Int32
+	mu      sync.Mutex
+	out     *vecmath.TopKStream
 }
 
-func (t *sweepTask) run(sc *scratch) {
-	st := &sc.st
+func (t *sweepTask) run(st *vecmath.TopKStream) {
 	st.Reset(t.k)
 	var b blockBuf
 	for !canceled(t.done) {
@@ -258,68 +230,4 @@ func (p *Pool) fanSweep(done <-chan struct{}, ix *model.ScoringIndex, tq *tierQu
 	p.dispatch(t, fan)
 	t.ix, t.tq, t.mask, t.ranges, t.done, t.out = nil, tierQuery{}, nil, nil, nil, nil
 	p.sweeps.Put(t)
-}
-
-// ---- batched multi-query sweep ------------------------------------------
-
-// multiTask is the fan-out state of one parallel batched sweep:
-// participants claim shards, sweep them for the active queries into
-// per-worker per-query heaps, and merge those into outs (final
-// collectors at f64, candidate heaps at the reduced tiers — the rescore
-// stage runs after the dispatch joins).
-type multiTask struct {
-	taskBase
-	ix        *model.ScoringIndex
-	tqs       []tierQuery
-	active    []int
-	done      <-chan struct{}
-	numShards int32
-	next      atomic.Int32
-	mu        sync.Mutex
-	outs      []*vecmath.TopKStream
-}
-
-func (p *Pool) getMultiTask() *multiTask {
-	t, _ := p.multis.Get().(*multiTask)
-	if t == nil {
-		t = new(multiTask)
-	}
-	return t
-}
-
-func (t *multiTask) run(sc *scratch) {
-	b := len(t.outs)
-	if cap(sc.multi) < b {
-		sc.multi = make([]vecmath.TopKStream, b)
-		sc.multiPtr = make([]*vecmath.TopKStream, b)
-	}
-	parts, ptrs := sc.multi[:b], sc.multiPtr[:b]
-	for i := range parts {
-		parts[i].Reset(t.outs[i].K())
-		ptrs[i] = &parts[i]
-	}
-	for !canceled(t.done) {
-		s := int(t.next.Add(1)) - 1
-		if s >= int(t.numShards) {
-			break
-		}
-		lo, hi := t.ix.Shard(s)
-		sweepGroups(t.ix, t.tqs, t.active, lo, hi, ptrs)
-	}
-	t.merge(parts)
-}
-
-// merge folds one participant's per-query heaps into the queries'
-// collectors, unlocking on every path as sweepTask.merge does.
-func (t *multiTask) merge(parts []vecmath.TopKStream) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if mergeHook != nil {
-		mergeHook()
-	}
-	for i := range parts {
-		if parts[i].Len() > 0 {
-			t.outs[i].Merge(&parts[i])
-		}
-	}
 }

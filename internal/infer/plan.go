@@ -321,16 +321,12 @@ func page(ranked []vecmath.Scored, offset int) []vecmath.Scored {
 	return ranked[offset:]
 }
 
-// ExecuteBatch coalesces naive unfiltered plans into one shared
-// multi-query sweep: each cache-resident shard of the item slab is read
-// once and scored against every query. All plans must be StrategyNaive
-// with a nil Filter and the same resolved Precision — the shared sweep is
-// one pass at one visitation pattern, which is exactly what a filter
-// changes; route filtered plans through Execute per query (the serving
-// batcher sub-groups this way). Offsets may differ: each query just
-// over-collects by its own offset. Returns one Result per plan. A ctx
-// deadline firing mid-sweep fails the whole batch with ErrDeadline — the
-// sweep is shared work, so there is no per-plan partial answer to save.
+// ExecuteBatch runs each plan against its query through Execute, in
+// order, and returns one Result per plan. The first error — a plan
+// validation failure or ErrDeadline — stops the loop and returns no
+// results; a pooled sweep's *TaskPanic is raised as Execute raises it.
+//
+// Deprecated: ExecuteBatch is a loop over Execute; call Execute per query.
 func (p *Pool) ExecuteBatch(ctx context.Context, c *model.Composed, qs [][]float64, pls []Plan) ([]Result, error) {
 	if len(qs) != len(pls) {
 		return nil, fmt.Errorf("infer: batch has %d queries but %d plans", len(qs), len(pls))
@@ -338,33 +334,13 @@ func (p *Pool) ExecuteBatch(ctx context.Context, c *model.Composed, qs [][]float
 	if len(qs) == 0 {
 		return nil, nil
 	}
-	prec := pls[0].Precision.Resolve()
-	for i := range pls {
-		if pls[i].Strategy != StrategyNaive || !pls[i].Filter.Empty() || pls[i].Pruned {
-			return nil, fmt.Errorf("infer: batch plan %d is not an unfiltered unpruned naive plan", i)
-		}
-		if pls[i].Precision.Resolve() != prec {
-			return nil, fmt.Errorf("infer: batch plan %d resolves to precision %v, batch runs %v", i, pls[i].Precision.Resolve(), prec)
-		}
-		if err := pls[i].Validate(c); err != nil {
+	results := make([]Result, len(qs))
+	for i := range qs {
+		res, err := p.Execute(ctx, c, qs[i], pls[i])
+		if err != nil {
 			return nil, err
 		}
-	}
-	done := ctx.Done()
-	if canceled(done) {
-		return nil, deadlineErr(ctx)
-	}
-	outs := make([]*vecmath.TopKStream, len(qs))
-	for i := range outs {
-		outs[i] = vecmath.NewTopKStream(pls[i].heapSize(c))
-	}
-	p.executeMulti(done, c, qs, prec, 0, outs)
-	if canceled(done) {
-		return nil, deadlineErr(ctx)
-	}
-	results := make([]Result, len(qs))
-	for i := range results {
-		results[i] = Result{Items: page(outs[i].Ranked(), pls[i].Offset), Eligible: c.Index.NumItems()}
+		results[i] = res
 	}
 	return results, nil
 }

@@ -273,8 +273,8 @@ func TestQuickFilteredCascadePlanMatchesOracle(t *testing.T) {
 	}
 }
 
-// ExecuteBatch must hand every plan of a coalesced batch exactly its
-// per-query Execute page, and reject plans the shared sweep cannot honor.
+// ExecuteBatch must hand every plan of a batch exactly its per-query
+// Execute page — filtered and mixed-precision plans included.
 func TestExecuteBatchMatchesPerQuery(t *testing.T) {
 	pool := NewPool(3)
 	defer pool.Close()
@@ -304,15 +304,21 @@ func TestExecuteBatchMatchesPerQuery(t *testing.T) {
 			}
 		}
 	}
-	bad := append([]Plan(nil), pls...)
-	bad[2].Filter = &Filter{ExcludeItems: []int32{0}}
-	if _, err := pool.ExecuteBatch(context.Background(), c, qs, bad); err == nil {
-		t.Fatal("filtered plan accepted into a shared batch sweep")
+	mixed := append([]Plan(nil), pls...)
+	mixed[2].Filter = &Filter{ExcludeItems: []int32{0}}
+	mixed[1].Precision = model.PrecisionF64
+	results, err := pool.ExecuteBatch(context.Background(), c, qs, mixed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad = append([]Plan(nil), pls...)
-	bad[1].Precision = model.PrecisionF64
-	if _, err := pool.ExecuteBatch(context.Background(), c, qs, bad); err == nil {
-		t.Fatal("mixed-precision batch accepted")
+	for i := range results {
+		want, err := pool.Execute(context.Background(), c, qs[i], mixed[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePage(want.Items, results[i].Items) || want.Eligible != results[i].Eligible {
+			t.Fatalf("filtered/mixed-precision batch query %d diverged", i)
+		}
 	}
 }
 

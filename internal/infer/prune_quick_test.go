@@ -253,7 +253,7 @@ func TestPrunedFallbackCounter(t *testing.T) {
 }
 
 // Pruned is a naive-only knob: every other strategy must fail validation,
-// and the multi-query batch path must refuse pruned plans.
+// and a pruned plan in a batch must answer its per-query Execute page.
 func TestPrunedPlanValidation(t *testing.T) {
 	c, q := f32World(t, 6006, 1, 2, 1, 0)
 	cc := UniformCascade(c.Tree.Depth(), 0.5)
@@ -266,7 +266,16 @@ func TestPrunedPlanValidation(t *testing.T) {
 	}
 	pool := NewPool(2)
 	defer pool.Close()
-	if _, err := pool.ExecuteBatch(context.Background(), c, [][]float64{q}, []Plan{{K: 3, Pruned: true}}); err == nil {
-		t.Fatal("ExecuteBatch accepted a pruned plan")
+	pl := Plan{K: 3, Pruned: true}
+	got, err := pool.ExecuteBatch(context.Background(), c, [][]float64{q}, []Plan{pl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pool.Execute(context.Background(), c, q, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePage(want.Items, got[0].Items) {
+		t.Fatalf("pruned batch plan diverged:\nwant %v\ngot  %v", want.Items, got[0].Items)
 	}
 }

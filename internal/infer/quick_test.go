@@ -84,8 +84,8 @@ func TestQuickShardedMergeMatchesSerial(t *testing.T) {
 	}
 }
 
-// Property: the batched multi-query sweep gives every query of the batch
-// exactly its single-query serial ranking.
+// Property: a batch gives every query of the batch exactly its
+// single-query serial ranking.
 func TestQuickMultiQuerySweepMatchesSerial(t *testing.T) {
 	pool := NewPool(3)
 	defer pool.Close()

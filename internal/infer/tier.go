@@ -12,12 +12,12 @@ import (
 
 // A precision tier is a value. Everything that differs between the exact
 // f64 sweep and the two reduced-precision first stages — query prep, the
-// block kernel, the per-item scorer, the group kernel, the certified
-// error bound, the over-fetch rule and the escalation counter — is a case
-// of one switch in this file; every routine (range sweep, rescore, the
-// escalation and pruned loops, the pooled task bodies) exists once and
-// takes the tier as data. The switches run once per block, group, span
-// or shard, never per item in a dense loop.
+// block kernel, the per-item scorer, the certified error bound, the
+// over-fetch rule and the escalation counter — is a case of one switch in
+// this file; every routine (range sweep, rescore, the escalation and
+// pruned loops, the pooled task body) exists once and takes the tier as
+// data. The switches run once per block, span or shard, never per item
+// in a dense loop.
 //
 // The reduced tiers are two-stage. Stage one sweeps the tier's compact
 // slab (float32: half the f64 bytes per row; int8: a quarter of that) into
@@ -249,63 +249,6 @@ func (tq *tierQuery) gather(ix *model.ScoringIndex, items []int32, mask *vecmath
 		for _, it := range items {
 			if mask == nil || mask.Get(int(it)) {
 				st.Push(int(it), ix.ScoreItem(int(it), tq.q))
-			}
-		}
-	}
-}
-
-// sweepGroups sweeps [lo, hi) for the active queries of a batch — all of
-// one tier — in groups of qBlock. The reduced tiers' group kernels score
-// each 4-row block against the whole group before advancing (their inner
-// loops repeat the single-query accumulation statement for statement), so
-// each group reads the range's rows once; the f64 tier sweeps the
-// cache-resident range query by query. Each query's pushes arrive in the
-// same item-ascending order as its single-query sweep, so every heap
-// retains the identical set.
-func sweepGroups(ix *model.ScoringIndex, tqs []tierQuery, active []int, lo, hi int, sts []*vecmath.TopKStream) {
-	for g := 0; g < len(active); g += qBlock {
-		group := active[g:min(g+qBlock, len(active))]
-		switch tqs[group[0]].tier {
-		case tierF32:
-			var qs [qBlock][]float32
-			var bufs [qBlock][blockItems]float32
-			var dsts [qBlock][]float32
-			for j, qi := range group {
-				qs[j] = tqs[qi].q32
-			}
-			for blo := lo; blo < hi; blo += blockItems {
-				bhi := min(blo+blockItems, hi)
-				for j := range group {
-					dsts[j] = bufs[j][:bhi-blo]
-				}
-				ix.ItemScoresRange32MultiInto(qs[:len(group)], blo, bhi, dsts[:len(group)])
-				for j, qi := range group {
-					pushBlock(sts[qi], blo, dsts[j], nil)
-				}
-			}
-		case tierI8:
-			var us [qBlock][]int8
-			var qscales, sumQs [qBlock]float64
-			var bufs [qBlock][blockItems]float64
-			var dsts [qBlock][]float64
-			for j, qi := range group {
-				us[j], qscales[j], sumQs[j] = tqs[qi].u, tqs[qi].qscale, tqs[qi].sumQ
-			}
-			n := len(group)
-			for blo := lo; blo < hi; blo += blockItems {
-				bhi := min(blo+blockItems, hi)
-				for j := range group {
-					dsts[j] = bufs[j][:bhi-blo]
-				}
-				ix.ItemScoresRangeI8MultiInto(us[:n], qscales[:n], sumQs[:n], blo, bhi, dsts[:n])
-				for j, qi := range group {
-					pushBlock(sts[qi], blo, dsts[j], nil)
-				}
-			}
-		default:
-			var b blockBuf
-			for _, qi := range group {
-				sweepRange(ix, &tqs[qi], lo, hi, &b, nil, sts[qi])
 			}
 		}
 	}

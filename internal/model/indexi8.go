@@ -9,8 +9,8 @@ import (
 // The int8 quantized face of the scoring index. ensure8 materializes the
 // quantized item slab beside the f64/f32 ones on first int8 use, and the
 // accessors below mirror the f32 surface: per-row scoring, range sweeps,
-// a blocked multi-query range sweep, and the certified error bound the
-// two-stage pipeline's separation certificate charges.
+// and the certified error bound the two-stage pipeline's separation
+// certificate charges.
 
 // ensure8 quantizes the item slab and records the aggregates
 // ItemErrBoundI8 needs. Safe for concurrent first use; a host sweeping
@@ -73,24 +73,6 @@ func (ix *ScoringIndex) ItemScoresRangeI8Above(u []int8, qscale, sumQ, tau float
 	ix.ensure8()
 	k := ix.k
 	return vecmath.SweepBiasI8Above(ix.itemI8.Data()[lo*k:hi*k], k, ix.itemScaleI8[lo:hi], ix.itemOffsetI8[lo:hi], ix.itemBias[lo:hi], u, qscale, sumQ, tau, rows, scores)
-}
-
-// ItemScoresRangeI8MultiInto scores the range for a whole query group in
-// one blocked pass: each 4-row block is scored against every query before
-// the sweep advances, amortizing the slab reads across the group.
-// dsts[qi][:hi-lo] receives query qi's scores.
-func (ix *ScoringIndex) ItemScoresRangeI8MultiInto(us [][]int8, qscales, sumQs []float64, lo, hi int, dsts [][]float64) {
-	ix.ensure8()
-	k := ix.k
-	vecmath.MatVecBiasI8Multi(ix.itemI8.Data()[lo*k:hi*k], k, ix.itemScaleI8[lo:hi], ix.itemOffsetI8[lo:hi], ix.itemBias[lo:hi], us, qscales, sumQs, dsts)
-}
-
-// ItemScoresRange32MultiInto is the f32 blocked multi-query range sweep —
-// the same slab-read amortization for the f32 tier's batched pipeline.
-func (ix *ScoringIndex) ItemScoresRange32MultiInto(qs32 [][]float32, lo, hi int, dsts [][]float32) {
-	ix.ensure32()
-	k := ix.k
-	vecmath.MatVecBias32Multi(ix.item32.Data()[lo*k:hi*k], k, ix.itemBias32[lo:hi], qs32, dsts)
 }
 
 // ItemErrBoundI8 returns ε such that for every item,

@@ -11,9 +11,8 @@ import (
 	"repro/internal/vecmath"
 )
 
-// The quantized tier's internal consistency: per-item ScoreItemI8, the
-// blocked range sweep, and the blocked multi-query sweep must agree
-// bitwise, and every item's codes and parameters must be its f64 row's
+// The quantized tier's internal consistency: per-item ScoreItemI8 and the
+// blocked range sweep must agree bitwise, and every item's codes and parameters must be its f64 row's
 // own quantization (vecmath.QuantizeRow).
 func TestIndexI8SweepsAgreeBitwise(t *testing.T) {
 	for _, useBias := range []bool{false, true} {
@@ -24,17 +23,12 @@ func TestIndexI8SweepsAgreeBitwise(t *testing.T) {
 
 		dst := make([]float64, ix.NumItems())
 		ix.ItemScoresRangeI8Into(u, qscale, sumQ, 0, ix.NumItems(), dst)
-		multi := [][]float64{make([]float64, ix.NumItems()), make([]float64, ix.NumItems())}
-		ix.ItemScoresRangeI8MultiInto([][]int8{u, u}, []float64{qscale, qscale}, []float64{sumQ, sumQ}, 0, ix.NumItems(), multi)
 
 		codes := make([]int8, ix.K())
 		for item := 0; item < ix.NumItems(); item++ {
 			want := ix.ScoreItemI8(item, u, qscale, sumQ)
 			if dst[item] != want {
 				t.Fatalf("useBias=%v item %d: range sweep %v != ScoreItemI8 %v", useBias, item, dst[item], want)
-			}
-			if multi[0][item] != want || multi[1][item] != want {
-				t.Fatalf("useBias=%v item %d: multi sweep %v/%v != ScoreItemI8 %v", useBias, item, multi[0][item], multi[1][item], want)
 			}
 			scale, offset, _ := vecmath.QuantizeRow(codes, ix.ItemFactor(item))
 			if !slices.Equal(ix.itemI8.Row(item), codes) || ix.itemScaleI8[item] != scale || ix.itemOffsetI8[item] != offset {

@@ -16,8 +16,8 @@ import (
 // at once; up to maxQueue more may wait up to queueWait for a slot; and
 // everything beyond that is rejected immediately. Saturation therefore
 // degrades by shedding — cheap 429/503 responses with Retry-After — not
-// by stacking goroutines until the sweep pool, the batcher and the
-// kernel's accept queue all drown at once. Both shed paths are counted
+// by stacking goroutines until the sweep pool and the kernel's accept
+// queue both drown at once. Both shed paths are counted
 // separately so /v1/stats distinguishes "the queue was full" (arrival
 // rate beyond even the buffer) from "a slot never freed in time"
 // (service time collapsed).

@@ -1,16 +1,13 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 )
@@ -114,10 +111,9 @@ func TestHTTPErrorPaths(t *testing.T) {
 	})
 }
 
-// A panic while executing a request — on the handler's own goroutine or
-// inside a coalesced batch on the batcher's — must answer 500 with the
-// internal envelope, count in /v1/stats (served.panics and errors), and
-// leave the server answering the next request normally.
+// A panic while executing a request must answer 500 with the internal
+// envelope, count in /v1/stats (served.panics and errors), and leave the
+// server answering the next request normally.
 func TestHTTPPanicAnswersInternal(t *testing.T) {
 	m, _ := trainedModel(t)
 	var fault atomic.Bool
@@ -127,47 +123,41 @@ func TestHTTPPanicAnswersInternal(t *testing.T) {
 		}
 	}
 	defer func() { execHook = nil }()
-	for _, batched := range []bool{false, true} {
-		s := New(m, WithWorkers(2))
-		h := NewHTTP(s, nil)
-		if batched {
-			h.EnableBatching(4, time.Millisecond)
-		}
-		ts := httptest.NewServer(h.Handler())
+	s := New(m, WithWorkers(2))
+	defer s.Close()
+	h := NewHTTP(s, nil)
+	ts := httptest.NewServer(h.Handler())
+	defer ts.Close()
 
-		fault.Store(true)
-		resp, err := ts.Client().Post(ts.URL+"/v1/recommend", "application/json", strings.NewReader(`{"user":3,"k":5}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var eb api.ErrorBody
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-			t.Fatalf("batched=%v: panic response is not the JSON envelope: %v", batched, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusInternalServerError || eb.Err.Code != api.CodeInternal {
-			t.Fatalf("batched=%v: panic answered %d %q, want 500 internal", batched, resp.StatusCode, eb.Err.Code)
-		}
+	fault.Store(true)
+	resp, err := ts.Client().Post(ts.URL+"/v1/recommend", "application/json", strings.NewReader(`{"user":3,"k":5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb api.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("panic response is not the JSON envelope: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || eb.Err.Code != api.CodeInternal {
+		t.Fatalf("panic answered %d %q, want 500 internal", resp.StatusCode, eb.Err.Code)
+	}
 
-		fault.Store(false)
-		if resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":5}`); resp.StatusCode != http.StatusOK {
-			t.Fatalf("batched=%v: request after a panic answered %d", batched, resp.StatusCode)
-		}
-		sresp, err := ts.Client().Get(ts.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats statsResponse
-		if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-			t.Fatal(err)
-		}
-		sresp.Body.Close()
-		if stats.Served.Panics != 1 || stats.Served.Errors != 1 || stats.Served.Plan != 1 {
-			t.Fatalf("batched=%v: stats served %+v, want 1 panic, 1 error, 1 plan", batched, stats.Served)
-		}
-		ts.Close()
-		h.Close()
-		s.Close()
+	fault.Store(false)
+	if resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":5}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after a panic answered %d", resp.StatusCode)
+	}
+	sresp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats statsResponse
+	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	sresp.Body.Close()
+	if stats.Served.Panics != 1 || stats.Served.Errors != 1 || stats.Served.Plan != 1 {
+		t.Fatalf("stats served %+v, want 1 panic, 1 error, 1 plan", stats.Served)
 	}
 }
 
@@ -184,61 +174,4 @@ func postRaw(t *testing.T, client *http.Client, url, body string) (int, []byte) 
 		t.Fatal(err)
 	}
 	return resp.StatusCode, b
-}
-
-// A caller abandoning a coalesced request mid-batch must unblock with the
-// context error while the rest of the batch completes normally.
-func TestBatcherCancelledMidBatch(t *testing.T) {
-	m, _ := trainedModel(t)
-	s := New(m, WithWorkers(2))
-	defer s.Close()
-	// a long window so the batch only cuts via the size trigger we control
-	b := NewBatcher(s, 3, time.Hour)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancelled := make(chan error, 1)
-	go func() {
-		_, err := b.RecommendContext(ctx, Request{User: 1, K: 5})
-		cancelled <- err
-	}()
-	// wait until the request is queued in the pending batch, then abandon it
-	for {
-		b.mu.Lock()
-		queued := b.cur != nil && len(b.cur.reqs) == 1
-		b.mu.Unlock()
-		if queued {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	if err := <-cancelled; err != context.Canceled {
-		t.Fatalf("cancelled caller got %v, want context.Canceled", err)
-	}
-
-	// two more requests hit the size trigger; they must still be answered,
-	// and the abandoned slot must have been computed and discarded
-	want, err := s.Recommend(Request{User: 2, K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make(chan Response, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			items, err := b.Recommend(Request{User: 2, K: 5})
-			results <- Response{Items: items, Err: err}
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		if !reflect.DeepEqual(want, r.Items) {
-			t.Fatalf("batch member diverged: %v vs %v", r.Items, want)
-		}
-	}
-	if batches, coalesced := b.Stats(); batches != 1 || coalesced != 3 {
-		t.Fatalf("stats %d batches / %d coalesced, want 1/3", batches, coalesced)
-	}
 }

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/infer"
@@ -255,47 +253,5 @@ func TestHTTPFilterParamsAndPlanEndpoint(t *testing.T) {
 	// every successful request above counts once, whatever its strategy
 	if stats.Served.Plan != 6 {
 		t.Fatalf("plan endpoint counter = %d, want 6", stats.Served.Plan)
-	}
-}
-
-// Filtered and paged requests must flow through a batching-enabled server
-// unharmed: filters sub-group onto the per-request path, offsets ride the
-// shared sweep.
-func TestBatcherFilteredRequests(t *testing.T) {
-	m, data := trainedModel(t)
-	serial := New(m, WithHistory(data))
-	s := New(m, WithHistory(data), WithWorkers(2))
-	defer s.Close()
-	b := NewBatcher(s, 4, 2*time.Millisecond)
-
-	reqs := []Request{
-		{User: 1, K: 5},
-		{User: 2, K: 4, Offset: 3},
-		{User: 3, K: 5, ExcludePurchased: true, Recent: data.Users[3].Baskets},
-		{User: 4, K: 3, Categories: []int32{m.Tree.Level(1)[0]}},
-	}
-	results := make([]Response, len(reqs))
-	done := make(chan int, len(reqs))
-	for i, req := range reqs {
-		go func(i int, req Request) {
-			items, err := b.Recommend(req)
-			results[i] = Response{Items: items, Err: err}
-			done <- i
-		}(i, req)
-	}
-	for range reqs {
-		<-done
-	}
-	for i, req := range reqs {
-		if results[i].Err != nil {
-			t.Fatalf("req %d: %v", i, results[i].Err)
-		}
-		want, err := serial.Recommend(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, results[i].Items) {
-			t.Fatalf("req %d diverged through the batcher:\nwant %v\ngot  %v", i, want, results[i].Items)
-		}
 	}
 }

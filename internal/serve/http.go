@@ -58,7 +58,6 @@ type HTTP struct {
 	reload     func() (*model.TF, error)
 	reloadSnap func() (*model.Snapshot, error)
 	start      time.Time
-	batcher    *Batcher
 	maxBody    int64
 	adm        *Admission
 	timeout    time.Duration
@@ -109,14 +108,11 @@ func (h *HTTP) SetAdmission(maxInflight, maxQueue int, queueWait time.Duration) 
 }
 
 // SetTimeout bounds each recommend request's total time — admission
-// queue wait, batch window and sweep included (the deadline is armed
-// before admission). A deadline firing mid-sweep abandons the query at
-// the next shard boundary (infer.ErrDeadline) and answers 503 with
-// Retry-After, counted in the deadline stat. A request waiting on a
-// coalesced batch stops waiting at its deadline (same 503, same
-// counter), though the shared sweep itself completes for the other
-// waiters — cancelling shared work would cancel bystanders. d <= 0
-// disables (the default). Call before the handler starts serving.
+// queue wait and sweep included (the deadline is armed before
+// admission). A deadline firing mid-sweep abandons the query at the next
+// shard boundary (infer.ErrDeadline) and answers 503 with Retry-After,
+// counted in the deadline stat. d <= 0 disables (the default). Call
+// before the handler starts serving.
 func (h *HTTP) SetTimeout(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -124,24 +120,11 @@ func (h *HTTP) SetTimeout(d time.Duration) {
 	h.timeout = d
 }
 
-// Close releases the handler's request-coalescing front, flushing any
-// pending micro-batch so blocked callers finish promptly. Call it during
-// shutdown, before or alongside http.Server.Shutdown; requests that
-// arrive afterwards still get answers (unbatched).
-func (h *HTTP) Close() {
-	if h.batcher != nil {
-		h.batcher.Close()
-	}
-}
-
-// EnableBatching puts a coalescing front before the full-scan endpoints:
-// concurrent user/session requests arriving within window are executed as
-// one multi-query sweep (see Batcher). Cascaded, diversified, filtered
-// and pruned requests are unaffected: they run per-request. Call before
-// the handler starts serving.
-func (h *HTTP) EnableBatching(maxBatch int, window time.Duration) {
-	h.batcher = NewBatcher(h.srv, maxBatch, window)
-}
+// Close is a no-op: the handler owns no background state to release.
+//
+// Deprecated: nothing needs closing; shut down the http.Server and close
+// the Server instead.
+func (h *HTTP) Close() {}
 
 // SetSnapshotReload makes Reload fetch a loaded snapshot (typically
 // model.LoadFile on the model path — the mmap fast path) instead of a
@@ -282,7 +265,7 @@ func queryParams(r *http.Request, req *Request) error {
 		req.Offset = n
 	}
 	// ?pruned=true turns on branch-and-bound retrieval (rankings are
-	// byte-identical; the knob trades batch coalescing for sublinear sweeps)
+	// byte-identical; the knob only changes the sweep's execution shape)
 	if ps := qv.Get("pruned"); ps != "" {
 		v, err := strconv.ParseBool(ps)
 		if err != nil {
@@ -344,31 +327,12 @@ func (h *HTTP) recommend(w http.ResponseWriter, r *http.Request) {
 		h.fail(w, api.CodeBadRequest, err)
 		return
 	}
-	// a request the shared sweep cannot carry opts out of coalescing
-	// (the batcher would only sub-group it back onto the per-request
-	// path after the window wait)
-	var resp Response
-	if h.batcher != nil && h.srv.coalescable(req) {
-		// probe the cache before joining a batch: a hot key must not
-		// pay the coalescing window for a result that is already sitting
-		// in memory (the batcher fills the same epoch-stamped cache)
-		if items, ok := h.srv.cached(epoch, req); ok {
-			resp = Response{Items: items, Cached: true}
-		} else {
-			items, err := h.batcher.RecommendContext(ctx, req)
-			resp = Response{Items: items, Err: err}
-		}
-	} else {
-		resp = h.srv.run(ctx, epoch, c, req)
-	}
+	resp := h.srv.run(ctx, epoch, c, req)
 	if resp.Err != nil {
-		// a deadline expired — the armed per-request budget or a
-		// middleware deadline — whether mid-sweep (infer.ErrDeadline)
-		// or while waiting on a coalesced batch (bare
-		// DeadlineExceeded; the shared sweep finishes for the other
-		// waiters). That is load, not client error: shed with
-		// Retry-After so well-behaved clients back off, and count it
-		// so /v1/stats shows deadline pressure. The check is on the
+		// a deadline expired mid-sweep — the armed per-request budget or
+		// a middleware deadline. That is load, not client error: shed
+		// with Retry-After so well-behaved clients back off, and count
+		// it so /v1/stats shows deadline pressure. The check is on the
 		// wrapped cause, NOT on ErrDeadline alone: a client that hung
 		// up mid-sweep also surfaces as ErrDeadline (wrapping
 		// context.Canceled) and must not inflate the deadline stat.
@@ -377,10 +341,9 @@ func (h *HTTP) recommend(w http.ResponseWriter, r *http.Request) {
 			h.shed(w, api.CodeDeadlineExceeded)
 			return
 		}
-		// a cancellation means the client went away (mid-batch-wait or
-		// mid-sweep) — not a serving error worth alerting on. Still
-		// write 503 in case the connection is alive, so nothing reads
-		// as an empty 200.
+		// a cancellation means the client went away mid-sweep — not a
+		// serving error worth alerting on. Still write 503 in case the
+		// connection is alive, so nothing reads as an empty 200.
 		if errors.Is(resp.Err, context.Canceled) {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
@@ -391,11 +354,6 @@ func (h *HTTP) recommend(w http.ResponseWriter, r *http.Request) {
 		var reqErr *RequestError
 		if errors.As(resp.Err, &reqErr) {
 			code = api.CodeBadRequest
-		}
-		if errors.Is(resp.Err, errPanicked) {
-			// a coalesced batch panicked on the batcher's goroutine, which
-			// recovered it; count it like a panic on this one
-			h.panics.Add(1)
 		}
 		h.fail(w, code, resp.Err)
 		return
@@ -493,10 +451,6 @@ func (h *HTTP) stats(w http.ResponseWriter, r *http.Request) {
 	out.Inference.Pruning.BoundEvals = ps.BoundEvals
 	out.Inference.Pruning.Fallbacks = ps.Fallbacks
 	out.Inference.Pruning.Default = h.srv.pruned
-	if h.batcher != nil {
-		out.Inference.Batching = true
-		out.Inference.Batches, out.Inference.BatchedReqs = h.batcher.Stats()
-	}
 	if cs, ok := h.srv.CacheStats(); ok {
 		out.Cache = &api.StatsCache{CacheStats: cs, HTTPHits: h.cacheHits.Load()}
 	}

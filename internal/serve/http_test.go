@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/infer"
@@ -266,40 +265,51 @@ func TestHTTPHotSwap(t *testing.T) {
 	}
 }
 
-// A pooled, batching-enabled server must serve the same rankings as the
-// plain serial path, and report its configuration in /v1/stats.
-func TestHTTPBatchingMatchesSerial(t *testing.T) {
-	m, _ := trainedModel(t)
-	serial := New(m)
-	s := New(m, WithWorkers(3))
+// Concurrent requests to a pooled server must each answer exactly the
+// bytes the serial server answers for that body, whatever shape it has
+// and whatever else is in flight; /v1/stats reports the pool.
+func TestHTTPConcurrentMatchesSerial(t *testing.T) {
+	m, data := trainedModel(t)
+	serial := New(m, WithHistory(data))
+	s := New(m, WithHistory(data), WithWorkers(3))
 	defer s.Close()
-	h := NewHTTP(s, nil)
-	h.EnableBatching(4, time.Millisecond)
-	ts := httptest.NewServer(h.Handler())
+	s.Snapshot().Index.SetShardItems(37) // force many shards on the tiny catalog
+	sts := httptest.NewServer(NewHTTP(serial, nil).Handler())
+	defer sts.Close()
+	ts := httptest.NewServer(NewHTTP(s, nil).Handler())
 	defer ts.Close()
 
-	want, err := serial.Recommend(Request{User: 3, K: 5})
-	if err != nil {
-		t.Fatal(err)
+	bodies := []string{
+		`{"user":3,"k":5}`,
+		`{"user":4,"k":6,"offset":3}`,
+		`{"user":-1,"recent":[[7]],"k":5}`,
+		`{"user":5,"k":4,"exclude_purchased":true}`,
+		`{"user":6,"k":4,"pruned":true}`,
+		`{"user":3,"k":5,"strategy":"cascade","keep":0.6}`,
+		`{"user":3,"k":4,"strategy":"diversified","max_per_category":1}`,
+		`{"user":999999,"k":5}`,
 	}
-	resp, out := postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":5}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	want := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		_, want[i] = postRaw(t, sts.Client(), sts.URL+"/v1/recommend", body)
 	}
-	if len(out.Items) != len(want) {
-		t.Fatalf("got %d items, want %d", len(out.Items), len(want))
+	const rounds = 4
+	got := make([][]byte, rounds*len(bodies))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, got[i] = postRaw(t, ts.Client(), ts.URL+"/v1/recommend", bodies[i%len(bodies)])
+		}()
 	}
-	for i := range want {
-		if out.Items[i].Item != want[i].ID || out.Items[i].Score != want[i].Score {
-			t.Fatalf("item %d = %+v, want %+v", i, out.Items[i], want[i])
+	wg.Wait()
+	for i := range got {
+		if w := want[i%len(bodies)]; !bytes.Equal(got[i], w) {
+			t.Fatalf("%s: concurrent answer diverged from serial\ngot  %s\nwant %s", bodies[i%len(bodies)], got[i], w)
 		}
 	}
-	// cascaded requests bypass the batcher but use the pool
-	resp, _ = postJSON(t, ts.Client(), ts.URL+"/v1/recommend", `{"user":3,"k":5,"strategy":"cascade","keep":0.6}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cascade: status %d", resp.StatusCode)
-	}
-	// stats reflect the inference configuration
+
 	st, err := ts.Client().Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -309,11 +319,8 @@ func TestHTTPBatchingMatchesSerial(t *testing.T) {
 	if err := json.NewDecoder(st.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Inference.PoolWorkers != 3 || !stats.Inference.Batching {
-		t.Fatalf("stats.Inference = %+v, want 3 workers with batching", stats.Inference)
-	}
-	if stats.Inference.Batches == 0 || stats.Inference.BatchedReqs == 0 {
-		t.Fatalf("batching counters never moved: %+v", stats.Inference)
+	if stats.Inference.PoolWorkers != 3 {
+		t.Fatalf("stats.Inference = %+v, want 3 pool workers", stats.Inference)
 	}
 }
 
@@ -335,8 +342,8 @@ func knobQuery(prec, workers string) string {
 
 // The execution knobs are validated and otherwise ignored: every
 // ?precision= × ?workers= cell answers the default request's bytes, whose
-// items are infer's exact f64 plan, on a serial server and on a pooled,
-// batching one; a malformed value answers the 400 envelope it always has
+// items are infer's exact f64 plan, on a serial server and on a pooled
+// one; a malformed value answers the 400 envelope it always has
 // (workers is checked first). /v1/stats reports the host's tier.
 func TestHTTPExecutionKnobs(t *testing.T) {
 	m, _ := trainedModel(t)
@@ -366,14 +373,10 @@ func TestHTTPExecutionKnobs(t *testing.T) {
 	}
 
 	for _, srv := range []struct {
-		name  string
-		s     *Server
-		batch bool
-	}{{"serial", serial, false}, {"pooled+batching", pooled, true}} {
+		name string
+		s    *Server
+	}{{"serial", serial}, {"pooled", pooled}} {
 		h := NewHTTP(srv.s, nil)
-		if srv.batch {
-			h.EnableBatching(4, time.Millisecond)
-		}
 		ts := httptest.NewServer(h.Handler())
 		code, defBody := postRaw(t, ts.Client(), ts.URL+"/v1/recommend", body)
 		var out api.RecommendResponse
@@ -417,7 +420,6 @@ func TestHTTPExecutionKnobs(t *testing.T) {
 			t.Errorf("%s: negative escalation counter", srv.name)
 		}
 		ts.Close()
-		h.Close()
 	}
 }
 

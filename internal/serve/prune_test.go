@@ -109,25 +109,3 @@ func TestHTTPPruned(t *testing.T) {
 		t.Fatal("stats report a pruned default on a dense-default server")
 	}
 }
-
-// A pruned request must bypass the batcher's shared sweep (ExecuteBatch
-// rejects pruned plans) yet still answer correctly through it.
-func TestBatcherPrunedOptOut(t *testing.T) {
-	m, _ := trainedModel(t)
-	s := New(m)
-	b := NewBatcher(s, 8, 0)
-	defer b.Close()
-	want, err := s.Recommend(Request{User: 5, K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Recommend(Request{User: 5, K: 4, Pruned: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("rank %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/model"
 	"repro/internal/train"
@@ -75,8 +74,6 @@ func TestReloadRaceNoStaleResults(t *testing.T) {
 	srv := New(mA, WithCache(64), WithWorkers(2))
 	defer srv.Close()
 	h := NewHTTP(srv, func() (*model.TF, error) { return current.Load(), nil })
-	h.EnableBatching(8, 200*time.Microsecond)
-	defer h.Close()
 	ts := httptest.NewServer(h.Handler())
 	defer ts.Close()
 

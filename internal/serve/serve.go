@@ -80,9 +80,9 @@ type Server struct {
 	// +1 per Update/UpdateSnapshot. Logged by tfrec-serve on every load.
 	gen  atomic.Uint64
 	pool sync.Pool // *[]float64 query buffers, length-checked per use
-	// sweep, when non-nil, is the sharded parallel inference pool; single
-	// requests fan their catalog sweep across it and batches use it for
-	// the multi-query sweep. Nil means every request runs serial.
+	// sweep, when non-nil, is the sharded parallel inference pool; every
+	// request fans its catalog sweep across it. Nil means every request
+	// runs serial.
 	sweep *infer.Pool
 	// pruned makes branch-and-bound retrieval the default for naive
 	// request sweeps (WithPruned); individual requests can still opt in
@@ -129,9 +129,7 @@ func WithWorkers(n int) Option {
 // sweep — the engine only skips subtrees its bound certificates prove
 // cannot place an item — so the option is purely a performance default:
 // worth turning on when the catalog's score mass concentrates in few
-// subtrees, near-free (a bounded ~5% overhead) when it does not. Pruned
-// requests bypass the batcher's shared multi-query sweep, so the option
-// also shifts load from coalesced throughput to per-request latency.
+// subtrees, near-free (a bounded ~5% overhead) when it does not.
 func WithPruned(on bool) Option {
 	return func(s *Server) { s.pruned = on }
 }
@@ -398,25 +396,13 @@ type Request struct {
 	// sweep (the bound certificates guarantee it), so the knob only trades
 	// execution shape: sublinear on skew-friendly catalogs, a bounded ~5%
 	// overhead when the bounds cannot prune. Applies to naive sweeps only
-	// (cascaded and diversified shapes walk the taxonomy themselves) and
-	// opts the request out of the batcher's shared multi-query sweep.
+	// (cascaded and diversified shapes walk the taxonomy themselves).
 	Pruned bool
 }
 
-// hasFilter reports whether the request carries any item filter — the
-// requests the coalesced batch sweep cannot share.
+// hasFilter reports whether the request carries any item filter.
 func (r Request) hasFilter() bool {
 	return r.ExcludePurchased || len(r.Categories) > 0 || len(r.ExcludeCategories) > 0
-}
-
-// coalescable reports whether req can share the batcher's multi-query
-// sweep, which is one visitation pattern: a naive request with no item
-// filter and no pruned descent, on a server that is neither pruned by
-// default nor shard-scoped (its range mask is a filter on every plan).
-// Everything else runs its own plan on the per-request path.
-func (s *Server) coalescable(req Request) bool {
-	return req.Cascade == nil && req.MaxPerCategory <= 0 && !req.hasFilter() &&
-		!req.Pruned && !s.pruned && !s.ranged()
 }
 
 // validate checks a request against the snapshot. Every rejection is a
@@ -540,24 +526,13 @@ func (s *Server) RecommendContext(ctx context.Context, req Request) ([]vecmath.S
 	return resp.Items, resp.Err
 }
 
-// cached returns the ranking cached for req under the pinned epoch, if
-// any. The HTTP layer probes this before handing a request to the
-// batcher, so hot requests skip both the batch window and the sweep.
-func (s *Server) cached(epoch uint64, req Request) ([]vecmath.Scored, bool) {
-	if s.cache == nil {
-		return nil, false
-	}
-	return s.cache.Get(epoch, cacheKey(&req))
-}
-
-// execHook, when non-nil, runs just before a request (or a coalesced
-// batch) reaches the executor; the panic-containment tests inject faults
-// through it.
+// execHook, when non-nil, runs just before a request reaches the
+// executor; the panic-containment tests inject faults through it.
 var execHook func()
 
 // run executes one request against a pinned (epoch, snapshot) pair with
 // a pooled query buffer. It is the single dispatch point shared by
-// Recommend, Batch and the batcher's per-request fallthrough:
+// Recommend, Batch and the HTTP handler:
 // request → cache lookup → plan → Execute → cache fill.
 func (s *Server) run(ctx context.Context, epoch uint64, c *model.Composed, req Request) Response {
 	if err := req.validate(c); err != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -262,5 +263,36 @@ func TestServerEmptyBatch(t *testing.T) {
 	s := New(m)
 	if out := s.Batch(nil, 4); len(out) != 0 {
 		t.Fatal("empty batch should return empty result")
+	}
+}
+
+// A server with a pool must return exactly what the serial server
+// returns, for every request flavor and pool size.
+func TestParallelServerMatchesSerial(t *testing.T) {
+	m, data := trainedModel(t)
+	serial := New(m)
+	reqs := []Request{
+		{User: 3, Recent: data.Users[3].Baskets, K: 7},
+		{User: -1, Recent: data.Users[5].Baskets, K: 5},
+		{User: 8, K: 4, Cascade: &infer.CascadeConfig{KeepFrac: []float64{0.5, 0.5, 0.5}}},
+		{User: 2, K: 6, MaxPerCategory: 2},
+	}
+	for _, workers := range []int{0, 2, 3, 4} {
+		parallel := New(m, WithWorkers(workers))
+		parallel.Snapshot().Index.SetShardItems(37) // force many shards on the tiny catalog
+		for i, req := range reqs {
+			want, err := serial.Recommend(req)
+			if err != nil {
+				t.Fatalf("req %d serial: %v", i, err)
+			}
+			got, err := parallel.Recommend(req)
+			if err != nil {
+				t.Fatalf("req %d workers=%d: %v", i, workers, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("req %d workers=%d: parallel ranking diverged\nwant %v\ngot  %v", i, workers, want, got)
+			}
+		}
+		parallel.Close()
 	}
 }

@@ -69,15 +69,13 @@ func Kernels() KernelSet {
 		Features: simdFeatures(),
 		Disabled: simdDisabled(),
 		Ops: map[string]string{
-			"dot_i8":           simd,
-			"matvec_i8":        simd,
-			"matvec_i8_multi":  simd,
-			"sweep_i8_above":   fused,
-			"dot_f32":          simd,
-			"matvec_f32":       simd,
-			"matvec_f32_multi": simd,
-			"dot_f64":          implGeneric,
-			"matvec_f64":       implGeneric,
+			"dot_i8":         simd,
+			"matvec_i8":      simd,
+			"sweep_i8_above": fused,
+			"dot_f32":        simd,
+			"matvec_f32":     simd,
+			"dot_f64":        implGeneric,
+			"matvec_f64":     implGeneric,
 		},
 	}
 }

@@ -140,44 +140,6 @@ func TestMatVecBias32MatchesRowwise(t *testing.T) {
 	}
 }
 
-// TestMatVecBias32MultiMatchesSingle pins the multi-query f32 sweep to
-// the single-query kernel, bitwise, across group sizes.
-func TestMatVecBias32MultiMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, rows := range []int{0, 3, 4, 9, 17} {
-		for _, k := range []int{1, 7, 8, 16, 33, 64} {
-			for _, group := range []int{1, 2, 3, 5, 8, 9} {
-				factors := make([]float32, rows*k)
-				bias := make([]float32, rows)
-				fillF32(rng, factors)
-				fillF32(rng, bias)
-				qs := make([][]float32, group)
-				dsts := make([][]float32, group)
-				for qi := range qs {
-					qs[qi] = make([]float32, k)
-					fillF32(rng, qs[qi])
-					dsts[qi] = make([]float32, rows)
-				}
-				MatVecBias32Multi(factors, k, bias, qs, dsts)
-				single := make([]float32, rows)
-				for qi := range qs {
-					MatVecBias32(factors, k, bias, qs[qi], single)
-					for r := 0; r < rows; r++ {
-						if math.Float32bits(dsts[qi][r]) != math.Float32bits(single[r]) {
-							if math.IsNaN(float64(dsts[qi][r])) && math.IsNaN(float64(single[r])) {
-								continue
-							}
-							t.Fatalf("rows=%d k=%d group=%d qi=%d r=%d: multi=%x single=%x",
-								rows, k, group, qi, r,
-								math.Float32bits(dsts[qi][r]), math.Float32bits(single[r]))
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestMatVecBiasI8MatchesRowwise pins the blocked int8 sweep to
 // DotBiasI8 built on the pure-Go reference dot, bitwise in float64.
 func TestMatVecBiasI8MatchesRowwise(t *testing.T) {
@@ -205,53 +167,6 @@ func TestMatVecBiasI8MatchesRowwise(t *testing.T) {
 				if math.Float64bits(dst[r]) != math.Float64bits(want) {
 					t.Fatalf("rows=%d k=%d r=%d: blocked=%x rowwise=%x", rows, k, r,
 						math.Float64bits(dst[r]), math.Float64bits(want))
-				}
-			}
-		}
-	}
-}
-
-// TestMatVecBiasI8MultiMatchesSingle pins the multi-query int8 sweep
-// (SIMD blocks, the widened generic fast path, and the fallback loop) to
-// the single-query kernel, bitwise, straddling the widenK/widenGroup
-// fast-path boundaries.
-func TestMatVecBiasI8MultiMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for _, rows := range []int{0, 3, 4, 9, 17} {
-		for _, k := range []int{1, 7, 8, 16, 64, widenK, widenK + 1} {
-			for _, group := range []int{1, 3, widenGroup, widenGroup + 1} {
-				factors := make([]int8, rows*k)
-				fillI8(rng, factors)
-				scale := make([]float64, rows)
-				offset := make([]float64, rows)
-				bias := make([]float64, rows)
-				for r := range scale {
-					scale[r] = rng.Float64()
-					offset[r] = rng.NormFloat64()
-					bias[r] = rng.NormFloat64()
-				}
-				us := make([][]int8, group)
-				qscales := make([]float64, group)
-				sumQs := make([]float64, group)
-				dsts := make([][]float64, group)
-				for qi := range us {
-					us[qi] = make([]int8, k)
-					fillI8(rng, us[qi])
-					qscales[qi] = rng.Float64()
-					sumQs[qi] = rng.NormFloat64()
-					dsts[qi] = make([]float64, rows)
-				}
-				MatVecBiasI8Multi(factors, k, scale, offset, bias, us, qscales, sumQs, dsts)
-				single := make([]float64, rows)
-				for qi := range us {
-					MatVecBiasI8(factors, k, scale, offset, bias, us[qi], qscales[qi], sumQs[qi], single)
-					for r := 0; r < rows; r++ {
-						if math.Float64bits(dsts[qi][r]) != math.Float64bits(single[r]) {
-							t.Fatalf("rows=%d k=%d group=%d qi=%d r=%d: multi=%x single=%x",
-								rows, k, group, qi, r,
-								math.Float64bits(dsts[qi][r]), math.Float64bits(single[r]))
-						}
-					}
 				}
 			}
 		}
@@ -396,19 +311,11 @@ func TestKernelWrappersZeroAlloc(t *testing.T) {
 	q := make([]float32, k)
 	dst := make([]float64, rows)
 	dst32 := make([]float32, rows)
-	us := [][]int8{u, u}
-	qs := [][]float32{q, q}
-	dsts := [][]float64{dst, make([]float64, rows)}
-	dsts32 := [][]float32{dst32, make([]float32, rows)}
 	for name, fn := range map[string]func(){
 		"DotI8":        func() { DotI8(u, fi8[:k]) },
 		"DotBias32":    func() { DotBias32(q, f32[:k], 1) },
 		"MatVecBiasI8": func() { MatVecBiasI8(fi8, k, scale, offset, bias, u, 1, 0, dst) },
 		"MatVecBias32": func() { MatVecBias32(f32, k, bias32, q, dst32) },
-		"MatVecBiasI8Multi": func() {
-			MatVecBiasI8Multi(fi8, k, scale, offset, bias, us, []float64{1, 1}, []float64{0, 0}, dsts)
-		},
-		"MatVecBias32Multi": func() { MatVecBias32Multi(f32, k, bias32, qs, dsts32) },
 		"SweepBiasI8Above": func() {
 			var out [rows]int32
 			var scores [rows]float64

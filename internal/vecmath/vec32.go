@@ -10,11 +10,10 @@ import "fmt"
 //
 // Every f32 kernel accumulates in one fixed, lane-friendly order — the
 // 8-lane tree documented on DotBias32 — so a score is bitwise identical
-// whether computed item-at-a-time, in a blocked sweep, in the blocked
-// multi-query sweep, by the pure-Go reference, or by the AVX2/NEON
-// assembly bodies that vectorize the 8-lane head verbatim (one rounded
-// multiply and one rounded add per element; see kernels.go for the
-// dispatch rules). Products are forced through an explicit float32
+// whether computed item-at-a-time, in a blocked sweep, by the pure-Go
+// reference, or by the AVX2/NEON assembly bodies that vectorize the
+// 8-lane head verbatim (one rounded multiply and one rounded add per
+// element; see kernels.go for the dispatch rules). Products are forced through an explicit float32
 // conversion so no compiler may fuse them into an FMA: the reference
 // kernels therefore produce the same bits on every architecture, and the
 // asm arms are checked against them by the differential suite.
@@ -162,74 +161,6 @@ func MatVecBias32(factors []float32, k int, bias, q, dst []float32) {
 	}
 	for ; r < rows; r++ {
 		dst[r] = dotBias32(q, factors[r*k:(r+1)*k], bias[r])
-	}
-}
-
-// MatVecBias32Multi is the cache-blocked multi-query form of
-// MatVecBias32: each 4-row block of the slab is scored against every
-// query of the group before the sweep advances, so a group of B queries
-// reads the slab bytes once instead of B times — the bandwidth win of the
-// batched serving sweep. dsts[qi][r] receives query qi's score of row r.
-// Every (row, query) score accumulates in DotBias32's fixed 8-lane tree,
-// so it is bitwise identical to the single-query kernels'. It panics on
-// any shape mismatch, including a query group larger than the dst group.
-func MatVecBias32Multi(factors []float32, k int, bias []float32, qs [][]float32, dsts [][]float32) {
-	rows := len(bias)
-	if len(factors) != rows*k {
-		panicSlab("MatVecBias32Multi", len(factors), rows, k)
-	}
-	if len(qs) > len(dsts) {
-		panic(fmt.Sprintf("vecmath: MatVecBias32Multi %d queries but %d dst buffers", len(qs), len(dsts)))
-	}
-	for qi, q := range qs {
-		if len(q) != k {
-			panic(fmt.Sprintf("vecmath: MatVecBias32Multi query %d length %d != k %d", qi, len(q), k))
-		}
-	}
-	n8 := k &^ 7
-	r := 0
-	if simdActive && n8 > 0 {
-		var out [4]float32
-		for ; r+4 <= rows; r += 4 {
-			for qi, q := range qs {
-				dot4Lanes32SIMD(&factors[r*k], k, &q[0], n8, &out)
-				s0 := bias[r] + out[0]
-				s1 := bias[r+1] + out[1]
-				s2 := bias[r+2] + out[2]
-				s3 := bias[r+3] + out[3]
-				if n8 < k {
-					r0 := factors[r*k:][:k]
-					r1 := factors[(r+1)*k:][:k]
-					r2 := factors[(r+2)*k:][:k]
-					r3 := factors[(r+3)*k:][:k]
-					for i := n8; i < k; i++ {
-						qa := q[i]
-						s0 += float32(qa * r0[i])
-						s1 += float32(qa * r1[i])
-						s2 += float32(qa * r2[i])
-						s3 += float32(qa * r3[i])
-					}
-				}
-				dst := dsts[qi]
-				dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
-			}
-		}
-	} else {
-		for ; r+4 <= rows; r += 4 {
-			for qi, q := range qs {
-				dst := dsts[qi]
-				dst[r] = dotBias32(q, factors[r*k:][:k], bias[r])
-				dst[r+1] = dotBias32(q, factors[(r+1)*k:][:k], bias[r+1])
-				dst[r+2] = dotBias32(q, factors[(r+2)*k:][:k], bias[r+2])
-				dst[r+3] = dotBias32(q, factors[(r+3)*k:][:k], bias[r+3])
-			}
-		}
-	}
-	for ; r < rows; r++ {
-		row := factors[r*k : (r+1)*k]
-		for qi, q := range qs {
-			dsts[qi][r] = dotBias32(q, row, bias[r])
-		}
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 //
 // where ⟨u, c_r⟩ is a pure int8×int8 dot accumulated in int32 — EXACT
 // integer arithmetic, so the dot is identical in any accumulation order
-// and a blocked multi-row, multi-query sweep is trivially bitwise equal
-// to the row-at-a-time kernel; only the short float64 combine above
+// and a blocked multi-row sweep is trivially bitwise equal to the
+// row-at-a-time kernel; only the short float64 combine above
 // rounds, and both kernels share it statement by statement. The
 // quantization error is measured (not estimated) during encoding and
 // surfaced per slab, so the serving pipeline can certify an exact-rescore
@@ -195,7 +195,7 @@ const MaxDotLenI8 = (1<<31 - 1) / (127 * 127)
 //
 //	(qscale·scale)·dot + offset·Σq + bias
 //
-// evaluated in single-rounded steps. MatVecBiasI8 and MatVecBiasI8Multi
+// evaluated in single-rounded steps. MatVecBiasI8 and SweepBiasI8Above
 // replicate the combine statement for statement, so a score is bitwise
 // identical whether computed row-at-a-time or in any blocked sweep. It
 // panics if the lengths differ.
@@ -287,24 +287,16 @@ func MatVecBiasI8(factors []int8, k int, scale, offset, bias []float64, u []int8
 //
 //	m = qscale·scale;  a = m·d;  c = offset·Σq;  s = a + c;  s + bias
 //
-// that pins every int8 score to one bit pattern across the row, blocked,
-// multi-query and fused kernels.
+// that pins every int8 score to one bit pattern across the row, blocked
+// and fused kernels.
 func combineI8(d int32, scale, offset, bias, qscale, sumQ float64) float64 {
-	return combineI8F(float64(d), scale, offset, bias, qscale, sumQ)
-}
-
-// combineI8F is combineI8 for a dot that was accumulated in float64. The
-// conversion float64(int32) is exact, so routing both kernels through the
-// same statement sequence keeps every score bitwise identical regardless
-// of which representation carried the (always exact) integer dot.
-func combineI8F(d, scale, offset, bias, qscale, sumQ float64) float64 {
 	// one rounding per step: the float64 conversions forbid the compiler
 	// from fusing a product into the following add (the spec allows
 	// fusion otherwise, and arm64 and GOAMD64=v3 builds do it), so every
 	// build rounds exactly like the unfused vector combine of the fused
 	// sweep kernel
 	m := float64(qscale * scale)
-	a := float64(m * d)
+	a := float64(m * float64(d))
 	c := float64(offset * sumQ)
 	s := a + c
 	return s + bias
@@ -324,7 +316,7 @@ func combineI8F(d, scale, offset, bias, qscale, sumQ float64) float64 {
 //
 // On AVX2 hosts the whole 4-row block — dot over all of k including the
 // k%8 tail, the vector combine (separate multiplies and adds, never FMA,
-// so each lane rounds exactly like combineI8F), the compare against the
+// so each lane rounds exactly like combineI8), the compare against the
 // broadcast tau and the emission of surviving lanes — runs in one
 // assembly loop; elsewhere MatVecBiasI8 scores the slab and a scalar pass
 // compacts the survivors.
@@ -398,219 +390,6 @@ func sweepBiasI8AboveRef(factors []int8, k int, scale, offset, bias []float64, u
 		}
 	}
 	return c
-}
-
-// widenK and widenGroup bound the stack buffers of the widened multi-query
-// fast path: factor dimensionalities up to widenK and query groups up to
-// widenGroup go through matVecBiasI8MultiWidened; anything larger falls
-// back to the per-query integer loop, which produces the identical scores.
-// The widened path serves only the generic dispatch arm — when the SIMD
-// kernels are active the assembly blocks process the int8 codes directly
-// and are strictly faster than widening them to float64 first.
-const (
-	widenK     = 256
-	widenGroup = 8
-)
-
-// MatVecBiasI8Multi is the cache-blocked multi-query sweep: each 4-row
-// block of the slab is scored against every query of the group before the
-// sweep advances, so a group of B queries reads the slab bytes once
-// instead of B times. dsts[qi][r] receives query qi's score of row r. The
-// integer dots are exact and the combine replicates DotBiasI8, so every
-// score is bitwise identical to the single-query kernels'. It panics on
-// any shape mismatch, including a query group larger than the dst group.
-func MatVecBiasI8Multi(factors []int8, k int, scale, offset, bias []float64, us [][]int8, qscales, sumQs []float64, dsts [][]float64) {
-	rows := len(bias)
-	if len(factors) != rows*k {
-		panicSlab("MatVecBiasI8Multi", len(factors), rows, k)
-	}
-	if len(scale) != rows || len(offset) != rows {
-		panic(fmt.Sprintf("vecmath: MatVecBiasI8Multi param lengths %d/%d != rows %d", len(scale), len(offset), rows))
-	}
-	if len(us) != len(qscales) || len(us) != len(sumQs) || len(us) > len(dsts) {
-		panic(fmt.Sprintf("vecmath: MatVecBiasI8Multi group lengths %d/%d/%d/%d mismatch", len(us), len(qscales), len(sumQs), len(dsts)))
-	}
-	for qi, u := range us {
-		if len(u) != k {
-			panic(fmt.Sprintf("vecmath: MatVecBiasI8Multi query %d length %d != k %d", qi, len(u), k))
-		}
-	}
-	n8 := k &^ 7
-	r := 0
-	if simdActive && n8 > 0 {
-		var out [4]int32
-		for ; r+4 <= rows; r += 4 {
-			for qi, u := range us {
-				dot4I8SIMD(&factors[r*k], k, &u[0], n8, &out)
-				d0, d1, d2, d3 := out[0], out[1], out[2], out[3]
-				if n8 < k {
-					r0 := factors[r*k:][:k]
-					r1 := factors[(r+1)*k:][:k]
-					r2 := factors[(r+2)*k:][:k]
-					r3 := factors[(r+3)*k:][:k]
-					for i := n8; i < k; i++ {
-						ua := int32(u[i])
-						d0 += ua * int32(r0[i])
-						d1 += ua * int32(r1[i])
-						d2 += ua * int32(r2[i])
-						d3 += ua * int32(r3[i])
-					}
-				}
-				dst := dsts[qi]
-				dst[r] = combineI8(d0, scale[r], offset[r], bias[r], qscales[qi], sumQs[qi])
-				dst[r+1] = combineI8(d1, scale[r+1], offset[r+1], bias[r+1], qscales[qi], sumQs[qi])
-				dst[r+2] = combineI8(d2, scale[r+2], offset[r+2], bias[r+2], qscales[qi], sumQs[qi])
-				dst[r+3] = combineI8(d3, scale[r+3], offset[r+3], bias[r+3], qscales[qi], sumQs[qi])
-			}
-		}
-		for ; r < rows; r++ {
-			row := factors[r*k : (r+1)*k]
-			for qi, u := range us {
-				dsts[qi][r] = DotBiasI8(u, row, scale[r], offset[r], bias[r], qscales[qi], sumQs[qi])
-			}
-		}
-		return
-	}
-	if k <= widenK && len(us) <= widenGroup {
-		matVecBiasI8MultiWidened(factors, k, scale, offset, bias, us, qscales, sumQs, dsts)
-		return
-	}
-	for ; r+4 <= rows; r += 4 {
-		for qi, u := range us {
-			r0 := factors[r*k:][:len(u)]
-			r1 := factors[(r+1)*k:][:len(u)]
-			r2 := factors[(r+2)*k:][:len(u)]
-			r3 := factors[(r+3)*k:][:len(u)]
-			var d0, d1, d2, d3 int32
-			i := 0
-			for ; i+2 <= len(u); i += 2 {
-				ua, ub := int32(u[i]), int32(u[i+1])
-				d0 += ua*int32(r0[i]) + ub*int32(r0[i+1])
-				d1 += ua*int32(r1[i]) + ub*int32(r1[i+1])
-				d2 += ua*int32(r2[i]) + ub*int32(r2[i+1])
-				d3 += ua*int32(r3[i]) + ub*int32(r3[i+1])
-			}
-			if i < len(u) {
-				ua := int32(u[i])
-				d0 += ua * int32(r0[i])
-				d1 += ua * int32(r1[i])
-				d2 += ua * int32(r2[i])
-				d3 += ua * int32(r3[i])
-			}
-			dst := dsts[qi]
-			dst[r] = combineI8(d0, scale[r], offset[r], bias[r], qscales[qi], sumQs[qi])
-			dst[r+1] = combineI8(d1, scale[r+1], offset[r+1], bias[r+1], qscales[qi], sumQs[qi])
-			dst[r+2] = combineI8(d2, scale[r+2], offset[r+2], bias[r+2], qscales[qi], sumQs[qi])
-			dst[r+3] = combineI8(d3, scale[r+3], offset[r+3], bias[r+3], qscales[qi], sumQs[qi])
-		}
-	}
-	for ; r < rows; r++ {
-		row := factors[r*k : (r+1)*k]
-		for qi, u := range us {
-			dsts[qi][r] = DotBiasI8(u, row, scale[r], offset[r], bias[r], qscales[qi], sumQs[qi])
-		}
-	}
-}
-
-// matVecBiasI8MultiWidened is the fast path of MatVecBiasI8Multi. The
-// int8 codes of each 4-row block are widened to float64 once and reused
-// by every query of the group, so the widen-and-load work a per-query
-// sweep pays on every slab pass is amortized across the group — this,
-// beyond the slab-byte reuse, is where the blocked kernel's speedup
-// comes from. The arithmetic stays exact: every product is an integer
-// ≤ 127² and every partial sum an integer below MaxDotLenI8·127² < 2⁵³,
-// so float64 addition never rounds, the accumulated dot equals the int32
-// dot bit for bit, and the combineI8F tail reproduces DotBiasI8's
-// statement sequence exactly.
-func matVecBiasI8MultiWidened(factors []int8, k int, scale, offset, bias []float64, us [][]int8, qscales, sumQs []float64, dsts [][]float64) {
-	rows := len(bias)
-	var uw [widenGroup][widenK]float64
-	for qi, u := range us {
-		for j, v := range u {
-			uw[qi][j] = float64(v)
-		}
-	}
-	var w0, w1, w2, w3 [widenK]float64
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		r0 := factors[r*k:][:k]
-		r1 := factors[(r+1)*k:][:k]
-		r2 := factors[(r+2)*k:][:k]
-		r3 := factors[(r+3)*k:][:k]
-		for j := 0; j < k; j++ {
-			w0[j] = float64(r0[j])
-			w1[j] = float64(r1[j])
-			w2[j] = float64(r2[j])
-			w3[j] = float64(r3[j])
-		}
-		// query pairs: the four row loads per lane are shared by both
-		// queries, halving the load traffic per multiply. Reassociating
-		// the sums is free — every partial sum is an exact integer below
-		// 2⁵³, so any accumulation order produces the same bits.
-		qi := 0
-		for ; qi+2 <= len(us); qi += 2 {
-			u0, u1 := uw[qi][:k], uw[qi+1][:k]
-			var a00, a01, a02, a03, a10, a11, a12, a13 float64
-			for i := 0; i < k; i++ {
-				f0, f1, f2, f3 := w0[i], w1[i], w2[i], w3[i]
-				x0, x1 := u0[i], u1[i]
-				a00 += x0 * f0
-				a01 += x0 * f1
-				a02 += x0 * f2
-				a03 += x0 * f3
-				a10 += x1 * f0
-				a11 += x1 * f1
-				a12 += x1 * f2
-				a13 += x1 * f3
-			}
-			d0, d1 := dsts[qi], dsts[qi+1]
-			qs0, sq0 := qscales[qi], sumQs[qi]
-			qs1, sq1 := qscales[qi+1], sumQs[qi+1]
-			d0[r] = combineI8F(a00, scale[r], offset[r], bias[r], qs0, sq0)
-			d0[r+1] = combineI8F(a01, scale[r+1], offset[r+1], bias[r+1], qs0, sq0)
-			d0[r+2] = combineI8F(a02, scale[r+2], offset[r+2], bias[r+2], qs0, sq0)
-			d0[r+3] = combineI8F(a03, scale[r+3], offset[r+3], bias[r+3], qs0, sq0)
-			d1[r] = combineI8F(a10, scale[r], offset[r], bias[r], qs1, sq1)
-			d1[r+1] = combineI8F(a11, scale[r+1], offset[r+1], bias[r+1], qs1, sq1)
-			d1[r+2] = combineI8F(a12, scale[r+2], offset[r+2], bias[r+2], qs1, sq1)
-			d1[r+3] = combineI8F(a13, scale[r+3], offset[r+3], bias[r+3], qs1, sq1)
-		}
-		if qi < len(us) {
-			u := uw[qi][:k]
-			var a0, a1, a2, a3, b0, b1, b2, b3 float64
-			i := 0
-			for ; i+2 <= k; i += 2 {
-				x, y := u[i], u[i+1]
-				a0 += x * w0[i]
-				b0 += y * w0[i+1]
-				a1 += x * w1[i]
-				b1 += y * w1[i+1]
-				a2 += x * w2[i]
-				b2 += y * w2[i+1]
-				a3 += x * w3[i]
-				b3 += y * w3[i+1]
-			}
-			if i < k {
-				x := u[i]
-				a0 += x * w0[i]
-				a1 += x * w1[i]
-				a2 += x * w2[i]
-				a3 += x * w3[i]
-			}
-			dst := dsts[qi]
-			qs, sq := qscales[qi], sumQs[qi]
-			dst[r] = combineI8F(a0+b0, scale[r], offset[r], bias[r], qs, sq)
-			dst[r+1] = combineI8F(a1+b1, scale[r+1], offset[r+1], bias[r+1], qs, sq)
-			dst[r+2] = combineI8F(a2+b2, scale[r+2], offset[r+2], bias[r+2], qs, sq)
-			dst[r+3] = combineI8F(a3+b3, scale[r+3], offset[r+3], bias[r+3], qs, sq)
-		}
-	}
-	for ; r < rows; r++ {
-		row := factors[r*k : (r+1)*k]
-		for qi, u := range us {
-			dsts[qi][r] = DotBiasI8(u, row, scale[r], offset[r], bias[r], qscales[qi], sumQs[qi])
-		}
-	}
 }
 
 // MatrixI8 is a dense compact row-major int8 matrix paired with nothing:

@@ -5,15 +5,13 @@ import (
 	"testing"
 )
 
-// The int8 kernels must agree bitwise between the row-at-a-time form, the
-// blocked single-query sweep, and the blocked multi-query sweep — across
-// the 4-row blocking boundary, the odd-k remainder, the widened fast
-// path, and both of its fallbacks (query groups past widenGroup, factor
-// dims past widenK).
+// The int8 kernels must agree bitwise between the row-at-a-time form and
+// the blocked sweep — across the 4-row blocking boundary, the odd-k
+// remainder, and a factor dimensionality past 256.
 func TestMatVecBiasI8MatchesDotBiasI8(t *testing.T) {
 	rng := NewRNG(42)
 	for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 64, 65} {
-		for _, k := range []int{1, 2, 3, 5, 8, 20, widenK + 7} {
+		for _, k := range []int{1, 2, 3, 5, 8, 20, 263} {
 			factors := make([]int8, rows*k)
 			scale := make([]float64, rows)
 			offset := make([]float64, rows)
@@ -39,31 +37,6 @@ func TestMatVecBiasI8MatchesDotBiasI8(t *testing.T) {
 				want := DotBiasI8(u, factors[r*k:(r+1)*k], scale[r], offset[r], bias[r], qscale, sumQ)
 				if dst[r] != want {
 					t.Fatalf("rows=%d k=%d row %d: blocked %v != rowwise %v", rows, k, r, dst[r], want)
-				}
-			}
-
-			// group sizes 1 and 3 take the widened fast path (for k within
-			// widenK), widenGroup is its boundary, widenGroup+1 forces the
-			// integer fallback; all must reproduce dst bitwise
-			for _, group := range []int{1, 3, widenGroup, widenGroup + 1} {
-				us := make([][]int8, group)
-				qscales := make([]float64, group)
-				sumQs := make([]float64, group)
-				dsts := make([][]float64, group)
-				for g := range us {
-					us[g] = u
-					qscales[g] = qscale
-					sumQs[g] = sumQ
-					dsts[g] = make([]float64, rows)
-				}
-				MatVecBiasI8Multi(factors, k, scale, offset, bias, us, qscales, sumQs, dsts)
-				for g := range dsts {
-					for r := 0; r < rows; r++ {
-						if dsts[g][r] != dst[r] {
-							t.Fatalf("rows=%d k=%d group=%d query %d row %d: multi %v != single %v",
-								rows, k, group, g, r, dsts[g][r], dst[r])
-						}
-					}
 				}
 			}
 		}
@@ -191,18 +164,6 @@ func TestI8Panics(t *testing.T) {
 		},
 		"MatVecBiasI8 query": func() {
 			MatVecBiasI8(make([]int8, 4), 2, make([]float64, 2), make([]float64, 2), make([]float64, 2), make([]int8, 3), 1, 0, make([]float64, 2))
-		},
-		"MatVecBiasI8Multi slab": func() {
-			MatVecBiasI8Multi(make([]int8, 3), 2, make([]float64, 2), make([]float64, 2), make([]float64, 2),
-				[][]int8{make([]int8, 2)}, []float64{1}, []float64{0}, [][]float64{make([]float64, 2)})
-		},
-		"MatVecBiasI8Multi group": func() {
-			MatVecBiasI8Multi(make([]int8, 4), 2, make([]float64, 2), make([]float64, 2), make([]float64, 2),
-				[][]int8{make([]int8, 2)}, []float64{1, 2}, []float64{0}, [][]float64{make([]float64, 2)})
-		},
-		"MatVecBiasI8Multi query": func() {
-			MatVecBiasI8Multi(make([]int8, 4), 2, make([]float64, 2), make([]float64, 2), make([]float64, 2),
-				[][]int8{make([]int8, 3)}, []float64{1}, []float64{0}, [][]float64{make([]float64, 2)})
 		},
 		"NewMatrixI8":         func() { NewMatrixI8(-1, 2) },
 		"QuantizeFrom slab":   func() { NewMatrixI8(2, 2).QuantizeFrom(make([]float64, 3), make([]float64, 2), make([]float64, 2)) },

@@ -3,8 +3,8 @@ package tfrec
 // BenchmarkSharded* measure the PR-2 multi-core serving paths on a
 // catalog large enough that the item slab (50k x 32 floats ≈ 12.8 MB)
 // cannot live in one core's cache: the sharded pool sweep at several
-// worker counts against the serial reference, the saturated-throughput
-// regime, and the coalesced multi-query batch sweep. These benches are
+// worker counts against the serial reference and the saturated-throughput
+// regime. These benches are
 // the subjects of the CI bench-regression gate (cmd/tfrec-benchgate,
 // BENCH_baseline.json); all report allocations because the single-query
 // pool path must stay allocation-free.
@@ -81,24 +81,6 @@ func runSaturated(b *testing.B, pool *infer.Pool, c *model.Composed, q []float64
 	})
 }
 
-// runBatch times ExecuteBatch over qs, every query under pl; ns/op is
-// per-batch.
-func runBatch(b *testing.B, c *model.Composed, qs [][]float64, pl infer.Plan) {
-	b.Helper()
-	pls := make([]infer.Plan, len(qs))
-	for i := range pls {
-		pls[i] = pl
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (*infer.Pool)(nil).ExecuteBatch(ctx, c, qs, pls); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkShardedTopKSerial is the single-core reference the parallel
 // sweep is gated against (the ≥2x criterion compares workers=4 to this).
 func BenchmarkShardedTopKSerial(b *testing.B) {
@@ -125,47 +107,4 @@ func BenchmarkShardedTopKSaturated(b *testing.B) {
 	pool := infer.NewPool(0)
 	defer pool.Close()
 	runSaturated(b, pool, c, q, f64Top10)
-}
-
-// BenchmarkShardedBatchSweep scores a coalesced batch with one pass over
-// the slab; BenchmarkShardedBatchLoop is the same work as independent
-// sweeps. Their ratio is the cache win of request batching; ns/op is
-// per-batch in both.
-func BenchmarkShardedBatchSweep(b *testing.B) {
-	for _, batch := range []int{4, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			c, qs := benchBatchQueries(b, batch)
-			runBatch(b, c, qs, f64Top10)
-		})
-	}
-}
-
-func BenchmarkShardedBatchLoop(b *testing.B) {
-	for _, batch := range []int{4, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			c, qs := benchBatchQueries(b, batch)
-			st := vecmath.NewTopKStream(10)
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range qs {
-					if _, err := infer.ExecuteInto(ctx, c, q, f64Top10, st); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-func benchBatchQueries(b *testing.B, batch int) (*model.Composed, [][]float64) {
-	c, base := benchShardedWorld(b)
-	qs := make([][]float64, batch)
-	for i := range qs {
-		qs[i] = make([]float64, len(base))
-		copy(qs[i], base)
-		qs[i][i%len(base)] += float64(i) * 0.25
-	}
-	return c, qs
 }
