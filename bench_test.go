@@ -409,11 +409,11 @@ func BenchmarkTopKIndexStreamingParallel(b *testing.B) {
 }
 
 // BenchmarkDiversifiedInference runs the quota plan at every precision
-// tier: diversified rides the naive two-stage pipelines, so f32 and int8
-// must come in at or under f64 here, as they do for the plain sweep.
+// tier: diversified rides the naive sweep, so int8 must come in at or
+// under f64 here, as it does for the plain sweep.
 func BenchmarkDiversifiedInference(b *testing.B) {
 	c, q := benchComposedForTopK(b)
-	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8} {
+	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionInt8} {
 		b.Run(prec.String(), func(b *testing.B) {
 			pl := infer.Plan{Strategy: infer.StrategyDiversified, K: 10, Precision: prec,
 				Diversify: &infer.Diversify{MaxPerCategory: 2, CatDepth: c.Tree.Depth() - 1}}

@@ -39,7 +39,7 @@ func main() {
 	topk := flag.Int("topk", 10, "cut for precision/recall/NDCG")
 	catDepth := flag.Int("cat-depth", 1, "taxonomy depth for category metrics")
 	workers := flag.Int("workers", 0, "evaluation goroutines (0 = GOMAXPROCS)")
-	precision := flag.String("precision", "", "top-k scoring precision: f32 (two-stage compact-slab pipeline), f64, int8 (two-stage quantized pipeline), or empty for the host's fastest tier (int8 on AVX2, else f32); every tier gives identical metrics")
+	precision := flag.String("precision", "", "top-k scoring precision: f64 (the exact sweep), int8 (two-stage quantized pipeline), or empty for the host's tier (int8 on AVX2, else f64); the retired f32 runs the host's tier; every tier gives identical metrics")
 	pruned := flag.Bool("pruned", false, "score top-k via the branch-and-bound taxonomy descent (identical metrics; throughput knob)")
 	flag.Parse()
 

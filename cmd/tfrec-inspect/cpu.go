@@ -5,12 +5,15 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/model"
 	"repro/internal/vecmath"
 )
 
 // cpuReport prints the active vecmath kernel dispatch — the same table
-// /v1/stats serves as inference.kernels — so an operator can check what
-// a host will run without starting a server or loading a model.
+// /v1/stats serves as inference.kernels — and the sweep tier it selects
+// (inference.precision: int8 where the fused int8 kernel runs, f64
+// elsewhere), so an operator can check what a host will run without
+// starting a server or loading a model.
 func cpuReport(w io.Writer) {
 	ks := vecmath.Kernels()
 	fmt.Fprintf(w, "kernel dispatch: %s\n", vecmath.KernelsID())
@@ -29,6 +32,7 @@ func cpuReport(w io.Writer) {
 	if ks.Disabled != "" {
 		fmt.Fprintf(w, "  simd off: %s\n", ks.Disabled)
 	}
+	fmt.Fprintf(w, "  tier:     %s\n", model.PrecisionDefault.Resolve())
 	ops := make([]string, 0, len(ks.Ops))
 	for op := range ks.Ops {
 		ops = append(ops, op)

@@ -70,7 +70,7 @@ type scenario struct {
 	Keep             float64 `json:"keep"`             // cascade keep fraction
 	MaxPerCategory   int     `json:"max_per_category"` // diversified quota
 	CatDepth         int     `json:"cat_depth"`
-	Precision        string  `json:"precision"` // "", "f32", "f64", "int8" (query param; validated, no effect)
+	Precision        string  `json:"precision"` // "", "f32", "f64", "int8" (query param; validated, no effect; "f32" names the retired tier and still parses)
 	Workers          int     `json:"workers"`   // > 0 sends ?workers= (validated, no effect)
 	Pruned           bool    `json:"pruned"`    // branch-and-bound taxonomy descent (query param)
 	Session          bool    `json:"session"`   // user = -1 (needs markov_order > 0)

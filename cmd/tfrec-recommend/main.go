@@ -43,7 +43,7 @@ func main() {
 	maxPerCat := flag.Int("max-per-category", 2, "category quota (with -strategy diversified)")
 	catDepth := flag.Int("cat-depth", 0, "quota category depth (0 = lowest category level)")
 	workers := flag.Int("workers", 1, "parallel sweep workers (0 = GOMAXPROCS, 1 = serial)")
-	precision := flag.String("precision", "", "scoring precision: f32, f64 (the exact reference sweep), int8, or empty for the host's fastest tier (int8 on AVX2, else f32); every tier ranks identically")
+	precision := flag.String("precision", "", "scoring precision: f64 (the exact reference sweep), int8 (two-stage quantized pipeline), or empty for the host's tier (int8 on AVX2, else f64); the retired f32 runs the host's tier; every tier ranks identically")
 	excludePurchased := flag.Bool("exclude-purchased", false, "drop items the user already bought")
 	category := flag.String("category", "", "comma-separated taxonomy node ids to restrict results to")
 	excludeCategory := flag.String("exclude-category", "", "comma-separated taxonomy node ids to remove")

@@ -86,15 +86,15 @@ func BenchmarkTopKFiltered(b *testing.B) {
 	}
 }
 
-// BenchmarkTopKFilteredF32 is the excl=95 case through the default
-// two-stage f32 pipeline — the shape a filtered production request
-// actually runs.
-func BenchmarkTopKFilteredF32(b *testing.B) {
+// BenchmarkTopKFilteredI8 is the excl=95 case through the two-stage
+// int8 pipeline — the shape a filtered production request runs where the
+// fused int8 kernel is served.
+func BenchmarkTopKFilteredI8(b *testing.B) {
 	c, q := benchShardedWorld(b)
 	flt := filteredPlans(c)["excl=95"]
-	pl := infer.Plan{K: 10, Precision: model.PrecisionF32, Filter: flt}
+	pl := infer.Plan{K: 10, Precision: model.PrecisionInt8, Filter: flt}
 	st := vecmath.NewTopKStream(10)
-	// warm the compact slabs and scratch pools outside the timer
+	// warm the quantized slabs and scratch pools outside the timer
 	if _, err := infer.ExecuteInto(context.Background(), c, q, pl, st); err != nil {
 		b.Fatal(err)
 	}

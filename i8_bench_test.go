@@ -1,26 +1,21 @@
 package tfrec
 
 // BenchmarkTopKI8* measure the quantized int8 two-stage pipeline (int8
-// slab sweep into an over-fetched candidate heap, exact f64 rescore)
-// against the f32 pipeline of the same shapes. The gated pairs (see
+// slab sweep into an over-fetched candidate heap, exact f64 rescore) —
+// the tier served where the fused AVX2 kernel runs — against the exact
+// f64 sweep of the same shapes. The gated pairs (see
 // BENCH_baseline.json):
 //
-//	BenchmarkTopKF32Saturated vs BenchmarkTopKI8Saturated  (≥1.3x, ≥4 cores)
-//	BenchmarkTopKF32Wide      vs BenchmarkTopKI8Wide       (≥1.0x, amd64/avx2 dispatch)
+//	BenchmarkTopKF64Wide       vs BenchmarkTopKI8Wide       (≥1.5x, amd64/avx2 dispatch)
+//	BenchmarkShardedTopKSerial vs BenchmarkTopKI8Saturated  (≥2x, ≥4 cores)
 //
-// The saturated pair is a bandwidth
-// story: concurrent f32 sweeps stream ~4x the bytes of the quarter-size
-// int8 slab and starve when every core contends, hence that floor gates
-// only on ≥4-core machines, like the pool's other parallel-scaling
-// floors. The wide single-core pair is the story the SIMD kernels
-// (DESIGN.md §5.13) flipped: under scalar kernels int8 trailed f32 on a
-// quiet core (integer multiplies issue on one port, float on two, and
-// an L3-resident slab feeds f32's extra bytes for free — recorded
-// honestly at ~0.83x in the pre-SIMD baselines), but AVX2 multiplies 32
-// int8 codes per instruction against 8 f32 lanes, putting the wide
-// sweep ~2x ahead. The ≥1.0x floor is conditioned on the amd64/avx2
-// kernel set so generic-dispatch machines — where the old trade-off
-// still holds — skip it rather than fail it.
+// The wide single-core pair is the sweep-bandwidth story: the int8 slab
+// is an eighth of the f64 bytes and AVX2 multiplies 32 int8 codes per
+// instruction. It is conditioned on the amd64/avx2 kernel set because
+// on generic-dispatch machines the int8 dot and combine run in scalar Go
+// and those hosts serve f64 instead. The saturated pair is the
+// parallel-scaling floor of the served tier under full-core contention,
+// gated only on ≥4-core machines like the pool's other scaling floors.
 // BenchmarkQuantize measures the one-time slab quantization cost a
 // deployment pays on first int8 use.
 
@@ -55,7 +50,7 @@ func BenchmarkQuantize(b *testing.B) {
 }
 
 // BenchmarkTopKI8Wide is the two-stage int8 pipeline on the wide world,
-// gated ≥1.3x over BenchmarkTopKF32Wide with steady-state allocs pinned
+// gated ≥1.5x over BenchmarkTopKF64Wide with steady-state allocs pinned
 // to the plan executor's fixed overhead.
 func BenchmarkTopKI8Wide(b *testing.B) {
 	c, q := benchWideWorld(b)
@@ -78,7 +73,7 @@ func BenchmarkTopKI8Wide(b *testing.B) {
 
 // benchNarrowWorld is the cache-resident regime at train_tf's serving
 // shape: 30k items x 20 dims under {12, 72, 480} categories. The int8
-// item slab is 600 KB and the f32 one 2.4 MB, so bandwidth barely
+// item slab is 600 KB and the f64 one 4.8 MB, so bandwidth barely
 // separates the tiers and the int8 executor's fixed costs (the k%8 code
 // tail, the float64 combine, the threshold compare) decide the pair.
 func benchNarrowWorld(b *testing.B) (*model.Composed, []float64) {
@@ -101,11 +96,11 @@ func benchNarrowWorld(b *testing.B) (*model.Composed, []float64) {
 	return c, q
 }
 
-// BenchmarkTopKF32Narrow is the serial two-stage f32 pipeline on the
-// narrow world — the side the int8 tier must not trail.
-func BenchmarkTopKF32Narrow(b *testing.B) {
+// BenchmarkTopKF64Narrow is the serial exact f64 sweep on the narrow
+// world — the tier hosts without the fused int8 kernel serve.
+func BenchmarkTopKF64Narrow(b *testing.B) {
 	c, q := benchNarrowWorld(b)
-	runExecuteInto(b, nil, c, q, f32Top10)
+	runExecuteInto(b, nil, c, q, f64Top10)
 }
 
 // BenchmarkTopKI8Narrow is the serial fused int8 pipeline on the narrow
@@ -116,11 +111,9 @@ func BenchmarkTopKI8Narrow(b *testing.B) {
 }
 
 // BenchmarkTopKI8Saturated drives the pooled int8 pipeline from all
-// benchmark goroutines at once — the regime the quantized tier exists
-// for. The concurrent f32 sweeps of BenchmarkTopKF32Saturated contend
-// for memory bandwidth on 4x the slab bytes, so on ≥4 cores this pair
-// carries the ≥1.3x int8-over-f32 floor (skipped on smaller machines,
-// where the ratio is meaningless — see the package comment).
+// benchmark goroutines at once — the heavy-traffic regime; on ≥4 cores it
+// carries the ≥2x-over-serial-f64 floor (skipped on smaller machines,
+// where the ratio is meaningless — see the comment above).
 func BenchmarkTopKI8Saturated(b *testing.B) {
 	c, q := benchShardedWorld(b)
 	pool := infer.NewPool(0)

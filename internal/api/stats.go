@@ -107,10 +107,12 @@ type StatsPruning struct {
 
 // StatsInference describes the parallel sweep and precision
 // configuration. Precision is the host's sweep tier, the one every
-// request runs: "int8" where the fused AVX2 int8 kernel runs, else "f32".
-// F32Escalations and I8Escalations count process-wide two-stage margin
-// escalations per tier — a steady climb means scores are tighter than
-// that tier's resolution and requests pay re-sweeps. DiversifyRefetches counts diversified requests' doubled
+// request runs: "int8" where the fused AVX2 int8 kernel runs, else "f64".
+// I8Escalations counts process-wide int8 margin escalations — a steady
+// climb means scores are tighter than the quantization error and requests
+// pay re-sweeps. F32Escalations is always 0: the float32 tier it counted
+// is retired, and the field stays for wire compatibility.
+// DiversifyRefetches counts diversified requests' doubled
 // prefix re-fetches (infer.DiversifyRefetches) — a climb means a few
 // categories dominate the top of the ranking and quota pages cost extra
 // sweeps.

@@ -50,10 +50,11 @@ func EvaluateTopKWorkers(c *model.Composed, history, test *dataset.Dataset, k, w
 }
 
 // EvaluateTopKPrecision is EvaluateTopKWorkers with an explicit scoring
-// precision: model.PrecisionF32 sweeps each user's query through the
-// two-stage compact-slab pipeline. Metrics are identical either way —
-// the f32 pipeline's rankings are byte-identical — so the knob only
-// moves evaluation throughput.
+// precision: model.PrecisionInt8 sweeps each user's query through the
+// two-stage quantized pipeline, and model.PrecisionDefault runs the
+// host's tier. Metrics are identical either way — the int8 pipeline's
+// rankings are byte-identical — so the knob only moves evaluation
+// throughput.
 func EvaluateTopKPrecision(c *model.Composed, history, test *dataset.Dataset, k, workers int, prec model.Precision) (TopKResult, error) {
 	return EvaluateTopKPlan(c, history, test, workers, infer.Plan{K: k, Precision: prec.Resolve(), MaxWorkers: 1})
 }

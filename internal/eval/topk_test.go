@@ -73,7 +73,7 @@ func TestEvaluateTopKWorkersMatchesSerial(t *testing.T) {
 // metric must match EXACTLY (same per-user pages, same reduction order).
 func TestEvaluateTopKPlanPrunedMatchesDense(t *testing.T) {
 	c, hist, test := buildTrainedWorld(t)
-	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8} {
+	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionInt8} {
 		dense := infer.Plan{K: 10, Precision: prec, MaxWorkers: 1}
 		pruned := dense
 		pruned.Pruned = true

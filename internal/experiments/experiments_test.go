@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -236,7 +237,10 @@ func TestFig8abRunsAndMeasures(t *testing.T) {
 
 // Fig. 8b's claim: more workers train an epoch faster. The round engine
 // at one worker is the baseline, so the ratio measures parallelism, not
-// the serial path's lower overhead.
+// the serial path's lower overhead. The 1- and 2-worker epochs run
+// interleaved, alternating, so load from other packages' tests falls on
+// both sides of a pair rather than on one whole attempt, and the gate is
+// the median of the per-pair ratios.
 func TestFig8bParallelBeatsOneWorker(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector serialises memory accesses; timings under it say nothing about scaling")
@@ -244,18 +248,23 @@ func TestFig8bParallelBeatsOneWorker(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("one CPU: two workers cannot run at once")
 	}
-	// other packages' tests may hold a core for a while; the best of a
-	// few attempts is the machine's capability, not its momentary load
-	best := 0.0
-	for attempt := 0; attempt < 3 && best < 1.1; attempt++ {
-		res, err := RunFig8ab(nil, Tiny(), []int{1, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		best = max(best, res.Speedup[1][1])
+	const pairs = 5
+	threads := make([]int, 0, 2*pairs)
+	for range pairs {
+		threads = append(threads, 1, 2)
 	}
-	if best < 1.1 {
-		t.Fatalf("TF speedup at 2 workers = %.2f, want >= 1.1", best)
+	res, err := RunFig8ab(nil, Tiny(), threads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf := res.EpochTime[1]
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		ratios[i] = float64(tf[2*i]) / float64(tf[2*i+1])
+	}
+	slices.Sort(ratios)
+	if med := ratios[pairs/2]; med < 1.1 {
+		t.Fatalf("TF speedup at 2 workers: median %.2f over %d interleaved pairs %.2f, want >= 1.1", med, pairs, ratios)
 	}
 }
 

@@ -353,7 +353,7 @@ func TestPoolPanicUnderMergeMutex(t *testing.T) {
 		}
 	}
 	multiP := runtime.GOMAXPROCS(0) > 1
-	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8} {
+	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionInt8} {
 		pl := Plan{K: 10, Precision: prec}
 		want, err := (*Pool)(nil).Execute(ctx, c, q, pl)
 		if err != nil {
@@ -401,7 +401,7 @@ func TestDiversifiedCancelBetweenRefetchRounds(t *testing.T) {
 	defer func() { refetchHook = nil }()
 	pl := Plan{Strategy: StrategyDiversified, K: 10, Diversify: &Diversify{MaxPerCategory: 2, CatDepth: 2}}
 	for _, p := range []*Pool{nil, pool} {
-		for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8} {
+		for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionInt8} {
 			ctx, cancel := context.WithCancel(context.Background())
 			rounds := 0
 			refetchHook = func() {

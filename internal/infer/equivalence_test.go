@@ -351,7 +351,7 @@ func TestDiversifiedRefetchMatchesLegacy(t *testing.T) {
 				if pl.Strategy == StrategyCascade && ref.Stats.LeavesScored != len(reachedEligible) {
 					t.Fatalf("%s: %d leaves scored, want %d eligible reached", cell, ref.Stats.LeavesScored, len(reachedEligible))
 				}
-				for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8} {
+				for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionInt8} {
 					for _, workers := range []int{1, 2, 4} {
 						pl.Precision, pl.MaxWorkers = prec, workers
 						got, err := pool.Execute(context.Background(), c, q, pl)

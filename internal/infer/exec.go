@@ -54,7 +54,7 @@ func (p *Pool) executeNaive(done <-chan struct{}, c *model.Composed, q []float64
 			pruned = false
 		}
 	}
-	for kp := t.overFetch(k); ; kp *= 2 {
+	for kp := overFetch(k); ; kp *= 2 {
 		if canceled(done) {
 			return
 		}
@@ -77,7 +77,7 @@ func (p *Pool) executeNaive(done <-chan struct{}, c *model.Composed, q []float64
 		if rescore(done, ix, q, &sc.cand, st, tq.eps) {
 			return
 		}
-		t.escalations().Add(1)
+		i8Escalations.Add(1)
 	}
 }
 

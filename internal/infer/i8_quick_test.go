@@ -25,18 +25,20 @@ func execI8(t *testing.T, p *Pool, c *model.Composed, q []float64, k, workers in
 }
 
 // Property: the two-stage int8 pipeline returns rankings byte-identical
-// to the f64 path — order and tie-breaks included — serial and
-// pool-sharded, across shard sizes, worker counts, k (including k at and
-// past the catalog, where the candidate heap covers every item and the
-// quantized sweep is skipped entirely) and all tie regimes. The near-tie
-// regime (gaps ~1e-12, far below any quantization error bound) cannot be
-// separated by the int8 sweep and must come back exact through
-// escalation into the plain f64 sweep.
+// to the f64 path — order and tie-breaks included — for naive, cascaded
+// and diversified sweeps, serial and pool-sharded, across shard sizes,
+// worker counts, k (including k at and past the catalog, where the
+// candidate heap covers every item and the quantized sweep is skipped
+// entirely) and all tie regimes. The near-tie regime (gaps ~1e-12, far
+// below any quantization error bound) cannot be separated by the int8
+// sweep and must come back exact through escalation into the plain f64
+// sweep.
 func TestQuickI8MatchesF64(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
+	ctx := context.Background()
 	f := func(seed uint16, shardRaw, kRaw, sizeRaw, tieRaw uint8) bool {
-		c, q := f32World(t, uint64(seed)+601, shardRaw, kRaw, sizeRaw, tieRaw)
+		c, q := tierWorld(t, uint64(seed)+601, shardRaw, kRaw, sizeRaw, tieRaw)
 		for _, k := range []int{1, 1 + int(kRaw)%10, c.NumItems(), c.NumItems() + 5} {
 			want := serialF64(t, c, q, Plan{K: k}).Items
 			if got := execI8(t, nil, c, q, k, 0); !reflect.DeepEqual(want, got) {
@@ -48,6 +50,30 @@ func TestQuickI8MatchesF64(t *testing.T) {
 					t.Logf("pooled int8 naive diverged (k=%d workers=%d)", k, workers)
 					return false
 				}
+			}
+		}
+		k := 1 + int(kRaw)%15
+		cfg := UniformCascade(c.Tree.Depth(), 0.2+float64(tieRaw%8)/10)
+		casc := Plan{Strategy: StrategyCascade, K: k, Cascade: &cfg}
+		want := serialF64(t, c, q, casc)
+		casc.Precision = model.PrecisionInt8
+		for _, p := range []*Pool{nil, pool} {
+			got, err := p.Execute(ctx, c, q, casc)
+			if err != nil || !reflect.DeepEqual(want.Items, got.Items) || !reflect.DeepEqual(want.Stats, got.Stats) {
+				t.Logf("int8 cascade diverged (pool=%v)", p != nil)
+				return false
+			}
+		}
+		maxPer := 1 + int(tieRaw)%4
+		catDepth := 1 + int(tieRaw)%(c.Tree.Depth()-1)
+		div := Plan{Strategy: StrategyDiversified, K: k, Diversify: &Diversify{MaxPerCategory: maxPer, CatDepth: catDepth}}
+		wantDiv := serialF64(t, c, q, div).Items
+		div.Precision = model.PrecisionInt8
+		for _, p := range []*Pool{nil, pool} {
+			got, err := p.Execute(ctx, c, q, div)
+			if err != nil || !reflect.DeepEqual(wantDiv, got.Items) {
+				t.Logf("int8 diversified diverged (pool=%v)", p != nil)
+				return false
 			}
 		}
 		return true
@@ -65,7 +91,7 @@ func TestQuickMultiI8MatchesF64(t *testing.T) {
 	pool := NewPool(3)
 	defer pool.Close()
 	f := func(seed uint16, shardRaw, kRaw, batchRaw, tieRaw uint8) bool {
-		c, base := f32World(t, uint64(seed)+701, shardRaw, kRaw, batchRaw, tieRaw)
+		c, base := tierWorld(t, uint64(seed)+701, shardRaw, kRaw, batchRaw, tieRaw)
 		batch := 1 + int(batchRaw)%6
 		qs := make([][]float64, batch)
 		pls := make([]Plan, batch)
@@ -148,8 +174,9 @@ func TestI8EscalationNearTiesStaysExact(t *testing.T) {
 	}
 }
 
-// The serial int8 pipeline must not allocate on the steady-state serving
-// path (given a warm scratch pool and materialized quantized slabs).
+// The serial int8 pipeline and the exact f64 sweep must not allocate on
+// the steady-state serving path (given a warm scratch pool and
+// materialized quantized slabs).
 func TestExecuteI8ZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -166,10 +193,12 @@ func TestExecuteI8ZeroAlloc(t *testing.T) {
 		q[i] = rng.NormFloat64()
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// the platform-default plan (the fused int8 sweep on SIMD hosts), the
-	// explicit tier, and the pruned descent over the fused range sweep
+	// the platform-default plan (the fused int8 sweep on SIMD hosts, the
+	// f64 sweep elsewhere), both explicit tiers, and the pruned descent
+	// over the fused range sweep
 	for _, pl := range []Plan{
 		{K: 10},
+		{K: 10, Precision: model.PrecisionF64},
 		{K: 10, Precision: model.PrecisionInt8},
 		{K: 10, Precision: model.PrecisionInt8, Pruned: true},
 	} {

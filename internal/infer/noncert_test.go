@@ -10,20 +10,28 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Score regimes the reduced tiers cannot certify. Every factor is finite
-// (the model survives a Save/Load round trip), but:
+// Score regimes at the edge of what the int8 tier can certify. Every
+// factor is finite (the model survives a Save/Load round trip), but:
 //   - regimeOverflow: rows and query of magnitude ~1e200, every row
-//     sign-consistent, so every exact score overflows to ±Inf;
+//     sign-consistent, so every exact score overflows to ±Inf and so does
+//     the int8 combine (qscale·scale ~1e396), leaving no finite bound;
 //   - regimeNearOverflow: magnitude ~1e150 with mixed signs, so exact
-//     scores stay finite near 1e300 while float32 rounds every factor to
-//     ±Inf;
+//     scores stay finite near 1e300 and the int8 combine and its bound
+//     stay finite too: the certificate runs at the top of float64's range;
 //   - regimeMixed: an ordinary world with a handful of ~1e200 rows whose
-//     float32 scores are NaN (+Inf − Inf) while their exact scores top the
-//     ranking.
+//     exact scores top the ranking and whose quantization step (~1e198)
+//     swamps every ordinary row's score gap;
+//   - regimeWideRows: an ordinary world with a handful of rows spanning
+//     ±1.5e308, whose value range overflows float64, so their int8 code
+//     scale is degenerate and the measured row error is ~1.5e308.
+//
+// Whichever path the int8 tier takes — certificate, escalation or the
+// f64 fallback — its page must be the f64 page.
 const (
 	regimeOverflow = iota
 	regimeNearOverflow
 	regimeMixed
+	regimeWideRows
 	numRegimes
 )
 
@@ -59,10 +67,14 @@ func hugeWorld(t *testing.T, regime int) (*model.Composed, []float64) {
 			}
 		case regimeMixed:
 			switch item % 97 {
-			case 5: // float32 +Inf, exact 2e200
+			case 5: // exact 2e200
 				row[0], row[1] = 1e200, 1e200
-			case 50: // float32 NaN, exact above every +Inf row's
+			case 50: // exact above every case-5 row's
 				row[0], row[1] = 3e200, -0.5e200
+			}
+		case regimeWideRows:
+			if item%97 == 5 {
+				row[0], row[1] = 1.5e308, -1.5e308
 			}
 		}
 	}
@@ -89,14 +101,14 @@ func hugeWorld(t *testing.T, regime int) (*model.Composed, []float64) {
 	return c, q
 }
 
-// Every tier, dense and pruned, filtered and batched, serial and pooled,
-// must return the serial f64 page when the reduced tiers' error bounds
-// cannot certify — no panic, no silently wrong ranking.
+// Both tiers, dense and pruned, filtered and batched, serial and pooled,
+// must return the serial f64 page in every regime — no panic, no
+// silently wrong ranking.
 func TestNonCertifiableRegimesMatchF64(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	ctx := context.Background()
-	precs := []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8}
+	precs := []model.Precision{model.PrecisionF64, model.PrecisionInt8}
 	for regime := 0; regime < numRegimes; regime++ {
 		c, q := hugeWorld(t, regime)
 		flt := &Filter{AllowNodes: c.Tree.Level(1)[:3], ExcludeItems: []int32{5, 50, 147}}

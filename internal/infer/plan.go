@@ -116,7 +116,7 @@ type Plan struct {
 	Strategy Strategy
 	// Precision picks the scoring tier; model.PrecisionDefault resolves
 	// by platform (Precision.Resolve): the two-stage int8 sweep where the
-	// fused int8 kernel runs, the two-stage f32 sweep elsewhere.
+	// fused int8 kernel runs, the exact f64 sweep elsewhere.
 	// PrecisionF64 is the exact one-stage sweep. Rankings are
 	// byte-identical at every tier.
 	Precision model.Precision
@@ -319,28 +319,4 @@ func page(ranked []vecmath.Scored, offset int) []vecmath.Scored {
 		return ranked[len(ranked):]
 	}
 	return ranked[offset:]
-}
-
-// ExecuteBatch runs each plan against its query through Execute, in
-// order, and returns one Result per plan. The first error — a plan
-// validation failure or ErrDeadline — stops the loop and returns no
-// results; a pooled sweep's *TaskPanic is raised as Execute raises it.
-//
-// Deprecated: ExecuteBatch is a loop over Execute; call Execute per query.
-func (p *Pool) ExecuteBatch(ctx context.Context, c *model.Composed, qs [][]float64, pls []Plan) ([]Result, error) {
-	if len(qs) != len(pls) {
-		return nil, fmt.Errorf("infer: batch has %d queries but %d plans", len(qs), len(pls))
-	}
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	results := make([]Result, len(qs))
-	for i := range qs {
-		res, err := p.Execute(ctx, c, qs[i], pls[i])
-		if err != nil {
-			return nil, err
-		}
-		results[i] = res
-	}
-	return results, nil
 }

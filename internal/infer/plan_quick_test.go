@@ -116,11 +116,11 @@ func samePage(want, got []vecmath.Scored) bool {
 	return true
 }
 
-// executeAll runs one plan across {serial, Pool} × {f64, f32, int8} and
+// executeAll runs one plan across {serial, Pool} × {f64, int8} and
 // reports whether every combination produced the identical page.
 func executeAll(t *testing.T, pool *Pool, c *model.Composed, q []float64, pl Plan, want []vecmath.Scored) bool {
 	t.Helper()
-	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8} {
+	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionInt8} {
 		for _, p := range []*Pool{nil, pool} {
 			pl.Precision = prec
 			res, err := p.Execute(context.Background(), c, q, pl)
@@ -139,13 +139,13 @@ func executeAll(t *testing.T, pool *Pool, c *model.Composed, q []float64, pl Pla
 }
 
 // Property: a filtered naive plan equals the brute-force filter-then-rank
-// oracle, byte-identically, across {serial, Pool} × {f64, f32}, shard
+// oracle, byte-identically, across {serial, Pool} × {f64, int8}, shard
 // sizes, offsets and every tie regime.
 func TestQuickFilteredNaivePlanMatchesOracle(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	f := func(seed uint16, shardRaw, kRaw, sizeRaw, tieRaw uint8, fltRaw uint16) bool {
-		c, q := f32World(t, uint64(seed)+307, shardRaw, kRaw, sizeRaw, tieRaw)
+		c, q := tierWorld(t, uint64(seed)+307, shardRaw, kRaw, sizeRaw, tieRaw)
 		flt := randomFilter(c, fltRaw)
 		eligible := eligibleSet(c, flt)
 		scores := make(map[int]float64)
@@ -180,7 +180,7 @@ func TestQuickFilteredDiversifiedPlanMatchesOracle(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	f := func(seed uint16, shardRaw, kRaw, sizeRaw, tieRaw uint8, fltRaw uint16) bool {
-		c, q := f32World(t, uint64(seed)+409, shardRaw, kRaw, sizeRaw, tieRaw)
+		c, q := tierWorld(t, uint64(seed)+409, shardRaw, kRaw, sizeRaw, tieRaw)
 		flt := randomFilter(c, fltRaw)
 		eligible := eligibleSet(c, flt)
 		k := 1 + int(kRaw)%10
@@ -240,7 +240,7 @@ func TestQuickFilteredCascadePlanMatchesOracle(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	f := func(seed uint16, shardRaw, kRaw, sizeRaw, tieRaw uint8, fltRaw uint16) bool {
-		c, q := f32World(t, uint64(seed)+511, shardRaw, kRaw, sizeRaw, tieRaw)
+		c, q := tierWorld(t, uint64(seed)+511, shardRaw, kRaw, sizeRaw, tieRaw)
 		flt := randomFilter(c, fltRaw)
 		eligible := eligibleSet(c, flt)
 		cfg := UniformCascade(c.Tree.Depth(), 0.2+float64(tieRaw%8)/10)
@@ -278,7 +278,7 @@ func TestQuickFilteredCascadePlanMatchesOracle(t *testing.T) {
 func TestExecuteBatchMatchesPerQuery(t *testing.T) {
 	pool := NewPool(3)
 	defer pool.Close()
-	c, base := f32World(t, 131, 17, 4, 2, 0)
+	c, base := tierWorld(t, 131, 17, 4, 2, 0)
 	rng := vecmath.NewRNG(977)
 	qs := make([][]float64, 5)
 	pls := make([]Plan, 5)
@@ -326,7 +326,7 @@ func TestExecuteBatchMatchesPerQuery(t *testing.T) {
 // leave K-larger-than-catalog to heap semantics (the serve boundary owns
 // that limit).
 func TestPlanValidation(t *testing.T) {
-	c, q := f32World(t, 151, 11, 3, 1, 0)
+	c, q := tierWorld(t, 151, 11, 3, 1, 0)
 	for name, pl := range map[string]Plan{
 		"zero k":            {K: 0},
 		"negative k":        {K: -7},

@@ -74,7 +74,7 @@ var (
 )
 
 // PruneStats is a snapshot of the process-wide branch-and-bound counters,
-// the observability mirror of F32Escalations/I8Escalations for the pruned
+// the observability mirror of I8Escalations for the pruned
 // path. ItemsPruned versus the catalog size is the fraction of dense
 // sweep work the taxonomy bounds saved; a high Fallbacks count means
 // requests ask for pruning that the plan shape (huge K, tiny filters) or
@@ -299,8 +299,7 @@ func (ps *pruneState) prunableMass(eps, th float64) bool {
 
 // descend runs the best-first branch-and-bound walk. eps is the tier's
 // total prune allowance: ItemPruneBound(q) for the f64 tier, plus the
-// tier scoring error (ItemErrBound32/ItemErrBoundI8) for a
-// reduced-precision stage-one heap, so a pruned item's tier score is
+// tier scoring error (ItemErrBoundI8) for an int8 stage-one heap, so a pruned item's tier score is
 // strictly below the stage-one threshold too. When wantDefer is set and
 // the heap has filled over a seed's worth of inline sweeping, surviving
 // ranges are appended to ps.ranges for the caller to fan out instead of

@@ -12,7 +12,7 @@ import (
 
 // Property: a pruned naive plan returns pages byte-identical to the
 // brute-force oracle — and therefore to the unpruned plan — across
-// {serial, Pool} × {f64, f32, int8}, shard sizes, worker counts, k,
+// {serial, Pool} × {f64, int8}, shard sizes, worker counts, k,
 // offsets, filters and every tie regime. The tie regimes double as the
 // adversarial bound surface: with zeroed factors (tieRaw%4 != 0) every
 // per-dimension envelope is exactly tight and every subtree bound sits
@@ -22,7 +22,7 @@ func TestQuickPrunedMatchesOracle(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	f := func(seed uint16, shardRaw, kRaw, sizeRaw, tieRaw uint8, fltRaw uint16) bool {
-		c, q := f32World(t, uint64(seed)+811, shardRaw, kRaw, sizeRaw, tieRaw)
+		c, q := tierWorld(t, uint64(seed)+811, shardRaw, kRaw, sizeRaw, tieRaw)
 		var flt *Filter
 		if fltRaw%3 != 0 { // mix unfiltered and filtered descents
 			flt = randomFilter(c, fltRaw)
@@ -51,7 +51,7 @@ func TestQuickPrunedFallbackMatchesOracle(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	f := func(seed uint16, shardRaw, kRaw, sizeRaw, tieRaw uint8) bool {
-		c, q := f32World(t, uint64(seed)+977, shardRaw, kRaw, sizeRaw, tieRaw)
+		c, q := tierWorld(t, uint64(seed)+977, shardRaw, kRaw, sizeRaw, tieRaw)
 		scores := make(map[int]float64)
 		for item := 0; item < c.NumItems(); item++ {
 			scores[item] = c.Index.ScoreItem(item, q)
@@ -115,7 +115,7 @@ func TestPrunedSkewedWorldPrunesAndMatches(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	c, q := prunedSkewedWorld(t)
-	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionF32, model.PrecisionInt8} {
+	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionInt8} {
 		for _, workers := range []int{0, 4} {
 			dense := Plan{K: 10, Precision: prec, MaxWorkers: workers}
 			pruned := dense
@@ -237,7 +237,7 @@ func TestPrunedDeferredRangesMatchOracle(t *testing.T) {
 // The dense fallback (k covers the catalog) must bump the fallback
 // counter and leave the page identical to the dense sweep.
 func TestPrunedFallbackCounter(t *testing.T) {
-	c, q := f32World(t, 5150, 7, 3, 2, 0)
+	c, q := tierWorld(t, 5150, 7, 3, 2, 0)
 	k := c.NumItems() + 1
 	want := serialF64(t, c, q, Plan{K: k}).Items
 	before := PruneCounters()
@@ -255,7 +255,7 @@ func TestPrunedFallbackCounter(t *testing.T) {
 // Pruned is a naive-only knob: every other strategy must fail validation,
 // and a pruned plan in a batch must answer its per-query Execute page.
 func TestPrunedPlanValidation(t *testing.T) {
-	c, q := f32World(t, 6006, 1, 2, 1, 0)
+	c, q := tierWorld(t, 6006, 1, 2, 1, 0)
 	cc := UniformCascade(c.Tree.Depth(), 0.5)
 	for _, st := range []Strategy{StrategyCascade, StrategyDiversified} {
 		pl := Plan{K: 3, Strategy: st, Pruned: true, Cascade: &cc,

@@ -311,21 +311,6 @@ func f64View(b []byte) []float64 {
 	return out
 }
 
-func f32View(b []byte) []float32 {
-	n := len(b) / 4
-	if n == 0 {
-		return nil
-	}
-	if hostLittle {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
 func i32View(b []byte) []int32 {
 	n := len(b) / 4
 	if n == 0 {

@@ -37,21 +37,11 @@ type ScoringIndex struct {
 	nodeFactors []float64 // numNodes x k, node-major
 	nodeBias    []float64 // numNodes
 
-	// Compact float32 mirror of the item slab (bias folded the same way),
-	// at half the bytes per row, built lazily on first f32 use so a host
-	// sweeping another tier never pays the extra 50% slab memory. The
-	// two-stage serving pipeline sweeps it and rescores its candidates
-	// from the float64 slabs above; the float64 slabs stay authoritative
-	// for training, the cascade beam walk and the exact rescore.
-	f32Once    sync.Once
-	item32     *vecmath.Matrix32 // numItems x k
-	itemBias32 []float32         // numItems
-
-	// Quantized int8 mirror of the item slab — the tier below f32 at a
-	// quarter of its bytes per row — with per-row affine code parameters
-	// and the slab-wide aggregates ItemErrBoundI8 charges. Like the f32
-	// mirror it is built lazily on first int8 use; the f64 slabs stay
-	// authoritative for the exact rescore.
+	// Quantized int8 mirror of the item slab — an eighth of the f64 bytes
+	// per row — with per-row affine code parameters and the slab-wide
+	// aggregates ItemErrBoundI8 charges. It is built lazily on first int8
+	// use, so a host sweeping f64 never pays the extra slab memory; the
+	// f64 slabs stay authoritative for the exact rescore.
 	i8Once       sync.Once
 	itemI8       *vecmath.MatrixI8 // numItems x k
 	itemScaleI8  []float64         // numItems
@@ -59,8 +49,8 @@ type ScoringIndex struct {
 
 	maxItemRowErrI8, maxItemScaleI8, maxAbsItemOffsetI8 float64
 
-	// Magnitude bounds of the item slab, shared by both reduced-precision
-	// tiers' certified error bounds and the prune bound (ensureBounds).
+	// Magnitude bounds of the item slab, shared by the int8 tier's
+	// certified error bound and the prune bound (ensureBounds).
 	boundsOnce                       sync.Once
 	maxAbsItemFactor, maxAbsItemBias float64
 
@@ -291,22 +281,8 @@ func foldEnvelopes(tree *taxonomy.Tree, env func(node int) (lo, hi []float64, ma
 	}
 }
 
-// ensure32 materializes the compact float32 item slab and the magnitude
-// bounds on first use; every f32 accessor funnels through it, so the
-// conversion cost (and the extra memory) is paid only by snapshots that
-// actually sweep f32. Safe for concurrent first use.
-func (ix *ScoringIndex) ensure32() {
-	ix.f32Once.Do(func() {
-		ix.item32 = vecmath.NewMatrix32(ix.numItems, ix.k)
-		ix.item32.SetFrom(ix.itemFactors)
-		ix.itemBias32 = make([]float32, ix.numItems)
-		vecmath.Downconvert32(ix.itemBias32, ix.itemBias)
-		ix.ensureBounds()
-	})
-}
-
 // ensureBounds records the item slab's magnitude bounds on first use by
-// either reduced-precision tier or the prune bound; all three read them.
+// the int8 tier or the prune bound; both read them.
 func (ix *ScoringIndex) ensureBounds() {
 	ix.boundsOnce.Do(func() {
 		ix.maxAbsItemFactor = vecmath.MaxAbs(ix.itemFactors)
@@ -322,10 +298,10 @@ const shardTargetBytes = 256 << 10
 
 // defaultShardItems derives the per-shard item count from the factor
 // dimensionality, rounded to a multiple of 64 rows so shard boundaries
-// stay cache-line aligned for any k. Sizing uses the 4-byte float32 rows
-// the default sweep streams, so compact slabs double the items per shard;
-// a float64 sweep over the same partition reads 2x the target bytes per
-// shard, still L2-resident on current cores.
+// stay cache-line aligned for any k. Sizing charges 4 bytes per factor:
+// the int8 sweep reads a quarter of the target bytes per shard, and a
+// float64 sweep over the same partition reads 2x, still L2-resident on
+// current cores.
 func defaultShardItems(k int) int {
 	if k <= 0 {
 		return 64
@@ -403,64 +379,6 @@ func (ix *ScoringIndex) ItemScoresInto(q, dst []float64) {
 // into a stack buffer.
 func (ix *ScoringIndex) ItemScoresRangeInto(q []float64, lo, hi int, dst []float64) {
 	vecmath.MatVecBias(ix.itemFactors[lo*ix.k:hi*ix.k], ix.k, ix.itemBias[lo:hi], q, dst[:hi-lo])
-}
-
-// ItemFactor32 returns item's compact float32 factor as a read-only view
-// into the item-major f32 slab.
-func (ix *ScoringIndex) ItemFactor32(item int) []float32 {
-	ix.ensure32()
-	return ix.item32.Row(item)
-}
-
-// ScoreItem32 returns the float32 affinity bias32 + ⟨q32, vI_item⟩,
-// accumulated entirely in float32.
-func (ix *ScoringIndex) ScoreItem32(item int, q32 []float32) float32 {
-	ix.ensure32()
-	return vecmath.DotBias32(q32, ix.item32.Row(item), ix.itemBias32[item])
-}
-
-// ItemScoresRange32Into scores the contiguous item range [lo, hi) through
-// the compact f32 slab into dst[:hi-lo] — the bandwidth-halved twin of
-// ItemScoresRangeInto.
-func (ix *ScoringIndex) ItemScoresRange32Into(q32 []float32, lo, hi int, dst []float32) {
-	ix.ensure32()
-	k := ix.k
-	vecmath.MatVecBias32(ix.item32.Data()[lo*k:hi*k], k, ix.itemBias32[lo:hi], q32, dst[:hi-lo])
-}
-
-// ItemErrBound32 returns ε such that for every item,
-// |float64(ScoreItem32(item, f32(q))) − ScoreItem(item, q)| ≤ ε.
-// The two-stage pipeline uses it to certify that its candidate boundary
-// separates: any item outside the f32 candidate heap scores at most
-// τ32 + ε in exact arithmetic.
-func (ix *ScoringIndex) ItemErrBound32(q []float64) float64 {
-	ix.ensure32()
-	return errBound32(q, ix.maxAbsItemFactor, ix.maxAbsItemBias)
-}
-
-// errBound32 bounds the absolute difference between a score computed by
-// the f32 pipeline (f32-rounded factors, query and bias, f32-accumulated
-// n-term dot) and the exact f64 score, for any row whose factor entries
-// are ≤ maxF and bias ≤ maxB in magnitude. The true error is at most
-// ~(n+3)·2⁻²⁴·(Σ|q_i|·maxF + maxB): one rounding of each operand plus the
-// standard γ_{n+1} accumulation bound. We charge 2⁻²³ per step — a ≥2x
-// slack that also absorbs the (1+u)² cross terms — plus a tiny absolute
-// term covering subnormal conversions, whose error is absolute, not
-// relative. Rounding error is all it bounds: when an operand or a partial
-// dot could leave float32's range (overflowing to ±Inf, or NaN from
-// +Inf − Inf) the bound is +Inf and nothing certifies.
-func errBound32(q []float64, maxF, maxB float64) float64 {
-	var sumAbs float64
-	for _, v := range q {
-		sumAbs += math.Abs(v)
-	}
-	const lim = math.MaxFloat32 / 2
-	mag := sumAbs*maxF + maxB
-	if !(sumAbs < lim && maxF < lim && mag < lim) {
-		return math.Inf(1)
-	}
-	const u = 1.0 / (1 << 23)
-	return (float64(len(q))+4)*u*mag + 1e-30
 }
 
 // ItemRange returns the item-id bounds [lo, hi) of node's leaf

@@ -7,9 +7,9 @@ import (
 )
 
 // The int8 quantized face of the scoring index. ensure8 materializes the
-// quantized item slab beside the f64/f32 ones on first int8 use, and the
-// accessors below mirror the f32 surface: per-row scoring, range sweeps,
-// and the certified error bound the two-stage pipeline's separation
+// quantized item slab beside the f64 one on first int8 use, and the
+// accessors below mirror the f64 surface: per-row scoring, range sweeps,
+// plus the certified error bound the two-stage pipeline's separation
 // certificate charges.
 
 // ensure8 quantizes the item slab and records the aggregates
@@ -29,17 +29,14 @@ func (ix *ScoringIndex) ensure8() {
 
 // Warm materializes everything a query at the host's tier
 // (PrecisionDefault.Resolve) would otherwise build lazily on first use:
-// the magnitude bounds every certificate and prune bound reads, plus that
-// tier's f32 or int8 mirror slab. A server calls it before publishing a
+// the magnitude bounds every certificate and prune bound reads, plus the
+// int8 mirror slab when that is the tier. A server calls it before publishing a
 // snapshot so the first request never pays a catalog-sized pass. It is a
 // no-op on snapshots whose tiers came precomputed (v4 files) and safe for
 // concurrent use.
 func (ix *ScoringIndex) Warm() {
 	ix.ensureBounds()
-	switch PrecisionDefault.Resolve() {
-	case PrecisionF32:
-		ix.ensure32()
-	case PrecisionInt8:
+	if PrecisionDefault.Resolve() == PrecisionInt8 {
 		ix.ensure8()
 	}
 }

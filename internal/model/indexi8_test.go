@@ -11,12 +11,42 @@ import (
 	"repro/internal/vecmath"
 )
 
+// quantWorld is a small composed world with random factors (and random
+// biases when useBias is set) plus a random query.
+func quantWorld(t *testing.T, useBias bool) (*Composed, []float64) {
+	t.Helper()
+	tree, err := taxonomy.Generate(taxonomy.GenConfig{
+		CategoryLevels: []int{4, 12},
+		Items:          150,
+		Skew:           0.4,
+	}, vecmath.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{K: 7, TaxonomyLevels: 3, Alpha: 1, InitStd: 0.3, UseBias: useBias}
+	m, err := New(tree, 4, p, vecmath.NewRNG(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if useBias {
+		for n := 0; n < tree.NumNodes(); n++ {
+			m.Bias.Row(n)[0] = vecmath.NewRNG(uint64(n)).NormFloat64()
+		}
+	}
+	q := make([]float64, p.K)
+	rng := vecmath.NewRNG(9)
+	for i := range q {
+		q[i] = rng.NormFloat64()
+	}
+	return m.Compose(), q
+}
+
 // The quantized tier's internal consistency: per-item ScoreItemI8 and the
 // blocked range sweep must agree bitwise, and every item's codes and parameters must be its f64 row's
 // own quantization (vecmath.QuantizeRow).
 func TestIndexI8SweepsAgreeBitwise(t *testing.T) {
 	for _, useBias := range []bool{false, true} {
-		c, q := index32World(t, useBias)
+		c, q := quantWorld(t, useBias)
 		ix := c.Index
 		u := make([]int8, len(q))
 		qscale, sumQ, _ := vecmath.QuantizeQuery(u, q)
@@ -64,7 +94,7 @@ func TestIndexI8SweepsAgreeBitwise(t *testing.T) {
 // exactness proof stands on.
 func TestIndexI8ErrBoundDominates(t *testing.T) {
 	for _, useBias := range []bool{false, true} {
-		c, q := index32World(t, useBias)
+		c, q := quantWorld(t, useBias)
 		ix := c.Index
 		u := make([]int8, len(q))
 		qscale, sumQ, sumAbsErr := vecmath.QuantizeQuery(u, q)

@@ -311,12 +311,13 @@ func tfFromSections(s *sectionsV4) (*TF, error) {
 
 // composedFromSections wraps the precomputed serving sections in a
 // Composed snapshot without a Compose() pass: every slab the ScoringIndex
-// would build — composed factors, folded biases, both reduced-precision
-// item tiers, layout tables, prune envelopes — is a zero-copy view of the
-// file image, and the lazy sync.Once builders are burned so no accessor
-// ever recomputes (or mutates) anything. The node-major f32/int8 sections,
-// their meta aggregates and the meta precision byte are length-, CRC- and
-// range-checked like every section but not viewed: no sweep reads them.
+// would build — composed factors, folded biases, the int8 item tier,
+// layout tables, prune envelopes — is a zero-copy view of the file image,
+// and the lazy sync.Once builders are burned so no accessor ever
+// recomputes (or mutates) anything. The f32 sections, the node-major int8
+// sections, their meta aggregates and the meta precision byte are
+// length-, CRC- and range-checked like every section but not viewed: no
+// sweep reads them.
 // The caller owns the backing memory's lifetime (Snapshot ties it to the
 // mapping).
 func composedFromSections(s *sectionsV4) (*Composed, error) {
@@ -336,9 +337,6 @@ func composedFromSections(s *sectionsV4) (*Composed, error) {
 		itemBias:    f64View(s.sec[secItemBias]),
 		nodeFactors: f64View(s.sec[secEffNode]),
 		nodeBias:    f64View(s.sec[secNodeBias]),
-
-		item32:     vecmath.Matrix32FromData(it, k, f32View(s.sec[secItem32])),
-		itemBias32: f32View(s.sec[secItemBias32]),
 
 		itemI8:       vecmath.MatrixI8FromData(it, k, i8View(s.sec[secItemI8])),
 		itemScaleI8:  f64View(s.sec[secItemScaleI8]),
@@ -370,7 +368,6 @@ func composedFromSections(s *sectionsV4) (*Composed, error) {
 	// burn the lazy builders: every tier above is already materialized, and
 	// an accidental ensure* pass would write into (possibly mapped,
 	// read-only) memory
-	ix.f32Once.Do(func() {})
 	ix.i8Once.Do(func() {})
 	ix.boundsOnce.Do(func() {})
 

@@ -18,7 +18,8 @@ import (
 // producers: the first runs every producer into a checksum sink, the
 // second runs them again into the buffered destination. Producers derive
 // their rows on the fly from the raw model with the arithmetic Compose,
-// buildIndex and the lazy f32/int8 tiers use, so the bytes equal what
+// buildIndex and the lazy int8 tier use (f32 rows are the Downconvert32
+// rounding of the f64 rows), so the bytes equal what
 // composing the whole snapshot and writing its slabs would produce, while
 // the writer's heap stays at O(numNodes) tables plus O(interior nodes × K)
 // caches instead of O(file).

@@ -80,19 +80,20 @@ func writeRefSectionsV4(w io.Writer, secs []refSectionV4) error {
 }
 
 // refSectionsV4 assembles the full section list from a model and its
-// composed snapshot, forcing the lazy f32/int8 item tiers and magnitude
-// bounds. The index keeps no node-major reduced tiers, so the node f32
-// and int8 sections and their aggregates are derived here from the
-// snapshot's node rows.
+// composed snapshot, forcing the lazy int8 item tier and magnitude
+// bounds. The index keeps no float32 slabs and no node-major int8 tier, so
+// the f32 sections (the float32 rounding of the f64 item and node slabs)
+// and the node int8 sections with their aggregates are derived here from
+// the snapshot's rows.
 func refSectionsV4(m *TF, c *Composed) []refSectionV4 {
 	ix := c.Index
-	ix.ensure32()
 	ix.ensure8()
 	numNodes := m.Tree.NumNodes()
-	node32 := vecmath.NewMatrix32(numNodes, m.P.K)
-	node32.SetFrom(ix.nodeFactors)
-	nodeBias32 := make([]float32, numNodes)
-	vecmath.Downconvert32(nodeBias32, ix.nodeBias)
+	round32 := func(src []float64) []float32 {
+		dst := make([]float32, len(src))
+		vecmath.Downconvert32(dst, src)
+		return dst
+	}
 	nodeI8 := vecmath.NewMatrixI8(numNodes, m.P.K)
 	nodeScaleI8 := make([]float64, numNodes)
 	nodeOffsetI8 := make([]float64, numNodes)
@@ -151,10 +152,10 @@ func refSectionsV4(m *TF, c *Composed) []refSectionV4 {
 		{secEffBias, f64Bytes(c.EffBias.Data())},
 		{secItemFactors, f64Bytes(ix.itemFactors)},
 		{secItemBias, f64Bytes(ix.itemBias)},
-		{secItem32, f32Bytes(ix.item32.Data())},
-		{secItemBias32, f32Bytes(ix.itemBias32)},
-		{secNode32, f32Bytes(node32.Data())},
-		{secNodeBias32, f32Bytes(nodeBias32)},
+		{secItem32, f32Bytes(round32(ix.itemFactors))},
+		{secItemBias32, f32Bytes(round32(ix.itemBias))},
+		{secNode32, f32Bytes(round32(ix.nodeFactors))},
+		{secNodeBias32, f32Bytes(round32(ix.nodeBias))},
 		{secItemI8, i8Bytes(ix.itemI8.Data())},
 		{secItemScaleI8, f64Bytes(ix.itemScaleI8)},
 		{secItemOffsetI8, f64Bytes(ix.itemOffsetI8)},

@@ -66,17 +66,12 @@ func TestLoadFileMappedMatchesComposeBitwise(t *testing.T) {
 	for i := range q {
 		q[i] = rng.NormFloat64()
 	}
-	q32 := make([]float32, k)
-	vecmath.Downconvert32(q32, q)
 	qi := make([]int8, k)
 	qscale, sumQ, sumAbsErr := vecmath.QuantizeQuery(qi, q)
 
 	for item := 0; item < ix.NumItems(); item++ {
 		if got, want := ix.ScoreItem(item, q), refIx.ScoreItem(item, q); got != want {
 			t.Fatalf("f64 item %d: mapped %v != composed %v", item, got, want)
-		}
-		if got, want := ix.ScoreItem32(item, q32), refIx.ScoreItem32(item, q32); got != want {
-			t.Fatalf("f32 item %d: mapped %v != composed %v", item, got, want)
 		}
 		got := ix.ScoreItemI8(item, qi, qscale, sumQ)
 		want := refIx.ScoreItemI8(item, qi, qscale, sumQ)
@@ -95,9 +90,6 @@ func TestLoadFileMappedMatchesComposeBitwise(t *testing.T) {
 	// the certified error bounds derive from persisted aggregates and must
 	// reproduce exactly, or exactness certificates would drift across a
 	// format round-trip
-	if got, want := ix.ItemErrBound32(q), refIx.ItemErrBound32(q); got != want {
-		t.Fatalf("f32 error bound: mapped %v != composed %v", got, want)
-	}
 	if got, want := ix.ItemErrBoundI8(q, sumAbsErr), refIx.ItemErrBoundI8(q, sumAbsErr); got != want {
 		t.Fatalf("int8 error bound: mapped %v != composed %v", got, want)
 	}
@@ -134,10 +126,10 @@ func TestMappedSlabsCacheLineAligned(t *testing.T) {
 		t.Fatalf("snapshot format %d, want 4", sn.Format)
 	}
 	ix := sn.Composed.Index
-	if d := ix.item32.Data(); len(d) == 0 {
-		t.Fatal("empty f32 item slab")
+	if d := ix.itemFactors; len(d) == 0 {
+		t.Fatal("empty f64 item slab")
 	} else if p := uintptr(unsafe.Pointer(&d[0])); p%64 != 0 {
-		t.Errorf("f32 item slab base %#x not 64-byte aligned", p)
+		t.Errorf("f64 item slab base %#x not 64-byte aligned", p)
 	}
 	if d := ix.itemI8.Data(); len(d) == 0 {
 		t.Fatal("empty int8 item slab")

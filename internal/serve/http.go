@@ -440,7 +440,6 @@ func (h *HTTP) stats(w http.ResponseWriter, r *http.Request) {
 	out.Served.Panics = h.panics.Load()
 	out.Inference.PoolWorkers = h.srv.Pool().Workers()
 	out.Inference.Precision = h.srv.Precision().String()
-	out.Inference.F32Escalations = infer.F32Escalations()
 	out.Inference.I8Escalations = infer.I8Escalations()
 	out.Inference.DiversifyRefetches = infer.DiversifyRefetches()
 	out.Inference.Filters.ExcludePurchased, out.Inference.Filters.Category, out.Inference.Filters.Paged = h.srv.FilterStats()

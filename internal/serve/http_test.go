@@ -367,7 +367,7 @@ func TestHTTPExecutionKnobs(t *testing.T) {
 		badWorkers   = `{"error":{"code":"bad_request","message":"bad workers parameter \"-1\""}}` + "\n"
 		badPrecision = `{"error":{"code":"bad_request","message":"bad precision parameter \"bogus\" (want f32, f64 or int8)"}}` + "\n"
 	)
-	platform := "f32"
+	platform := "f64"
 	if vecmath.FusedI8Enabled() {
 		platform = "int8"
 	}
@@ -464,7 +464,8 @@ func TestRecordedPrecisionIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	patched := filepath.Join(dir, "f32.tfrec")
-	if err := os.WriteFile(patched, patchMetaPrecision(t, raw, uint64(model.PrecisionF32)), 0o644); err != nil {
+	// word 1 is the retired f32 tier's
+	if err := os.WriteFile(patched, patchMetaPrecision(t, raw, 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	bad := filepath.Join(dir, "bad.tfrec")
@@ -506,5 +507,41 @@ func TestRecordedPrecisionIgnored(t *testing.T) {
 	}
 	if want := model.PrecisionDefault.Resolve().String(); prec != want {
 		t.Fatalf("f32-recording file: stats precision %q on %s, want the host tier %q", prec, vecmath.KernelsID(), want)
+	}
+}
+
+// "f32" names the retired float32 tier. It still parses, so a client
+// that sends ?precision=f32 gets the exact bytes of the same request sent
+// without the parameter, and /v1/stats keeps reporting f32_escalations,
+// which reads 0.
+func TestF32SpellingServesHostTier(t *testing.T) {
+	m, _ := trainedModel(t)
+	s := New(m)
+	defer s.Close()
+	ts := httptest.NewServer(NewHTTP(s, nil).Handler())
+	defer ts.Close()
+	for _, body := range []string{`{"user":3,"k":8}`, `{"user":5,"k":4,"offset":2,"pruned":true}`} {
+		code, want := postRaw(t, ts.Client(), ts.URL+"/v1/recommend", body)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", body, code, want)
+		}
+		code, got := postRaw(t, ts.Client(), ts.URL+"/v1/recommend?precision=f32", body)
+		if code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s ?precision=f32: %d %s\nwant 200 %s", body, code, got, want)
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var raw struct {
+		Inference map[string]json.RawMessage `json:"inference"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(raw.Inference["f32_escalations"]); got != "0" {
+		t.Fatalf("stats inference.f32_escalations = %q, want 0", got)
 	}
 }

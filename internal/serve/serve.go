@@ -224,7 +224,8 @@ func (s *Server) Close() {
 func (s *Server) Pool() *infer.Pool { return s.sweep }
 
 // Precision returns the tier every request's sweep runs at: the host's
-// fastest certified tier (model.PrecisionDefault.Resolve).
+// tier (model.PrecisionDefault.Resolve) — int8 where the fused kernel
+// runs, the exact f64 sweep elsewhere.
 func (s *Server) Precision() model.Precision {
 	return model.PrecisionDefault.Resolve()
 }

@@ -42,9 +42,9 @@ func trainedModel(t *testing.T) (*model.TF, *dataset.Dataset) {
 }
 
 // The first request after construction or a hot swap must not pay the
-// lazy slab build: a Compose()-built snapshot's mirror slab at the host's
-// tier (f32 or int8) is materialized before the snapshot is published, so
-// the request path allocates nothing catalog-sized.
+// lazy slab build: a Compose()-built snapshot's int8 mirror slab, when
+// int8 is the host's tier, is materialized before the snapshot is
+// published, so the request path allocates nothing catalog-sized.
 func TestFirstRequestAllocatesNoCatalogSlab(t *testing.T) {
 	tree := taxonomy.MustGenerate(taxonomy.GenConfig{
 		CategoryLevels: []int{8, 64},

@@ -2,8 +2,8 @@ package vecmath
 
 import "runtime"
 
-// Runtime kernel dispatch. The hot sweep kernels (the int8 and float32
-// tiers) each have two implementations: a pure-Go reference that defines
+// Runtime kernel dispatch. The hot sweep kernels (the int8 tier) each
+// have two implementations: a pure-Go reference that defines
 // the semantics bit for bit, and — on amd64 with AVX2 and on arm64 with
 // NEON — a hand-written assembly body for the vectorizable head of the
 // loop. Selection happens once at package init:
@@ -18,14 +18,11 @@ import "runtime"
 // The dispatch is bitwise-invisible by construction. The int8 kernels
 // accumulate in exact integer arithmetic (int32 lanes; wraparound is
 // mod-2³² and therefore associative), so ANY vectorization returns the
-// identical integer and the shared float64 combine seals byte identity.
-// The f32 kernels are pinned to the fixed 8-lane accumulation tree
-// documented on DotBias32; the asm replicates that tree with one rounded
-// multiply and one rounded add per element and the exact same reduction
-// order, which the differential suite in kernels_diff_test.go re-proves
-// against the reference on every supported machine. The float64 kernels
-// have no asm arm — training and the exact rescore stay on the reference
-// implementations everywhere.
+// identical integer and the shared float64 combine seals byte identity,
+// which the differential suite in kernels_diff_test.go re-proves against
+// the reference on every supported machine. The float64 kernels have no
+// asm arm — training, the exact f64 tier and the rescore stay on the
+// reference implementations everywhere.
 
 // Implementation names reported by Kernels.
 const (
@@ -72,8 +69,6 @@ func Kernels() KernelSet {
 			"dot_i8":         simd,
 			"matvec_i8":      simd,
 			"sweep_i8_above": fused,
-			"dot_f32":        simd,
-			"matvec_f32":     simd,
 			"dot_f64":        implGeneric,
 			"matvec_f64":     implGeneric,
 		},
@@ -98,5 +93,6 @@ func SIMDEnabled() bool { return simdActive }
 
 // FusedI8Enabled reports whether SweepBiasI8Above runs its assembly body
 // (today AVX2 only). model.Precision.Resolve keys the int8 default on it:
-// the int8 tier beats f32 only where the fused sweep was measured.
+// the int8 tier is served only where the fused sweep was measured, and the
+// exact f64 tier everywhere else.
 func FusedI8Enabled() bool { return fusedI8Active }

@@ -2,7 +2,7 @@
 
 package vecmath
 
-// amd64 dispatch arm: the AVX2 kernels in vec32_amd64.s / veci8_amd64.s,
+// amd64 dispatch arm: the AVX2 kernels in veci8_amd64.s,
 // eligible when CPUID reports AVX2 and the OS has enabled YMM state.
 
 const simdImpl = implAVX2

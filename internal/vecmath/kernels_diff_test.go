@@ -46,27 +46,6 @@ func fillI8(rng *rand.Rand, v []int8) {
 	}
 }
 
-// fillF32 writes adversarial float32 values: mixed magnitudes, exact
-// negations, subnormals, zeros and the occasional huge value, so lane
-// sums cancel, round and overflow in ways that would expose any
-// accumulation-order drift between the dispatch arms.
-func fillF32(rng *rand.Rand, v []float32) {
-	for i := range v {
-		switch rng.Intn(10) {
-		case 0:
-			v[i] = 0
-		case 1:
-			v[i] = math.Float32frombits(rng.Uint32() & 0x007fffff) // subnormal
-		case 2:
-			v[i] = float32(math.Inf(1)) * float32(rng.Intn(2)*2-1) / 4 // ±Inf/4 = ±Inf
-		case 3:
-			v[i] = 3.4e38 * float32(rng.Intn(2)*2-1)
-		default:
-			v[i] = (rng.Float32()*2 - 1) * float32(math.Pow(2, float64(rng.Intn(40)-20)))
-		}
-	}
-}
-
 func TestDotI8MatchesRef(t *testing.T) {
 	t.Logf("dispatch: %s (simd=%v)", KernelsID(), SIMDEnabled())
 	rng := rand.New(rand.NewSource(11))
@@ -80,61 +59,6 @@ func TestDotI8MatchesRef(t *testing.T) {
 			x, y := a[off:off+n], b[off:off+n]
 			if got, want := DotI8(x, y), DotI8Ref(x, y); got != want {
 				t.Fatalf("n=%d off=%d: DotI8=%d ref=%d", n, off, got, want)
-			}
-		}
-	}
-}
-
-func TestDotBias32MatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range diffLengths() {
-		a := make([]float32, n+3)
-		b := make([]float32, n+3)
-		fillF32(rng, a)
-		fillF32(rng, b)
-		for _, off := range []int{0, 1, 2, 3} {
-			x, y := a[off:off+n], b[off:off+n]
-			for _, bias := range []float32{0, 1.5, -0.25} {
-				got := DotBias32(x, y, bias)
-				want := DotBias32Ref(x, y, bias)
-				if math.Float32bits(got) != math.Float32bits(want) {
-					// NaN payloads may legitimately differ between scalar
-					// and vector units; NaN-vs-NaN is still agreement
-					if !(math.IsNaN(float64(got)) && math.IsNaN(float64(want))) {
-						t.Fatalf("n=%d off=%d bias=%g: DotBias32=%x ref=%x", n, off, bias,
-							math.Float32bits(got), math.Float32bits(want))
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestMatVecBias32MatchesRowwise pins the blocked f32 sweep (and its
-// shared-query SIMD blocks) to the row-at-a-time reference, bitwise,
-// across row counts that exercise every 4-block tail and k values that
-// exercise every 8-lane tail.
-func TestMatVecBias32MatchesRowwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 33} {
-		for _, k := range []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 32, 63, 64, 100} {
-			factors := make([]float32, rows*k)
-			bias := make([]float32, rows)
-			q := make([]float32, k)
-			fillF32(rng, factors)
-			fillF32(rng, bias)
-			fillF32(rng, q)
-			dst := make([]float32, rows)
-			MatVecBias32(factors, k, bias, q, dst)
-			for r := 0; r < rows; r++ {
-				want := DotBias32Ref(q, factors[r*k:(r+1)*k], bias[r])
-				if math.Float32bits(dst[r]) != math.Float32bits(want) {
-					if math.IsNaN(float64(dst[r])) && math.IsNaN(float64(want)) {
-						continue
-					}
-					t.Fatalf("rows=%d k=%d r=%d: blocked=%x rowwise=%x", rows, k, r,
-						math.Float32bits(dst[r]), math.Float32bits(want))
-				}
 			}
 		}
 	}
@@ -302,20 +226,14 @@ func TestDotI8WraparoundMatchesRef(t *testing.T) {
 func TestKernelWrappersZeroAlloc(t *testing.T) {
 	const rows, k = 12, 48
 	fi8 := make([]int8, rows*k)
-	f32 := make([]float32, rows*k)
 	scale := make([]float64, rows)
 	offset := make([]float64, rows)
 	bias := make([]float64, rows)
-	bias32 := make([]float32, rows)
 	u := make([]int8, k)
-	q := make([]float32, k)
 	dst := make([]float64, rows)
-	dst32 := make([]float32, rows)
 	for name, fn := range map[string]func(){
 		"DotI8":        func() { DotI8(u, fi8[:k]) },
-		"DotBias32":    func() { DotBias32(q, f32[:k], 1) },
 		"MatVecBiasI8": func() { MatVecBiasI8(fi8, k, scale, offset, bias, u, 1, 0, dst) },
-		"MatVecBias32": func() { MatVecBias32(f32, k, bias32, q, dst32) },
 		"SweepBiasI8Above": func() {
 			var out [rows]int32
 			var scores [rows]float64
@@ -386,30 +304,5 @@ func FuzzSweepBiasI8AboveDiff(f *testing.F) {
 			bias[r] = qscale * float64(int8(body[r*k]))
 		}
 		checkSweepAbove(t, fmt.Sprintf("k=%d rows=%d", k, rows), factors, k, scale, offset, bias, u, qscale, sumQ, tau)
-	})
-}
-
-// FuzzDotBias32Diff cross-checks the dispatched f32 dot against the
-// reference on fuzz-chosen bit patterns, including NaN/Inf/subnormal
-// encodings the corpus mutates into.
-func FuzzDotBias32Diff(f *testing.F) {
-	f.Add([]byte{0, 0, 128, 63, 0, 0, 128, 191, 1, 0, 0, 0}, []byte{255, 255, 127, 127, 0, 0, 128, 255}, float32(0.5))
-	f.Fuzz(func(t *testing.T, ab, bb []byte, bias float32) {
-		n := len(ab) / 4
-		if m := len(bb) / 4; m < n {
-			n = m
-		}
-		a := make([]float32, n)
-		b := make([]float32, n)
-		for i := 0; i < n; i++ {
-			a[i] = math.Float32frombits(uint32(ab[4*i]) | uint32(ab[4*i+1])<<8 | uint32(ab[4*i+2])<<16 | uint32(ab[4*i+3])<<24)
-			b[i] = math.Float32frombits(uint32(bb[4*i]) | uint32(bb[4*i+1])<<8 | uint32(bb[4*i+2])<<16 | uint32(bb[4*i+3])<<24)
-		}
-		got := DotBias32(a, b, bias)
-		want := DotBias32Ref(a, b, bias)
-		if math.Float32bits(got) != math.Float32bits(want) &&
-			!(math.IsNaN(float64(got)) && math.IsNaN(float64(want))) {
-			t.Fatalf("n=%d: DotBias32=%x ref=%x", n, math.Float32bits(got), math.Float32bits(want))
-		}
 	})
 }

@@ -39,11 +39,3 @@ func dot4I8SIMD(f *int8, stride int, u *int8, n int, out *[4]int32) {
 func sweep4I8AboveSIMD(f *int8, stride int, u *int8, n16, n8, tail int, ut *int8, scale, offset, bias *float64, qscale, sumQ, tau float64, nrows int, rows *int32, scores *float64) int {
 	panic("vecmath: SIMD kernel on generic build")
 }
-
-func dotLanes32SIMD(a, b *float32, n int) float32 {
-	panic("vecmath: SIMD kernel on generic build")
-}
-
-func dot4Lanes32SIMD(f *float32, stride int, q *float32, n int, out *[4]float32) {
-	panic("vecmath: SIMD kernel on generic build")
-}

@@ -30,22 +30,6 @@ func dotI8SIMD(a, b *int8, n int) int32
 //go:noescape
 func dot4I8SIMD(f *int8, stride int, u *int8, n int, out *[4]int32)
 
-// dotLanes32SIMD is the vector head of the f32 kernels: the fixed
-// 8-lane accumulation tree over the first n elements (one rounded
-// multiply and one rounded add per element, lanes reduced as
-// ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))), bitwise identical to
-// dotLanes32Ref. n must be a positive multiple of 8.
-//
-//go:noescape
-func dotLanes32SIMD(a, b *float32, n int) float32
-
-// dot4Lanes32SIMD is dotLanes32SIMD over four consecutive slab rows at
-// stride, sharing the query loads, writing the four tree sums to out.
-// n must be a positive multiple of 8 with n ≤ stride.
-//
-//go:noescape
-func dot4Lanes32SIMD(f *float32, stride int, q *float32, n int, out *[4]float32)
-
 // noSIMDEnv reports whether the TFREC_NOSIMD escape hatch is set: any
 // non-empty value except "0" forces the generic kernels, for debugging
 // and for the CI leg that keeps the fallback path covered.

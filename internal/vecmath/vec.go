@@ -316,3 +316,31 @@ func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 	}
 	return max
 }
+
+// Downconvert32 fills dst with src rounded to float32 (round to nearest
+// even, the hardware conversion). The model writer uses it for the file's
+// float32 sections. It panics if the lengths differ.
+func Downconvert32(dst []float32, src []float64) {
+	if len(dst) != len(src) {
+		panicLen("Downconvert32", len(dst), len(src))
+	}
+	for i, v := range src {
+		dst[i] = float32(v)
+	}
+}
+
+// MaxAbs returns the largest absolute value in v (0 for an empty slice).
+// The scoring index uses it to bound slab magnitudes for the certified
+// int8 error bound and the prune bound.
+func MaxAbs(v []float64) float64 {
+	var max float64
+	for _, x := range v {
+		if x < 0 {
+			x = -x
+		}
+		if x > max {
+			max = x
+		}
+	}
+	return max
+}

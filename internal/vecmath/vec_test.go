@@ -220,3 +220,35 @@ func TestMatrixFillGaussianStats(t *testing.T) {
 		t.Fatalf("gaussian fill std = %v, want ~0.1", std)
 	}
 }
+
+func TestMaxAbs(t *testing.T) {
+	if got := MaxAbs(nil); got != 0 {
+		t.Fatalf("MaxAbs(nil) = %v", got)
+	}
+	if got := MaxAbs([]float64{-3, 2, 0.5}); got != 3 {
+		t.Fatalf("MaxAbs = %v, want 3", got)
+	}
+}
+
+// Downconvert32 is the hardware round-to-nearest-even conversion the
+// model writer's float32 sections are made of, and rejects mismatched
+// lengths.
+func TestDownconvert32(t *testing.T) {
+	src := []float64{1, -0.1, 1 + 1.0/(1<<24), 1e300, 5e-324}
+	dst := make([]float32, len(src))
+	Downconvert32(dst, src)
+	for i, v := range src {
+		if dst[i] != float32(v) {
+			t.Fatalf("Downconvert32[%d] = %v, want %v", i, dst[i], float32(v))
+		}
+	}
+	if dst[2] != 1 || !math.IsInf(float64(dst[3]), 1) || dst[4] != 0 {
+		t.Fatalf("rounding edge cases: %v", dst)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Downconvert32: expected panic on length mismatch")
+		}
+	}()
+	Downconvert32(make([]float32, 1), make([]float64, 2))
+}

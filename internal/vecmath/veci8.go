@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// int8 quantized counterparts of the scoring kernels — the tier below the
-// float32 slabs. Each factor row is quantized independently with a
+// int8 quantized counterparts of the scoring kernels — the reduced
+// serving tier below the float64 slabs. Each factor row is quantized independently with a
 // per-row affine code: codes c ∈ [−127, 127] reconstruct as
 // scale·c + offset, where offset is the row's value midpoint and scale
 // spans its value range in 254 steps. The query is quantized once per
@@ -22,8 +22,7 @@ import (
 // rounds, and both kernels share it statement by statement. The
 // quantization error is measured (not estimated) during encoding and
 // surfaced per slab, so the serving pipeline can certify an exact-rescore
-// boundary exactly as the f32 tier does; see model.ScoringIndex's
-// ErrBoundI8.
+// boundary; see model.ScoringIndex's ItemErrBoundI8.
 //
 // Everything here assumes finite inputs; model.Load rejects non-finite
 // factor payloads so hostile NaN/Inf rows die at load time, not in a
@@ -393,9 +392,10 @@ func sweepBiasI8AboveRef(factors []int8, k int, scale, offset, bias []float64, u
 }
 
 // MatrixI8 is a dense compact row-major int8 matrix paired with nothing:
-// the per-row code parameters live beside it in the scoring index. Like
-// Matrix32 it carries no padding — slabs are immutable after construction
-// and consumed by streaming sweeps.
+// the per-row code parameters live beside it in the scoring index. Unlike
+// Matrix it carries no row padding — slabs are immutable after
+// construction and consumed by streaming sweeps, where padding would waste
+// the bandwidth the type exists to save.
 type MatrixI8 struct {
 	rows, cols int
 	data       []int8

@@ -168,7 +168,6 @@ func TestI8Panics(t *testing.T) {
 		"NewMatrixI8":         func() { NewMatrixI8(-1, 2) },
 		"QuantizeFrom slab":   func() { NewMatrixI8(2, 2).QuantizeFrom(make([]float64, 3), make([]float64, 2), make([]float64, 2)) },
 		"QuantizeFrom params": func() { NewMatrixI8(2, 2).QuantizeFrom(make([]float64, 4), make([]float64, 1), make([]float64, 2)) },
-		"Matrix32 SetFrom":    func() { NewMatrix32(2, 2).SetFrom(make([]float64, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -181,8 +180,7 @@ func TestI8Panics(t *testing.T) {
 	}
 }
 
-// MatrixI8 shape accessors and the capacity-clipped Row views, mirroring
-// the Matrix32 contract.
+// MatrixI8 shape accessors and the capacity-clipped Row views.
 func TestMatrixI8(t *testing.T) {
 	m := NewMatrixI8(3, 2)
 	if m.Rows() != 3 || m.Cols() != 2 || len(m.Data()) != 6 {

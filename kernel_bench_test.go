@@ -28,10 +28,7 @@ import (
 // mixed head+tail shape the sweeps see, not just the aligned fast path.
 const kernelBenchLen = 1000
 
-var (
-	sinkI32 int32
-	sinkF32 float32
-)
+var sinkI32 int32
 
 func kernelVecsI8() (a, b []int8) {
 	a = make([]int8, kernelBenchLen)
@@ -40,17 +37,6 @@ func kernelVecsI8() (a, b []int8) {
 	for i := range a {
 		a[i] = int8(rng.Intn(255) - 127)
 		b[i] = int8(rng.Intn(255) - 127)
-	}
-	return a, b
-}
-
-func kernelVecsF32() (a, b []float32) {
-	a = make([]float32, kernelBenchLen)
-	b = make([]float32, kernelBenchLen)
-	rng := vecmath.NewRNG(43)
-	for i := range a {
-		a[i] = float32(rng.NormFloat64())
-		b[i] = float32(rng.NormFloat64())
 	}
 	return a, b
 }
@@ -73,26 +59,5 @@ func BenchmarkKernelDotI8Generic(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkI32 = vecmath.DotI8Ref(x, y)
-	}
-}
-
-func BenchmarkKernelDotBias32SIMD(b *testing.B) {
-	if !vecmath.SIMDEnabled() {
-		b.Skip("SIMD kernels not active on this host/build")
-	}
-	x, y := kernelVecsF32()
-	b.SetBytes(8 * kernelBenchLen)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkF32 = vecmath.DotBias32(x, y, 0.5)
-	}
-}
-
-func BenchmarkKernelDotBias32Generic(b *testing.B) {
-	x, y := kernelVecsF32()
-	b.SetBytes(8 * kernelBenchLen)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkF32 = vecmath.DotBias32Ref(x, y, 0.5)
 	}
 }

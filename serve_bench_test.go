@@ -43,8 +43,9 @@ func benchServeModel(b *testing.B) *model.TF {
 }
 
 // The cached pair runs the host's tier, the only one a server sweeps:
-// int8 on AVX2 hosts, f32 elsewhere. BENCH_baseline.json recorded these
-// rows at f32, so an AVX2 host reads the uncached row below its entry.
+// int8 on AVX2 hosts, f64 elsewhere. BENCH_baseline.json recorded these
+// rows at the retired f32 tier, so an AVX2 host reads the uncached row
+// below its entry.
 func BenchmarkServeUncached(b *testing.B) {
 	srv := serve.New(benchServeModel(b))
 	req := serve.Request{User: 1, K: 10}

@@ -188,8 +188,8 @@ func (r *Recommender) RecommendSession(recent []Basket, k int) ([]Scored, error)
 // RecommendPlan executes one query plan for a user — the full serving
 // surface (strategy, precision, filters, pagination) through a single
 // call. The zero-valued plan fields default sensibly: strategy naive, the
-// host's fastest certified tier (int8 two-stage on AVX2, f32 two-stage
-// elsewhere; every tier ranks identically), whole catalog, first page.
+// host's tier (int8 two-stage on AVX2, the exact f64 sweep elsewhere;
+// both rank identically), whole catalog, first page.
 func (r *Recommender) RecommendPlan(user int, recent []Basket, pl Plan) (PlanResult, error) {
 	q, err := r.query(user, recent)
 	if err != nil {
