@@ -11,7 +11,7 @@
 // a real regression, not a slower runner.
 //
 // Canary normalization factors out machine *speed* but not machine
-// *shape*: the vecmath kernel dispatch (AVX2, NEON or generic — see
+// *shape*: the vecmath kernel dispatch (AVX2 or generic — see
 // `tfrec-inspect -cpu`) changes the relative cost of the int8, f64 and
 // canary sweeps, so normalized ratios measured under one kernel set are
 // meaningless against a baseline recorded under another. The baseline

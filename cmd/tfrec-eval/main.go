@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	tfrec-eval -model model.gob -data data/ -mu 0.5
-//	tfrec-eval -model model.gob -data data/ -topk 10 -workers 8
+//	tfrec-eval -model model.tfrec -data data/ -mu 0.5
+//	tfrec-eval -model model.tfrec -data data/ -topk 10 -workers 8
 //
 // Note: the model must have been trained on the TRAIN side of the same
 // split (same -mu and -split-seed), otherwise test data leaks; tfrec-train

@@ -11,9 +11,9 @@ import (
 
 // cpuReport prints the active vecmath kernel dispatch — the same table
 // /v1/stats serves as inference.kernels — and the sweep tier it selects
-// (inference.precision: int8 where the fused int8 kernel runs, f64
-// elsewhere), so an operator can check what a host will run without
-// starting a server or loading a model.
+// (inference.precision: int8 where the fused AVX2 int8 kernel runs, f64
+// on the generic kernels), so an operator can check what a host will run
+// without starting a server or loading a model.
 func cpuReport(w io.Writer) {
 	ks := vecmath.Kernels()
 	fmt.Fprintf(w, "kernel dispatch: %s\n", vecmath.KernelsID())

@@ -28,7 +28,7 @@ func TestCPUReport(t *testing.T) {
 		t.Fatalf("report missing arch %q:\n%s", ks.Arch, out)
 	}
 	tier := "f64"
-	if vecmath.FusedI8Enabled() {
+	if vecmath.SIMDEnabled() {
 		tier = "int8"
 	}
 	if tier != model.PrecisionDefault.Resolve().String() || !strings.Contains(out, "tier:     "+tier+"\n") {
@@ -39,7 +39,7 @@ func TestCPUReport(t *testing.T) {
 		ops = append(ops, op)
 	}
 	sort.Strings(ops)
-	if want := []string{"dot_f64", "dot_i8", "matvec_f64", "matvec_i8", "sweep_i8_above"}; !slices.Equal(ops, want) {
+	if want := []string{"dot_f64", "dot_i8", "matvec_f64", "sweep_i8_above"}; !slices.Equal(ops, want) {
 		t.Fatalf("kernel ops %v, want %v", ops, want)
 	}
 	for op, impl := range ks.Ops {

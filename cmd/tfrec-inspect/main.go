@@ -15,7 +15,7 @@
 //	tfrec-inspect -cpu
 //
 // -cpu prints the host's CPU features and the scoring-kernel dispatch
-// table (which implementation — avx2, neon or generic — serves each
+// table (which implementation — avx2 or generic — serves each
 // kernel op), exactly as /v1/stats reports it under inference.kernels,
 // then exits without loading a model.
 //

@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -117,5 +118,14 @@ func Recover(h http.Handler, onPanic func(r *http.Request, v any)) http.Handler 
 func NotFoundHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, ErrorDetail{Code: CodeNotFound, Message: "no such route: " + r.URL.Path})
+	})
+}
+
+// HealthzHandler answers GET /healthz with the liveness body "ok\n"
+// (net/http sniffs it as text/plain). Node and router register this one
+// handler, so the probe reads the same on both.
+func HealthzHandler() http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok\n")
 	})
 }

@@ -124,8 +124,8 @@ type StatsInference struct {
 	DiversifyRefetches int64        `json:"diversify_refetches"`
 	Filters            StatsFilters `json:"filters"`
 	// Kernels is the active vecmath dispatch table — which scoring kernel
-	// implementation (avx2, neon, generic) serves each op on this
-	// process, plus why SIMD is off when it is.
+	// implementation (avx2 or generic) serves each of its four ops on
+	// this process, plus why SIMD is off when it is.
 	Kernels vecmath.KernelSet `json:"kernels"`
 	Pruning StatsPruning      `json:"pruning"`
 }

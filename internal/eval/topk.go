@@ -34,35 +34,20 @@ type TopKResult struct {
 
 // EvaluateTopK computes precision/recall/hit-rate at cut k over each
 // user's first test transaction, using the same context protocol as
-// Evaluate. It runs single-threaded; EvaluateTopKWorkers shards users
-// over goroutines for large test sets.
+// Evaluate. It runs single-threaded on the exact f64 sweep;
+// EvaluateTopKPlan shards users over goroutines and takes any plan.
 func EvaluateTopK(c *model.Composed, history, test *dataset.Dataset, k int) (TopKResult, error) {
-	return EvaluateTopKWorkers(c, history, test, k, 1)
-}
-
-// EvaluateTopKWorkers is EvaluateTopK partitioned over workers goroutines
-// (<= 0 uses GOMAXPROCS), mirroring the §6.2 user-sharded evaluation.
-// Each worker owns a query buffer and a bounded top-k heap and evaluates
-// an interleaved user slice; per-worker partial sums are reduced in
-// worker order, so the result is deterministic for a given worker count.
-func EvaluateTopKWorkers(c *model.Composed, history, test *dataset.Dataset, k, workers int) (TopKResult, error) {
-	return EvaluateTopKPrecision(c, history, test, k, workers, model.PrecisionF64)
-}
-
-// EvaluateTopKPrecision is EvaluateTopKWorkers with an explicit scoring
-// precision: model.PrecisionInt8 sweeps each user's query through the
-// two-stage quantized pipeline, and model.PrecisionDefault runs the
-// host's tier. Metrics are identical either way — the int8 pipeline's
-// rankings are byte-identical — so the knob only moves evaluation
-// throughput.
-func EvaluateTopKPrecision(c *model.Composed, history, test *dataset.Dataset, k, workers int, prec model.Precision) (TopKResult, error) {
-	return EvaluateTopKPlan(c, history, test, workers, infer.Plan{K: k, Precision: prec.Resolve(), MaxWorkers: 1})
+	return EvaluateTopKPlan(c, history, test, 1, infer.Plan{K: k, Precision: model.PrecisionF64, MaxWorkers: 1})
 }
 
 // EvaluateTopKPlan is the fully general entry point: the caller supplies
 // the per-user plan (precision, pruned retrieval, filters) and the
-// evaluator shards users over workers goroutines, running one copy of the
-// plan per user. Plan.K must be positive; MaxWorkers should stay 1 —
+// evaluator shards users over workers goroutines (<= 0 uses GOMAXPROCS),
+// mirroring the §6.2 user-sharded evaluation, and runs one copy of the
+// plan per user. Each worker owns a query buffer and a bounded top-k heap
+// and evaluates an interleaved user slice; per-worker partial sums are
+// reduced in worker order, so the result is deterministic for a given
+// worker count. Plan.K must be positive; MaxWorkers should stay 1 —
 // users are already sharded over goroutines here, so the per-query sweep
 // stays serial. Every ranking-equivalent plan (any precision, pruned or
 // dense) yields identical metrics; the choice only moves throughput.

@@ -45,14 +45,17 @@ func TestEvaluateTopKMonotoneInK(t *testing.T) {
 	}
 }
 
+// Sharding users over workers (any precision) matches the serial
+// EvaluateTopK up to the float reduction order.
 func TestEvaluateTopKWorkersMatchesSerial(t *testing.T) {
 	c, hist, test := buildTrainedWorld(t)
 	want, err := EvaluateTopK(c, hist, test, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 3, 7} {
-		got, err := EvaluateTopKWorkers(c, hist, test, 10, workers)
+	for i, workers := range []int{0, 2, 3, 7} {
+		prec := []model.Precision{model.PrecisionF64, model.PrecisionInt8, model.PrecisionDefault}[i%3]
+		got, err := EvaluateTopKPlan(c, hist, test, workers, infer.Plan{K: 10, Precision: prec.Resolve(), MaxWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,17 +49,25 @@ func (ix *ScoringIndex) ScoreItemI8(item int, u []int8, qscale, sumQ float64) fl
 	return vecmath.DotBiasI8(u, ix.itemI8.Row(item), ix.itemScaleI8[item], ix.itemOffsetI8[item], ix.itemBias[item], qscale, sumQ)
 }
 
+// blockItems is the row count of one ItemScoresRangeI8Into step, the same
+// block the infer sweep engine scores per step.
+const blockItems = 256
+
 // ItemScoresRangeI8Into scores the contiguous item range [lo, hi) through
 // the quantized slab into dst[:hi-lo] — the quarter-bandwidth sibling of
-// ItemScoresRangeInto.
+// ItemScoresRangeInto. It is the served sweep at tau = −Inf: every item
+// survives in order, so each step's scores land in dst densely and the
+// survivor rows go to a stack buffer.
 func (ix *ScoringIndex) ItemScoresRangeI8Into(u []int8, qscale, sumQ float64, lo, hi int, dst []float64) {
-	ix.ensure8()
-	k := ix.k
-	vecmath.MatVecBiasI8(ix.itemI8.Data()[lo*k:hi*k], k, ix.itemScaleI8[lo:hi], ix.itemOffsetI8[lo:hi], ix.itemBias[lo:hi], u, qscale, sumQ, dst[:hi-lo])
+	var rows [blockItems]int32
+	for b := lo; b < hi; b += blockItems {
+		e := min(b+blockItems, hi)
+		ix.ItemScoresRangeI8Above(u, qscale, sumQ, math.Inf(-1), b, e, rows[:], dst[b-lo:e-lo])
+	}
 }
 
 // ItemScoresRangeI8Above is the threshold-aware range sweep of the int8
-// tier: it scores [lo, hi) exactly as ItemScoresRangeI8Into does but
+// tier: it scores [lo, hi) exactly as ScoreItemI8 does item by item but
 // keeps only the items whose score s satisfies !(s < tau) —
 // rows[:n] receives their offsets from lo in ascending order, scores[:n]
 // their scores — and returns n (see vecmath.SweepBiasI8Above). Passing a

@@ -14,16 +14,21 @@ import (
 // quantWorld is a small composed world with random factors (and random
 // biases when useBias is set) plus a random query.
 func quantWorld(t *testing.T, useBias bool) (*Composed, []float64) {
+	return quantWorldK(t, useBias, 7, 150)
+}
+
+// quantWorldK is quantWorld with k factors and the given item count.
+func quantWorldK(t *testing.T, useBias bool, k, items int) (*Composed, []float64) {
 	t.Helper()
 	tree, err := taxonomy.Generate(taxonomy.GenConfig{
 		CategoryLevels: []int{4, 12},
-		Items:          150,
+		Items:          items,
 		Skew:           0.4,
 	}, vecmath.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{K: 7, TaxonomyLevels: 3, Alpha: 1, InitStd: 0.3, UseBias: useBias}
+	p := Params{K: k, TaxonomyLevels: 3, Alpha: 1, InitStd: 0.3, UseBias: useBias}
 	m, err := New(tree, 4, p, vecmath.NewRNG(6))
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +47,8 @@ func quantWorld(t *testing.T, useBias bool) (*Composed, []float64) {
 }
 
 // The quantized tier's internal consistency: per-item ScoreItemI8 and the
-// blocked range sweep must agree bitwise, and every item's codes and parameters must be its f64 row's
-// own quantization (vecmath.QuantizeRow).
+// range sweeps must agree bitwise, and every item's codes and parameters
+// must be its f64 row's own quantization (vecmath.QuantizeRow).
 func TestIndexI8SweepsAgreeBitwise(t *testing.T) {
 	for _, useBias := range []bool{false, true} {
 		c, q := quantWorld(t, useBias)
@@ -85,6 +90,36 @@ func TestIndexI8SweepsAgreeBitwise(t *testing.T) {
 		}
 		if j != n {
 			t.Fatalf("useBias=%v: %d survivors, want %d", useBias, n, j)
+		}
+	}
+
+	// the range sweep is the fused kernel at tau = −Inf in blockItems
+	// steps: it must equal ScoreItemI8 for every k either side of the
+	// kernel's 8- and 16-code steps, through a NaN bias, and over ranges
+	// that are not multiples of the 4-row block or of blockItems
+	for _, k := range []int{1, 7, 8, 9, 20, 64, 130} {
+		c, q := quantWorldK(t, true, k, 2*blockItems+37)
+		ix := c.Index
+		ix.itemBias[blockItems+5] = math.NaN()
+		u := make([]int8, k)
+		qscale, sumQ, _ := vecmath.QuantizeQuery(u, q)
+		n := ix.NumItems()
+		for _, r := range [][2]int{{0, n}, {1, n - 2}, {3, blockItems + 6}, {blockItems - 1, 2*blockItems + 2}, {5, 5}, {7, 10}} {
+			lo, hi := r[0], r[1]
+			dst := make([]float64, hi-lo)
+			ix.ItemScoresRangeI8Into(u, qscale, sumQ, lo, hi, dst)
+			for item := lo; item < hi; item++ {
+				got, want := dst[item-lo], ix.ScoreItemI8(item, u, qscale, sumQ)
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("k=%d range [%d,%d) item %d: range sweep %x != ScoreItemI8 %x", k, lo, hi, item, math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+		}
+		full := make([]float64, n)
+		if got := testing.AllocsPerRun(10, func() {
+			ix.ItemScoresRangeI8Into(u, qscale, sumQ, 0, n, full)
+		}); got != 0 {
+			t.Fatalf("k=%d: ItemScoresRangeI8Into allocates %v per call", k, got)
 		}
 	}
 }

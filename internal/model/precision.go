@@ -35,15 +35,15 @@ const (
 
 // Resolve maps PrecisionDefault to the platform default: PrecisionInt8
 // where the fused int8 sweep kernel runs in assembly (AVX2), and the exact
-// PrecisionF64 everywhere else — on the generic kernels the int8 dot and
-// combine run in scalar Go, and on NEON the unfused int8 path (dot, then
-// a separate survivor pass) has not been measured. Both tiers return
-// byte-identical rankings, so the choice is purely one of speed.
+// PrecisionF64 everywhere else — on the generic kernels (every other
+// architecture, `purego`, TFREC_NOSIMD) the int8 dot and combine run in
+// scalar Go. Both tiers return byte-identical rankings, so the choice is
+// purely one of speed.
 func (p Precision) Resolve() Precision {
 	switch {
 	case p != PrecisionDefault:
 		return p
-	case vecmath.FusedI8Enabled():
+	case vecmath.SIMDEnabled():
 		return PrecisionInt8
 	default:
 		return PrecisionF64

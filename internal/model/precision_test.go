@@ -110,11 +110,11 @@ func TestPrecisionParseAndResolve(t *testing.T) {
 // run checks the first arm; the TFREC_NOSIMD=1 and purego runs the second.
 func TestResolveServedTier(t *testing.T) {
 	want := PrecisionF64
-	if vecmath.FusedI8Enabled() {
+	if vecmath.SIMDEnabled() {
 		want = PrecisionInt8
 	}
 	if got := PrecisionDefault.Resolve(); got != want {
-		t.Fatalf("default resolves to %v on %s (fused int8 %v), want %v", got, vecmath.KernelsID(), vecmath.FusedI8Enabled(), want)
+		t.Fatalf("default resolves to %v on %s (simd %v), want %v", got, vecmath.KernelsID(), vecmath.SIMDEnabled(), want)
 	}
 }
 

@@ -62,9 +62,7 @@ func (h *HTTP) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+api.EndpointUnified.Path(), h.recommend)
 	mux.HandleFunc("GET /v1/stats", h.stats)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok\n"))
-	})
+	mux.Handle("GET /healthz", api.HealthzHandler())
 	mux.Handle("/", api.NotFoundHandler())
 	return api.Recover(mux, func(r *http.Request, v any) {
 		h.r.panics.Add(1)

@@ -523,6 +523,34 @@ func TestRouterErrorPaths(t *testing.T) {
 	check(code, api.CodeNotFound, body)
 }
 
+// A router answers /healthz exactly like a node: same status, same
+// content type, the byte-identical documented body "ok\n".
+func TestHealthzMatchesNode(t *testing.T) {
+	tp := newTopology(t, []api.ItemRange{{Lo: 0, Hi: 270}}, Config{})
+	defer tp.close()
+	get := func(url string) (int, string, string) {
+		t.Helper()
+		resp, err := http.Get(url + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Content-Type"), string(b)
+	}
+	nodeCode, nodeType, nodeBody := get(tp.control.URL)
+	routerCode, routerType, routerBody := get(tp.front.URL)
+	if nodeCode != http.StatusOK || nodeBody != "ok\n" {
+		t.Fatalf("node /healthz answered %d %q, want 200 %q", nodeCode, nodeBody, "ok\n")
+	}
+	if routerCode != nodeCode || routerType != nodeType || routerBody != nodeBody {
+		t.Fatalf("router /healthz answered %d %q %q, node %d %q %q", routerCode, routerType, routerBody, nodeCode, nodeType, nodeBody)
+	}
+}
+
 // Topology bootstrap must reject a shard set that cannot serve
 // correctly: gaps, overlaps, or a backend not running in shard mode.
 func TestRouterBootstrapValidation(t *testing.T) {

@@ -166,9 +166,7 @@ func (h *HTTP) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+api.EndpointUnified.Path(), h.recommend)
 	mux.HandleFunc("GET /v1/stats", h.stats)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
+	mux.Handle("GET /healthz", api.HealthzHandler())
 	// unknown routes answer the structured envelope, not net/http's
 	// plain-text 404, so every error a client sees parses the same way
 	mux.Handle("/", api.NotFoundHandler())

@@ -368,7 +368,7 @@ func TestHTTPExecutionKnobs(t *testing.T) {
 		badPrecision = `{"error":{"code":"bad_request","message":"bad precision parameter \"bogus\" (want f32, f64 or int8)"}}` + "\n"
 	)
 	platform := "f64"
-	if vecmath.FusedI8Enabled() {
+	if vecmath.SIMDEnabled() {
 		platform = "int8"
 	}
 

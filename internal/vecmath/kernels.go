@@ -2,16 +2,13 @@ package vecmath
 
 import "runtime"
 
-// Runtime kernel dispatch. The hot sweep kernels (the int8 tier) each
-// have two implementations: a pure-Go reference that defines
-// the semantics bit for bit, and — on amd64 with AVX2 and on arm64 with
-// NEON — a hand-written assembly body for the vectorizable head of the
-// loop. Selection happens once at package init:
+// Runtime kernel dispatch. The hot int8 kernels each have two
+// implementations: a pure-Go reference that defines the semantics bit for
+// bit, and — on amd64 with AVX2 — a hand-written assembly body for the
+// vectorizable head of the loop. Selection happens once at package init:
 //
 //   - amd64: CPUID must report AVX2 with OS-enabled YMM state
 //     (OSXSAVE + XCR0[2:1] = 11), else generic.
-//   - arm64: NEON (AdvSIMD) is architecturally baseline, so the asm
-//     kernels are always eligible.
 //   - every other GOARCH, a `purego` build, or TFREC_NOSIMD=1 in the
 //     environment: the generic reference kernels.
 //
@@ -28,7 +25,6 @@ import "runtime"
 const (
 	implGeneric = "generic"
 	implAVX2    = "avx2"
-	implNEON    = "neon"
 )
 
 // KernelSet describes the active kernel dispatch: the architecture, the
@@ -40,35 +36,28 @@ const (
 type KernelSet struct {
 	// Arch is runtime.GOARCH.
 	Arch string `json:"arch"`
-	// Features lists the detected SIMD feature sets ("avx2", "neon"),
-	// whether or not they are in use.
+	// Features lists the detected SIMD feature sets ("avx2"), whether
+	// or not they are in use.
 	Features []string `json:"features,omitempty"`
 	// Disabled names the reason dispatch fell back to the generic
-	// kernels despite a usable feature ("TFREC_NOSIMD=1", "purego
+	// kernels despite a usable feature ("TFREC_NOSIMD", "purego
 	// build"); empty when SIMD is active or simply unavailable.
 	Disabled string `json:"disabled,omitempty"`
 	// Ops maps each kernel op to its active implementation:
-	// "avx2", "neon" or "generic".
+	// "avx2" or "generic".
 	Ops map[string]string `json:"ops"`
 }
 
 // Kernels returns the active kernel dispatch table.
 func Kernels() KernelSet {
-	simd, fused := implGeneric, implGeneric
-	if simdActive {
-		simd = simdImpl
-	}
-	if fusedI8Active {
-		fused = simdImpl
-	}
+	simd := activeImpl()
 	return KernelSet{
 		Arch:     runtime.GOARCH,
 		Features: simdFeatures(),
 		Disabled: simdDisabled(),
 		Ops: map[string]string{
 			"dot_i8":         simd,
-			"matvec_i8":      simd,
-			"sweep_i8_above": fused,
+			"sweep_i8_above": simd,
 			"dot_f64":        implGeneric,
 			"matvec_f64":     implGeneric,
 		},
@@ -78,21 +67,20 @@ func Kernels() KernelSet {
 // KernelsID is the compact one-line identity of the dispatch arm, e.g.
 // "amd64/avx2" or "arm64/generic". Benchmark baselines record it: raw
 // timings measured under different kernel sets are not comparable.
-func KernelsID() string {
-	simd := implGeneric
+func KernelsID() string { return runtime.GOARCH + "/" + activeImpl() }
+
+// activeImpl names the implementation serving the int8 ops.
+func activeImpl() string {
 	if simdActive {
-		simd = simdImpl
+		return implAVX2
 	}
-	return runtime.GOARCH + "/" + simd
+	return implGeneric
 }
 
-// SIMDEnabled reports whether the assembly kernels are active. The
-// BenchmarkKernel* micro-benchmarks self-skip their SIMD variants when
-// it is false.
+// SIMDEnabled reports whether the assembly kernels are active — DotI8
+// and the fused SweepBiasI8Above both run their AVX2 bodies.
+// model.Precision.Resolve keys the int8 default on it: the int8 tier is
+// served only where the fused sweep runs, and the exact f64 tier
+// everywhere else. The BenchmarkKernel* micro-benchmarks self-skip their
+// SIMD variants when it is false.
 func SIMDEnabled() bool { return simdActive }
-
-// FusedI8Enabled reports whether SweepBiasI8Above runs its assembly body
-// (today AVX2 only). model.Precision.Resolve keys the int8 default on it:
-// the int8 tier is served only where the fused sweep was measured, and the
-// exact f64 tier everywhere else.
-func FusedI8Enabled() bool { return fusedI8Active }

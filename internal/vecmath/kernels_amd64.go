@@ -2,26 +2,45 @@
 
 package vecmath
 
-// amd64 dispatch arm: the AVX2 kernels in veci8_amd64.s,
-// eligible when CPUID reports AVX2 and the OS has enabled YMM state.
+import "os"
 
-const simdImpl = implAVX2
+// amd64 dispatch arm, the only assembly arm: the AVX2 kernels in
+// veci8_amd64.s, eligible when CPUID reports AVX2 and the OS has enabled
+// YMM state. Every entry point takes raw base pointers plus element
+// counts so the wrappers stay allocation-free, and every declaration is
+// go:noescape: the asm bodies only load through the pointers (and store
+// through the output pointers), never retain them, so escape analysis
+// keeps caller buffers — including stack-allocated survivor arrays — off
+// the heap, preserving the zero-allocs-per-query invariant.
 
 var (
 	hasAVX2    bool
 	simdOffEnv bool
 	simdActive bool
-	// fusedI8Active selects the AVX2 body of SweepBiasI8Above; amd64 is
-	// the only arm with one.
-	fusedI8Active bool
 )
 
 func init() {
 	hasAVX2 = detectAVX2()
 	simdOffEnv = noSIMDEnv()
 	simdActive = hasAVX2 && !simdOffEnv
-	fusedI8Active = simdActive
 }
+
+// noSIMDEnv reports whether the TFREC_NOSIMD escape hatch is set: any
+// non-empty value except "0" forces the generic kernels, for debugging
+// and for the CI leg that keeps the fallback path covered.
+func noSIMDEnv() bool {
+	v := os.Getenv("TFREC_NOSIMD")
+	return v != "" && v != "0"
+}
+
+// dotI8SIMD returns Σ a[i]·b[i] over the first n elements, accumulated
+// in int32 lanes and reduced with integer adds. n must be a positive
+// multiple of 8. Integer accumulation is mod-2³² associative, so the
+// result is bit-identical to the reference kernel for every input,
+// including lengths past MaxDotLenI8 where both wrap identically.
+//
+//go:noescape
+func dotI8SIMD(a, b *int8, n int) int32
 
 // sweep4I8AboveSIMD is the AVX2 body of SweepBiasI8Above over the first
 // nrows rows (a positive multiple of 4) of the slab at f with row stride

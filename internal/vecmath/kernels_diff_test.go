@@ -8,7 +8,7 @@ import (
 )
 
 // Differential suite for the kernel dispatch: whatever arm init selected
-// (AVX2, NEON or generic), every public kernel must be bitwise identical
+// (AVX2 or generic), every public kernel must be bitwise identical
 // to the pure-Go reference on every shape — all lengths through the
 // vector width and well past it, odd tails, unaligned sub-slices, and
 // hostile values (±127 saturated codes, subnormals, infinities, zero
@@ -64,39 +64,6 @@ func TestDotI8MatchesRef(t *testing.T) {
 	}
 }
 
-// TestMatVecBiasI8MatchesRowwise pins the blocked int8 sweep to
-// DotBiasI8 built on the pure-Go reference dot, bitwise in float64.
-func TestMatVecBiasI8MatchesRowwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, rows := range []int{0, 1, 3, 4, 5, 8, 9, 33} {
-		for _, k := range []int{0, 1, 3, 7, 8, 9, 16, 17, 63, 64, 100, 256} {
-			factors := make([]int8, rows*k)
-			fillI8(rng, factors)
-			scale := make([]float64, rows)
-			offset := make([]float64, rows)
-			bias := make([]float64, rows)
-			for r := range scale {
-				scale[r] = rng.Float64()
-				offset[r] = rng.NormFloat64()
-				bias[r] = rng.NormFloat64()
-			}
-			u := make([]int8, k)
-			fillI8(rng, u)
-			qscale, sumQ := rng.Float64(), rng.NormFloat64()
-			dst := make([]float64, rows)
-			MatVecBiasI8(factors, k, scale, offset, bias, u, qscale, sumQ, dst)
-			for r := 0; r < rows; r++ {
-				d := dotI8Ref(u, factors[r*k:(r+1)*k])
-				want := combineI8(d, scale[r], offset[r], bias[r], qscale, sumQ)
-				if math.Float64bits(dst[r]) != math.Float64bits(want) {
-					t.Fatalf("rows=%d k=%d r=%d: blocked=%x rowwise=%x", rows, k, r,
-						math.Float64bits(dst[r]), math.Float64bits(want))
-				}
-			}
-		}
-	}
-}
-
 // sameScore is bitwise float64 equality, with NaN-vs-NaN as agreement
 // (payloads may legitimately differ between scalar and vector units).
 func sameScore(a, b float64) bool {
@@ -105,21 +72,38 @@ func sameScore(a, b float64) bool {
 
 // checkSweepAbove runs SweepBiasI8Above and its reference on one input
 // and requires the identical survivor list: rows in order, scores
-// bitwise.
+// bitwise. Both of the kernel's bodies are checked directly as well — the
+// per-row loop on every host, the fused one wherever it can run — so an
+// AVX2 host covers the portable path for every k, not just k < 8.
 func checkSweepAbove(t *testing.T, label string, factors []int8, k int, scale, offset, bias []float64, u []int8, qscale, sumQ, tau float64) {
 	t.Helper()
 	rows := len(bias)
-	gotRows, gotScores := make([]int32, rows), make([]float64, rows)
 	wantRows, wantScores := make([]int32, rows), make([]float64, rows)
-	got := SweepBiasI8Above(factors, k, scale, offset, bias, u, qscale, sumQ, tau, gotRows, gotScores)
 	want := sweepBiasI8AboveRef(factors, k, scale, offset, bias, u, qscale, sumQ, tau, wantRows, wantScores)
-	if got != want {
-		t.Fatalf("%s: %d survivors, reference %d (tau=%v)", label, got, want, tau)
+	bodies := map[string]func(rows []int32, scores []float64) int{
+		"dispatched": func(rs []int32, ss []float64) int {
+			return SweepBiasI8Above(factors, k, scale, offset, bias, u, qscale, sumQ, tau, rs, ss)
+		},
+		"rows": func(rs []int32, ss []float64) int {
+			return sweepBiasI8AboveRows(factors, k, scale, offset, bias, u, qscale, sumQ, tau, 0, 0, rs, ss)
+		},
 	}
-	for i := 0; i < got; i++ {
-		if gotRows[i] != wantRows[i] || !sameScore(gotScores[i], wantScores[i]) {
-			t.Fatalf("%s: survivor %d = (%d, %x), reference (%d, %x)", label, i,
-				gotRows[i], math.Float64bits(gotScores[i]), wantRows[i], math.Float64bits(wantScores[i]))
+	if simdActive && k >= 8 {
+		bodies["fused"] = func(rs []int32, ss []float64) int {
+			return sweepBiasI8AboveFused(factors, k, scale, offset, bias, u, qscale, sumQ, tau, rs, ss)
+		}
+	}
+	for name, body := range bodies {
+		gotRows, gotScores := make([]int32, rows), make([]float64, rows)
+		got := body(gotRows, gotScores)
+		if got != want {
+			t.Fatalf("%s %s: %d survivors, reference %d (tau=%v)", label, name, got, want, tau)
+		}
+		for i := 0; i < got; i++ {
+			if gotRows[i] != wantRows[i] || !sameScore(gotScores[i], wantScores[i]) {
+				t.Fatalf("%s %s: survivor %d = (%d, %x), reference (%d, %x)", label, name, i,
+					gotRows[i], math.Float64bits(gotScores[i]), wantRows[i], math.Float64bits(wantScores[i]))
+			}
 		}
 	}
 }
@@ -131,7 +115,7 @@ func checkSweepAbove(t *testing.T, label string, factors []int8, k int, scale, o
 // −128 codes, and thresholds at −Inf, +Inf, NaN, an exact tie with a
 // live score and the median score.
 func TestSweepBiasI8AboveMatchesRef(t *testing.T) {
-	t.Logf("dispatch: %s (fused=%v)", KernelsID(), fusedI8Active)
+	t.Logf("dispatch: %s (simd=%v)", KernelsID(), SIMDEnabled())
 	rng := rand.New(rand.NewSource(17))
 	for k := 1; k <= 130; k++ {
 		for _, rows := range []int{0, 1, 3, 4, 5, 8, 13} {
@@ -161,7 +145,7 @@ func TestSweepBiasI8AboveMatchesRef(t *testing.T) {
 			taus := []float64{math.Inf(-1), math.Inf(1), math.NaN(), 0}
 			if rows > 0 {
 				all := make([]float64, rows)
-				MatVecBiasI8(factors, k, scale, offset, bias, u, qscale, sumQ, all)
+				sweepBiasI8AboveRef(factors, k, scale, offset, bias, u, qscale, sumQ, math.Inf(-1), make([]int32, rows), all)
 				taus = append(taus, all[rows/2], all[rng.Intn(rows)])
 			}
 			for _, tau := range taus {
@@ -222,7 +206,7 @@ func TestDotI8WraparoundMatchesRef(t *testing.T) {
 
 // TestKernelWrappersZeroAlloc pins the dispatch wrappers to zero heap
 // allocations per call — the go:noescape declarations must keep the
-// stack-allocated accumulator arrays off the heap.
+// stack-allocated survivor arrays off the heap.
 func TestKernelWrappersZeroAlloc(t *testing.T) {
 	const rows, k = 12, 48
 	fi8 := make([]int8, rows*k)
@@ -230,10 +214,8 @@ func TestKernelWrappersZeroAlloc(t *testing.T) {
 	offset := make([]float64, rows)
 	bias := make([]float64, rows)
 	u := make([]int8, k)
-	dst := make([]float64, rows)
 	for name, fn := range map[string]func(){
-		"DotI8":        func() { DotI8(u, fi8[:k]) },
-		"MatVecBiasI8": func() { MatVecBiasI8(fi8, k, scale, offset, bias, u, 1, 0, dst) },
+		"DotI8": func() { DotI8(u, fi8[:k]) },
 		"SweepBiasI8Above": func() {
 			var out [rows]int32
 			var scores [rows]float64

@@ -19,7 +19,7 @@ import (
 // integer arithmetic, so the dot is identical in any accumulation order
 // and a blocked multi-row sweep is trivially bitwise equal to the
 // row-at-a-time kernel; only the short float64 combine above
-// rounds, and both kernels share it statement by statement. The
+// rounds, and every kernel shares it statement by statement. The
 // quantization error is measured (not estimated) during encoding and
 // surfaced per slab, so the serving pipeline can certify an exact-rescore
 // boundary; see model.ScoringIndex's ItemErrBoundI8.
@@ -138,8 +138,8 @@ func QuantizeQuery(dst []int8, q []float64) (qscale, sumQ, sumAbsErr float64) {
 
 // DotI8 returns ⟨a, b⟩ accumulated in int32 — exact for any length up to
 // MaxDotLenI8, so unlike the float kernels the accumulation order is
-// irrelevant and every sweep shape — including the AVX2/NEON assembly
-// arm, whose int32 lanes wrap mod 2³² exactly like the reference's
+// irrelevant and every sweep shape — including the AVX2 assembly arm,
+// whose int32 lanes wrap mod 2³² exactly like the reference's
 // accumulator — produces the identical integer. It panics if the lengths
 // differ.
 func DotI8(a, b []int8) int32 {
@@ -194,91 +194,12 @@ const MaxDotLenI8 = (1<<31 - 1) / (127 * 127)
 //
 //	(qscale·scale)·dot + offset·Σq + bias
 //
-// evaluated in single-rounded steps. MatVecBiasI8 and SweepBiasI8Above
-// replicate the combine statement for statement, so a score is bitwise
-// identical whether computed row-at-a-time or in any blocked sweep. It
+// evaluated in single-rounded steps. SweepBiasI8Above's fused body
+// replicates the combine statement for statement, so a score is bitwise
+// identical whether computed row-at-a-time or in the blocked sweep. It
 // panics if the lengths differ.
 func DotBiasI8(u, row []int8, scale, offset, bias, qscale, sumQ float64) float64 {
 	return combineI8(DotI8(u, row), scale, offset, bias, qscale, sumQ)
-}
-
-// MatVecBiasI8 sweeps a contiguous row-major int8 slab: dst[r] gets the
-// combined score of row r against the quantized query u. Rows are
-// processed four at a time (the integer dots pipeline independently and
-// the loads of u are shared); the combine is the exact statement sequence
-// of DotBiasI8, so blocked and row-wise scores are bitwise identical. It
-// panics when the slab size is not len(dst)*k or a parameter array's
-// length differs from dst.
-func MatVecBiasI8(factors []int8, k int, scale, offset, bias []float64, u []int8, qscale, sumQ float64, dst []float64) {
-	rows := len(dst)
-	if len(factors) != rows*k {
-		panicSlab("MatVecBiasI8", len(factors), rows, k)
-	}
-	if len(scale) != rows || len(offset) != rows || len(bias) != rows {
-		panic(fmt.Sprintf("vecmath: MatVecBiasI8 param lengths %d/%d/%d != rows %d", len(scale), len(offset), len(bias), rows))
-	}
-	if len(u) != k {
-		panicQueryLen("MatVecBiasI8", len(u), k)
-	}
-	n8 := k &^ 7
-	r := 0
-	if simdActive && n8 > 0 {
-		var out [4]int32
-		for ; r+4 <= rows; r += 4 {
-			dot4I8SIMD(&factors[r*k], k, &u[0], n8, &out)
-			d0, d1, d2, d3 := out[0], out[1], out[2], out[3]
-			if n8 < k {
-				r0 := factors[r*k:][:k]
-				r1 := factors[(r+1)*k:][:k]
-				r2 := factors[(r+2)*k:][:k]
-				r3 := factors[(r+3)*k:][:k]
-				for i := n8; i < k; i++ {
-					ua := int32(u[i])
-					d0 += ua * int32(r0[i])
-					d1 += ua * int32(r1[i])
-					d2 += ua * int32(r2[i])
-					d3 += ua * int32(r3[i])
-				}
-			}
-			dst[r] = combineI8(d0, scale[r], offset[r], bias[r], qscale, sumQ)
-			dst[r+1] = combineI8(d1, scale[r+1], offset[r+1], bias[r+1], qscale, sumQ)
-			dst[r+2] = combineI8(d2, scale[r+2], offset[r+2], bias[r+2], qscale, sumQ)
-			dst[r+3] = combineI8(d3, scale[r+3], offset[r+3], bias[r+3], qscale, sumQ)
-		}
-		for ; r < rows; r++ {
-			dst[r] = DotBiasI8(u, factors[r*k:(r+1)*k], scale[r], offset[r], bias[r], qscale, sumQ)
-		}
-		return
-	}
-	for ; r+4 <= rows; r += 4 {
-		r0 := factors[r*k:][:len(u)]
-		r1 := factors[(r+1)*k:][:len(u)]
-		r2 := factors[(r+2)*k:][:len(u)]
-		r3 := factors[(r+3)*k:][:len(u)]
-		var d0, d1, d2, d3 int32
-		i := 0
-		for ; i+2 <= len(u); i += 2 {
-			ua, ub := int32(u[i]), int32(u[i+1])
-			d0 += ua*int32(r0[i]) + ub*int32(r0[i+1])
-			d1 += ua*int32(r1[i]) + ub*int32(r1[i+1])
-			d2 += ua*int32(r2[i]) + ub*int32(r2[i+1])
-			d3 += ua*int32(r3[i]) + ub*int32(r3[i+1])
-		}
-		if i < len(u) {
-			ua := int32(u[i])
-			d0 += ua * int32(r0[i])
-			d1 += ua * int32(r1[i])
-			d2 += ua * int32(r2[i])
-			d3 += ua * int32(r3[i])
-		}
-		dst[r] = combineI8(d0, scale[r], offset[r], bias[r], qscale, sumQ)
-		dst[r+1] = combineI8(d1, scale[r+1], offset[r+1], bias[r+1], qscale, sumQ)
-		dst[r+2] = combineI8(d2, scale[r+2], offset[r+2], bias[r+2], qscale, sumQ)
-		dst[r+3] = combineI8(d3, scale[r+3], offset[r+3], bias[r+3], qscale, sumQ)
-	}
-	for ; r < rows; r++ {
-		dst[r] = DotBiasI8(u, factors[r*k:(r+1)*k], scale[r], offset[r], bias[r], qscale, sumQ)
-	}
 }
 
 // combineI8 is the shared float64 tail of every int8 kernel: the
@@ -286,7 +207,7 @@ func MatVecBiasI8(factors []int8, k int, scale, offset, bias []float64, u []int8
 //
 //	m = qscale·scale;  a = m·d;  c = offset·Σq;  s = a + c;  s + bias
 //
-// that pins every int8 score to one bit pattern across the row, blocked
+// that pins every int8 score to one bit pattern across the row-at-a-time
 // and fused kernels.
 func combineI8(d int32, scale, offset, bias, qscale, sumQ float64) float64 {
 	// one rounding per step: the float64 conversions forbid the compiler
@@ -303,8 +224,8 @@ func combineI8(d int32, scale, offset, bias, qscale, sumQ float64) float64 {
 
 // SweepBiasI8Above is the fused threshold-aware sweep of the int8 tier. It
 // scores every row of a contiguous row-major int8 slab exactly as
-// MatVecBiasI8 does — the exact integer dot, then DotBiasI8's combine —
-// and keeps only the rows whose score s satisfies !(s < tau): rows[:n]
+// DotBiasI8 does — the exact integer dot, then the shared combine — and
+// keeps only the rows whose score s satisfies !(s < tau): rows[:n]
 // receives their slab-relative indices in ascending order, scores[:n]
 // their scores, and n is returned. The predicate is the negation of a
 // full top-k collector's "strictly below the k-th score" rejection, so
@@ -313,12 +234,12 @@ func combineI8(d int32, scale, offset, bias, qscale, sumQ float64) float64 {
 // one entry per slab row (every row may survive). It panics on any shape
 // mismatch.
 //
-// On AVX2 hosts the whole 4-row block — dot over all of k including the
-// k%8 tail, the vector combine (separate multiplies and adds, never FMA,
-// so each lane rounds exactly like combineI8), the compare against the
-// broadcast tau and the emission of surviving lanes — runs in one
-// assembly loop; elsewhere MatVecBiasI8 scores the slab and a scalar pass
-// compacts the survivors.
+// On AVX2 hosts with k ≥ 8 the whole 4-row block — dot over all of k
+// including the k%8 tail, the vector combine (separate multiplies and
+// adds, never FMA, so each lane rounds exactly like combineI8), the
+// compare against the broadcast tau and the emission of surviving lanes —
+// runs in one assembly loop; everywhere else a per-row DotBiasI8 loop
+// scores and filters the slab.
 func SweepBiasI8Above(factors []int8, k int, scale, offset, bias []float64, u []int8, qscale, sumQ, tau float64, rows []int32, scores []float64) int {
 	n := len(bias)
 	if len(factors) != n*k {
@@ -333,12 +254,18 @@ func SweepBiasI8Above(factors []int8, k int, scale, offset, bias []float64, u []
 	if len(rows) < n || len(scores) < n || n > math.MaxInt32 {
 		panic(fmt.Sprintf("vecmath: SweepBiasI8Above output lengths %d/%d below rows %d", len(rows), len(scores), n))
 	}
-	if !fusedI8Active || k < 8 {
-		MatVecBiasI8(factors, k, scale, offset, bias, u, qscale, sumQ, scores[:n])
-		return compactAbove(scores[:n], tau, rows)
+	if simdActive && k >= 8 {
+		return sweepBiasI8AboveFused(factors, k, scale, offset, bias, u, qscale, sumQ, tau, rows, scores)
 	}
-	c := 0
-	if n4 := n &^ 3; n4 > 0 {
+	return sweepBiasI8AboveRows(factors, k, scale, offset, bias, u, qscale, sumQ, tau, 0, 0, rows, scores)
+}
+
+// sweepBiasI8AboveFused is SweepBiasI8Above's AVX2 body: the assembly
+// loop over every whole 4-row block, then the per-row loop over the n%4
+// tail rows. The caller has checked the shapes, SIMD and k ≥ 8.
+func sweepBiasI8AboveFused(factors []int8, k int, scale, offset, bias []float64, u []int8, qscale, sumQ, tau float64, rows []int32, scores []float64) int {
+	n4, c := len(bias)&^3, 0
+	if n4 > 0 {
 		// the k%8 tail is one overlapping 8-byte load ending at the row's
 		// last code, dotted against the query tail shifted into the top
 		// lanes with zeros below it — the overlap re-reads codes the head
@@ -352,22 +279,16 @@ func SweepBiasI8Above(factors []int8, k int, scale, offset, bias []float64, u []
 		c = sweep4I8AboveSIMD(&factors[0], k, &u[0], k&^15, n8, tail, &ut[0],
 			&scale[0], &offset[0], &bias[0], qscale, sumQ, tau, n4, &rows[0], &scores[0])
 	}
-	for r := n &^ 3; r < n; r++ {
-		s := DotBiasI8(u, factors[r*k:(r+1)*k], scale[r], offset[r], bias[r], qscale, sumQ)
-		if !(s < tau) {
-			rows[c], scores[c] = int32(r), s
-			c++
-		}
-	}
-	return c
+	return sweepBiasI8AboveRows(factors, k, scale, offset, bias, u, qscale, sumQ, tau, n4, c, rows, scores)
 }
 
-// compactAbove moves the scores satisfying !(s < tau) to the front of
-// scores in order, writing their indices into rows, and returns the
-// count. In place is safe: the write index never passes the read index.
-func compactAbove(scores []float64, tau float64, rows []int32) int {
-	c := 0
-	for r, s := range scores {
+// sweepBiasI8AboveRows is SweepBiasI8Above's per-row loop from row r on,
+// appending survivors after the c already emitted; it returns the new
+// count. It is the whole sweep where the fused body does not run, and the
+// fused body's n%4 tail.
+func sweepBiasI8AboveRows(factors []int8, k int, scale, offset, bias []float64, u []int8, qscale, sumQ, tau float64, r, c int, rows []int32, scores []float64) int {
+	for ; r < len(bias); r++ {
+		s := DotBiasI8(u, factors[r*k:(r+1)*k], scale[r], offset[r], bias[r], qscale, sumQ)
 		if !(s < tau) {
 			rows[c], scores[c] = int32(r), s
 			c++

@@ -71,93 +71,12 @@ hsum:
 	MOVL    AX, ret+24(FP)
 	RET
 
-// func dot4I8SIMD(f *int8, stride int, u *int8, n int, out *[4]int32)
-// Dots of u against the four rows at f, f+stride, f+2·stride,
-// f+3·stride (stride in elements = bytes for int8). n must be a
-// positive multiple of 8 with n ≤ stride.
-TEXT ·dot4I8SIMD(SB), NOSPLIT, $0-40
-	MOVQ  f+0(FP), R8
-	MOVQ  stride+8(FP), BX
-	MOVQ  u+16(FP), SI
-	MOVQ  n+24(FP), CX
-	LEAQ  (R8)(BX*1), R9
-	LEAQ  (R9)(BX*1), R10
-	LEAQ  (R10)(BX*1), R11
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-
-	CMPQ CX, $16
-	JL   reduce4
-
-loop16:
-	VPMOVSXBW (SI), Y4
-	VPMOVSXBW (R8), Y5
-	VPMADDWD  Y4, Y5, Y5
-	VPADDD    Y5, Y0, Y0
-	VPMOVSXBW (R9), Y5
-	VPMADDWD  Y4, Y5, Y5
-	VPADDD    Y5, Y1, Y1
-	VPMOVSXBW (R10), Y5
-	VPMADDWD  Y4, Y5, Y5
-	VPADDD    Y5, Y2, Y2
-	VPMOVSXBW (R11), Y5
-	VPMADDWD  Y4, Y5, Y5
-	VPADDD    Y5, Y3, Y3
-	ADDQ      $16, SI
-	ADDQ      $16, R8
-	ADDQ      $16, R9
-	ADDQ      $16, R10
-	ADDQ      $16, R11
-	SUBQ      $16, CX
-	CMPQ      CX, $16
-	JGE       loop16
-
-reduce4:
-	VEXTRACTI128 $1, Y0, X4
-	VPADDD       X4, X0, X0
-	VEXTRACTI128 $1, Y1, X4
-	VPADDD       X4, X1, X1
-	VEXTRACTI128 $1, Y2, X4
-	VPADDD       X4, X2, X2
-	VEXTRACTI128 $1, Y3, X4
-	VPADDD       X4, X3, X3
-
-	// remaining 8-element chunk (CX is now 0 or 8)
-	CMPQ      CX, $8
-	JL        hsum4
-	VPMOVSXBW (SI), X4
-	VPMOVSXBW (R8), X5
-	VPMADDWD  X4, X5, X5
-	VPADDD    X5, X0, X0
-	VPMOVSXBW (R9), X5
-	VPMADDWD  X4, X5, X5
-	VPADDD    X5, X1, X1
-	VPMOVSXBW (R10), X5
-	VPMADDWD  X4, X5, X5
-	VPADDD    X5, X2, X2
-	VPMOVSXBW (R11), X5
-	VPMADDWD  X4, X5, X5
-	VPADDD    X5, X3, X3
-
-hsum4:
-	// [a0+a1, a2+a3, b0+b1, b2+b3] etc., then one more fold to
-	// [Σa, Σb, Σc, Σd]
-	VPHADDD X1, X0, X0
-	VPHADDD X3, X2, X2
-	VPHADDD X2, X0, X0
-	MOVQ    out+32(FP), DI
-	VMOVDQU X0, (DI)
-	VZEROUPPER
-	RET
-
 // func sweep4I8AboveSIMD(f *int8, stride int, u *int8, n16, n8, tail int, ut *int8, scale, offset, bias *float64, qscale, sumQ, tau float64, nrows int, rows *int32, scores *float64) int
 //
 // The fused threshold-aware sweep: per block of four rows, the exact
 // int32 dots over all of k (16-code steps, one optional 8-code chunk,
 // then the overlapping tail load against the zero-padded query tail in
-// X10), the combine of combineI8F in vector form — VCVTDQ2PD is exact,
+// X10), the combine of combineI8 in vector form — VCVTDQ2PD is exact,
 // and every multiply and add rounds separately, never FMA — the compare
 // !(s < tau) (VCMPPD predicate 5, NLT_US: true for ties and unordered
 // lanes), and a branch-free emission of the surviving lanes. Each lane is

@@ -5,44 +5,6 @@ import (
 	"testing"
 )
 
-// The int8 kernels must agree bitwise between the row-at-a-time form and
-// the blocked sweep — across the 4-row blocking boundary, the odd-k
-// remainder, and a factor dimensionality past 256.
-func TestMatVecBiasI8MatchesDotBiasI8(t *testing.T) {
-	rng := NewRNG(42)
-	for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 64, 65} {
-		for _, k := range []int{1, 2, 3, 5, 8, 20, 263} {
-			factors := make([]int8, rows*k)
-			scale := make([]float64, rows)
-			offset := make([]float64, rows)
-			bias := make([]float64, rows)
-			for i := range factors {
-				factors[i] = int8(rng.Uint64()%255) - 127
-			}
-			for i := range bias {
-				scale[i] = math.Abs(rng.NormFloat64()) * 0.01
-				offset[i] = rng.NormFloat64()
-				bias[i] = rng.NormFloat64()
-			}
-			u := make([]int8, k)
-			for i := range u {
-				u[i] = int8(rng.Uint64()%255) - 127
-			}
-			qscale := math.Abs(rng.NormFloat64()) * 0.01
-			sumQ := rng.NormFloat64()
-
-			dst := make([]float64, rows)
-			MatVecBiasI8(factors, k, scale, offset, bias, u, qscale, sumQ, dst)
-			for r := 0; r < rows; r++ {
-				want := DotBiasI8(u, factors[r*k:(r+1)*k], scale[r], offset[r], bias[r], qscale, sumQ)
-				if dst[r] != want {
-					t.Fatalf("rows=%d k=%d row %d: blocked %v != rowwise %v", rows, k, r, dst[r], want)
-				}
-			}
-		}
-	}
-}
-
 // Quantization round-trip property: every encoded value must reconstruct
 // within the advertised per-row maxErr, and maxErr itself must stay within
 // half a code step (plus float slop) — the bound ErrBoundI8 charges per
@@ -156,14 +118,17 @@ func TestI8Panics(t *testing.T) {
 		"DotBiasI8":     func() { DotBiasI8([]int8{1}, []int8{1, 2}, 1, 0, 0, 1, 0) },
 		"QuantizeRow":   func() { QuantizeRow(make([]int8, 1), make([]float64, 2)) },
 		"QuantizeQuery": func() { QuantizeQuery(make([]int8, 1), make([]float64, 2)) },
-		"MatVecBiasI8 slab": func() {
-			MatVecBiasI8(make([]int8, 3), 2, make([]float64, 2), make([]float64, 2), make([]float64, 2), make([]int8, 2), 1, 0, make([]float64, 2))
+		"SweepBiasI8Above slab": func() {
+			SweepBiasI8Above(make([]int8, 3), 2, make([]float64, 2), make([]float64, 2), make([]float64, 2), make([]int8, 2), 1, 0, 0, make([]int32, 2), make([]float64, 2))
 		},
-		"MatVecBiasI8 params": func() {
-			MatVecBiasI8(make([]int8, 4), 2, make([]float64, 1), make([]float64, 2), make([]float64, 2), make([]int8, 2), 1, 0, make([]float64, 2))
+		"SweepBiasI8Above params": func() {
+			SweepBiasI8Above(make([]int8, 4), 2, make([]float64, 1), make([]float64, 2), make([]float64, 2), make([]int8, 2), 1, 0, 0, make([]int32, 2), make([]float64, 2))
 		},
-		"MatVecBiasI8 query": func() {
-			MatVecBiasI8(make([]int8, 4), 2, make([]float64, 2), make([]float64, 2), make([]float64, 2), make([]int8, 3), 1, 0, make([]float64, 2))
+		"SweepBiasI8Above query": func() {
+			SweepBiasI8Above(make([]int8, 4), 2, make([]float64, 2), make([]float64, 2), make([]float64, 2), make([]int8, 3), 1, 0, 0, make([]int32, 2), make([]float64, 2))
+		},
+		"SweepBiasI8Above output": func() {
+			SweepBiasI8Above(make([]int8, 4), 2, make([]float64, 2), make([]float64, 2), make([]float64, 2), make([]int8, 2), 1, 0, 0, make([]int32, 1), make([]float64, 2))
 		},
 		"NewMatrixI8":         func() { NewMatrixI8(-1, 2) },
 		"QuantizeFrom slab":   func() { NewMatrixI8(2, 2).QuantizeFrom(make([]float64, 3), make([]float64, 2), make([]float64, 2)) },
