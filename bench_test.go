@@ -337,7 +337,7 @@ func benchComposedForTopK(b *testing.B) (*model.Composed, []float64) {
 	return m.Compose(), q
 }
 
-// sweepTopK is the raw serial f64 sweep the plan executor's naive engine
+// sweepTopK is the raw serial f64 sweep the plan executor's dense engine
 // runs — 256-item blocks scored by ItemScoresRangeInto, streamed through
 // the collector's threshold — written against exported calls only, so
 // the benchgate canary measures the kernel and heap without the executor

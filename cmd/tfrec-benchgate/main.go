@@ -325,7 +325,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	meas := medians(samples)
 
 	if *update {
-		base.Note = "Median ns/op from `go test -run '^$' -bench '^(BenchmarkTopK|BenchmarkSharded|BenchmarkServe|BenchmarkExecuteDeadline|BenchmarkQuantize|BenchmarkLoad|BenchmarkKernel)' -count=6 .`; refresh with tfrec-benchgate -update after intentional perf changes. Per-bench comparisons are normalized by the canary bench (its own raw time is bounded by canary_raw_limit), so the file need not come from CI-identical hardware — but it must come from the same kernel dispatch arm (the kernels field; runs under a different arm skip per-bench comparisons entirely); the speedups entries additionally gate parallel scaling itself on machines with enough cores, and kernel-conditioned entries gate the SIMD kernels' own floors on their arm. The BenchmarkLoad pair is speedup-gated only (no absolute ns/op entry): its world is sized by TFREC_LOADBENCH_ITEMS, so raw times are not comparable across runs."
+		base.Note = "Median ns/op from `go test -run '^$' -bench '^(BenchmarkTopK|BenchmarkCategorySweep|BenchmarkSharded|BenchmarkServe|BenchmarkExecuteDeadline|BenchmarkQuantize|BenchmarkLoad|BenchmarkKernel)' -count=6 .`; refresh with tfrec-benchgate -update after intentional perf changes. Per-bench comparisons are normalized by the canary bench (its own raw time is bounded by canary_raw_limit), so the file need not come from CI-identical hardware — but it must come from the same kernel dispatch arm (the kernels field; runs under a different arm skip per-bench comparisons entirely); the speedups entries additionally gate parallel scaling itself on machines with enough cores, and kernel-conditioned entries gate the SIMD kernels' own floors on their arm. The BenchmarkLoad pair is speedup-gated only (no absolute ns/op entry): its world is sized by TFREC_LOADBENCH_ITEMS, so raw times are not comparable across runs."
 		if base.Canary == "" {
 			base.Canary = "BenchmarkTopKIndexStreaming"
 		}
@@ -360,12 +360,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				// would cause
 				{Slow: "BenchmarkServeUncached", Fast: "BenchmarkServeCachedHit", Min: 10.0, MinProcs: 1},
 				{Slow: "BenchmarkExecuteDeadlineNone", Fast: "BenchmarkExecuteDeadlineFar", Min: 0.95, MinProcs: 1},
-				// branch-and-bound pruning floors: a skewed world must
-				// prune ≥2x over the dense sweep, and a uniform
-				// (prune-hostile) world must not pay more than ~5% for
-				// carrying the envelope checks
+				// category sweep floors: a skewed world must skip
+				// enough to win ≥2x over the direct dense sweep, and a
+				// uniform (bound-hostile) world must not pay more than ~5%
+				// for the bounds and the checkpoint bail
 				{Slow: "BenchmarkTopKSkewedDense", Fast: "BenchmarkTopKSkewedPruned", Min: 2.0, MinProcs: 1},
 				{Slow: "BenchmarkTopKUniformDense", Fast: "BenchmarkTopKUniformPruned", Min: 0.95, MinProcs: 1},
+				// the category sweep on the learned fixture must beat the
+				// dense two-stage int8 sweep it replaced ≥1.5x (measured ~3x)
+				{Slow: "BenchmarkCategorySweepLearnedDenseI8", Fast: "BenchmarkCategorySweepLearned", Min: 1.5, MinProcs: 1},
 				// the SIMD kernels' own floors, conditioned on the AVX2
 				// dispatch arm (on other arms the SIMD micro-benches
 				// self-skip, those hosts serve f64, and the pairs are

@@ -40,7 +40,6 @@ func main() {
 	catDepth := flag.Int("cat-depth", 1, "taxonomy depth for category metrics")
 	workers := flag.Int("workers", 0, "evaluation goroutines (0 = GOMAXPROCS)")
 	precision := flag.String("precision", "", "top-k scoring precision: f64 (the exact sweep), int8 (two-stage quantized pipeline), or empty for the host's tier (int8 on AVX2, else f64); the retired f32 runs the host's tier; every tier gives identical metrics")
-	pruned := flag.Bool("pruned", false, "score top-k via the branch-and-bound taxonomy descent (identical metrics; throughput knob)")
 	flag.Parse()
 
 	prec, err := model.ParsePrecision(*precision)
@@ -91,7 +90,7 @@ func main() {
 	}
 
 	tk, err := eval.EvaluateTopKPlan(c, history, split.Test, *workers,
-		infer.Plan{K: *topk, Precision: prec.Resolve(), MaxWorkers: 1, Pruned: *pruned})
+		infer.Plan{K: *topk, Precision: prec.Resolve(), MaxWorkers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/infer"
 	"repro/internal/model"
 	"repro/internal/taxonomy"
 	"repro/internal/vecmath"
@@ -26,71 +28,74 @@ func boundsWorld(t *testing.T) *model.Composed {
 	return m.Compose()
 }
 
-// The audit must uphold the envelope invariant (slack >= 0 everywhere),
-// account for every node × query sample, and be seed-deterministic.
+// The audit must uphold the ball invariant (slack >= 0 everywhere),
+// account for every category × query sample and every probe's checkpoint
+// share, and be seed-deterministic.
 func TestBoundTightness(t *testing.T) {
 	c := boundsWorld(t)
 	const queries = 5
-	depths := boundTightness(c, queries, 99)
-	if len(depths) != c.Tree.Depth()+1 {
-		t.Fatalf("%d depth rows, want %d", len(depths), c.Tree.Depth()+1)
+	ct := boundTightness(c, queries, 99)
+	if ct.Categories != len(c.Tree.Level(c.Tree.Depth()-1)) {
+		t.Fatalf("%d categories, want the %d item parents", ct.Categories, len(c.Tree.Level(c.Tree.Depth()-1)))
 	}
-	for i := range depths {
-		dt := &depths[i]
-		if dt.Samples != dt.Nodes*queries {
-			t.Fatalf("depth %d: %d samples from %d nodes × %d queries", dt.Depth, dt.Samples, dt.Nodes, queries)
-		}
-		total := 0
-		for _, n := range dt.Hist {
-			total += n
-		}
-		if total != dt.Samples {
-			t.Fatalf("depth %d: histogram holds %d of %d samples", dt.Depth, total, dt.Samples)
-		}
-		if dt.Samples > 0 && dt.Min < 0 {
-			t.Fatalf("depth %d: negative slack %g — envelope does not dominate", dt.Depth, dt.Min)
-		}
-		if dt.Samples > 0 && (dt.Min > dt.Mean() || dt.Mean() > dt.Max) {
-			t.Fatalf("depth %d: min/mean/max out of order: %g %g %g", dt.Depth, dt.Min, dt.Mean(), dt.Max)
-		}
+	if ct.Samples != ct.Categories*queries {
+		t.Fatalf("%d samples from %d categories × %d queries", ct.Samples, ct.Categories, queries)
 	}
-	// the root is one node spanning the whole catalog
-	if depths[0].Nodes != 1 || depths[0].Samples != queries {
-		t.Fatalf("root row wrong: %+v", depths[0])
+	total := 0
+	for _, n := range ct.Hist {
+		total += n
 	}
-	// a leaf node's envelope IS its single item's factor, so leaf slack
-	// collapses to float roundoff
-	leaf := depths[len(depths)-1]
-	if leaf.Max > 1e-6 {
-		t.Fatalf("leaf slack %g should be roundoff-sized", leaf.Max)
+	if total != ct.Samples {
+		t.Fatalf("histogram holds %d of %d samples", total, ct.Samples)
+	}
+	if ct.Min < 0 {
+		t.Fatalf("negative slack %g — a ball does not dominate", ct.Min)
+	}
+	if ct.Min > ct.Mean() || ct.Mean() > ct.Max {
+		t.Fatalf("min/mean/max out of order: %g %g %g", ct.Min, ct.Mean(), ct.Max)
+	}
+	if len(ct.Shares) != queries || len(ct.Early) != queries {
+		t.Fatalf("%d/%d checkpoint shares for %d probes", len(ct.Shares), len(ct.Early), queries)
+	}
+	for _, s := range append(ct.Shares, ct.Early...) {
+		if s < 0 || s > 1 {
+			t.Fatalf("checkpoint share %g outside [0,1]", s)
+		}
 	}
 	again := boundTightness(c, queries, 99)
-	for i := range depths {
-		if depths[i].Min != again[i].Min || depths[i].Max != again[i].Max || depths[i].sum != again[i].sum {
-			t.Fatalf("depth %d: same seed diverged", i)
-		}
+	if ct.Min != again.Min || ct.Max != again.Max || ct.sum != again.sum || !slices.Equal(ct.Shares, again.Shares) || !slices.Equal(ct.Early, again.Early) {
+		t.Fatal("same seed diverged")
 	}
 }
 
-// Interior slack must dominate leaf slack on average: a depth-d envelope
-// maxes each coordinate over its whole subtree, so it is never tighter
-// than its children's.
-func TestBoundTightnessGrowsUpward(t *testing.T) {
-	c := boundsWorld(t)
-	depths := boundTightness(c, 3, 7)
-	leafMean := depths[len(depths)-1].Mean()
-	rootMean := depths[0].Mean()
-	if rootMean < leafMean {
-		t.Fatalf("root mean slack %g below leaf mean %g", rootMean, leafMean)
+// On a world whose first level-1 subtree outscores the rest by a wide
+// bias margin, the bounds rule out the other subtrees at both
+// checkpoints: every probe's shares clear the bail line.
+func TestBoundTightnessSkewedWorldPasses(t *testing.T) {
+	tree := taxonomy.MustGenerate(taxonomy.GenConfig{CategoryLevels: []int{8, 64}, Items: 2000, Skew: 0.3}, vecmath.NewRNG(21))
+	m, err := model.New(tree, 4, model.Params{K: 6, TaxonomyLevels: 3, Alpha: 1, InitStd: 0.05, UseBias: true}, vecmath.NewRNG(22))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range tree.Level(1) {
+		m.Bias.Row(int(n))[0] = -5
+		if i == 0 {
+			m.Bias.Row(int(n))[0] = 5
+		}
+	}
+	ct := boundTightness(m.Compose(), 4, 3)
+	if p := min(percentile(ct.Shares, 0), percentile(ct.Early, 0)); p < infer.CheckpointShare {
+		t.Fatalf("lowest checkpoint share %g below %g", p, infer.CheckpointShare)
 	}
 }
 
 func TestPrintBoundTightness(t *testing.T) {
 	c := boundsWorld(t)
 	var buf bytes.Buffer
-	printBoundTightness(&buf, 2, boundTightness(c, 2, 5))
+	ct := boundTightness(c, 2, 5)
+	printBoundTightness(&buf, 2, &ct)
 	out := buf.String()
-	for _, want := range []string{"subtree bound tightness over 2 random queries", "depth 0", "slack histogram:"} {
+	for _, want := range []string{"cut ball-bound tightness over 2 probe queries", "slack histogram:", "checkpoint share before any row (best centre): p10", "checkpoint share at the first top-10 fill:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}

@@ -4,8 +4,8 @@
 // heap-backed and how many mapped pages are resident), per-level factor
 // statistics (how much signal each taxonomy level carries), the hierarchy
 // clustering ratio of Figure 7(e), an optional 2-D embedding export for
-// plotting, and (-bounds) a tightness audit of the branch-and-bound
-// subtree envelopes.
+// plotting, and (-bounds) a tightness audit of the category sweep's ball
+// bounds.
 //
 // Usage:
 //
@@ -22,14 +22,16 @@
 // The embedding TSV has columns: node, depth, parent, x, y — one row per
 // taxonomy node of the upper three levels, ready for any plotting tool.
 //
-// -bounds N probes the Compose()-time subtree score envelopes with N
-// seeded random queries and prints, per taxonomy depth, a histogram of
-// slack = SubtreeBound(node, q) − max exact score in the subtree. Tight
-// envelopes (slack concentrated near zero) are what let the pruned
-// engine (-pruned on tfrec-serve/recommend/eval) skip subtrees; a model
-// whose slack is large at every depth will see the descent fall back to
-// the dense sweep. Negative slack would mean a broken envelope and is
-// reported as a hard error.
+// -bounds N probes the cut's ball bounds with the queries of N seeded
+// random users and prints a histogram of slack = bound + ε − max exact
+// score in the category, then the share percentiles of the sweep's two
+// checkpoints: the fraction of the catalog the bounds rule out against
+// the best category centre's score, before any row is read, and when a
+// top-10 heap first fills. Tight balls (slack near zero, shares near 1) are what let the
+// category sweep stop after a few categories; a model whose shares sit
+// below the checkpoint will see its queries bail to the dense sweep.
+// Negative slack would mean a broken ball and is reported as a hard
+// error.
 package main
 
 import (
@@ -52,7 +54,7 @@ func main() {
 	embedPath := flag.String("embed", "", "write a 2-D embedding TSV of the upper-level factors")
 	method := flag.String("method", "auto", "embedding method: tsne|pca|auto")
 	seed := flag.Uint64("seed", 7, "random seed for PCA/t-SNE and -bounds probes")
-	bounds := flag.Int("bounds", 0, "audit branch-and-bound envelope tightness over this many random queries (0 = skip)")
+	bounds := flag.Int("bounds", 0, "audit the category sweep's ball bounds over this many random users' queries (0 = skip)")
 	cpu := flag.Bool("cpu", false, "print CPU features and the scoring-kernel dispatch table, then exit")
 	flag.Parse()
 
@@ -108,12 +110,10 @@ func main() {
 	}
 
 	if *bounds > 0 {
-		depths := boundTightness(c, *bounds, *seed)
-		printBoundTightness(os.Stdout, *bounds, depths)
-		for i := range depths {
-			if depths[i].Samples > 0 && depths[i].Min < 0 {
-				log.Fatalf("depth %d: negative slack %g — a subtree envelope failed to dominate its own scores", depths[i].Depth, depths[i].Min)
-			}
+		ct := boundTightness(c, *bounds, *seed)
+		printBoundTightness(os.Stdout, *bounds, &ct)
+		if ct.Samples > 0 && ct.Min < 0 {
+			log.Fatalf("negative slack %g — a category ball failed to dominate its own scores", ct.Min)
 		}
 	}
 

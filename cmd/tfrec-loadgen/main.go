@@ -72,7 +72,7 @@ type scenario struct {
 	CatDepth         int     `json:"cat_depth"`
 	Precision        string  `json:"precision"` // "", "f32", "f64", "int8" (query param; validated, no effect; "f32" names the retired tier and still parses)
 	Workers          int     `json:"workers"`   // > 0 sends ?workers= (validated, no effect)
-	Pruned           bool    `json:"pruned"`    // branch-and-bound taxonomy descent (query param)
+	Pruned           bool    `json:"pruned"`    // ?pruned=true, which servers validate and ignore
 	Session          bool    `json:"session"`   // user = -1 (needs markov_order > 0)
 	ExcludePurchased bool    `json:"exclude_purchased"`
 	// Categories/ExcludeCategories name taxonomy node ids; ids are taken

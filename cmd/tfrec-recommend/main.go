@@ -49,7 +49,6 @@ func main() {
 	excludeCategory := flag.String("exclude-category", "", "comma-separated taxonomy node ids to remove")
 	structured := flag.Bool("structured", false, "print the per-category structured ranking")
 	jsonOut := flag.Bool("json", false, "print the ranking as the wire-format recommend response body (diffable against a tfrec-serve answer for the same model); ignored with -structured")
-	pruned := flag.Bool("pruned", false, "use taxonomy-guided branch-and-bound retrieval for the naive sweep (byte-identical ranking; reports how much of the catalog the bounds skipped)")
 	flag.Parse()
 
 	prec, err := model.ParsePrecision(*precision)
@@ -144,11 +143,6 @@ func main() {
 		pl.Cascade = &cfg
 	case infer.StrategyDiversified:
 		pl.Diversify = &infer.Diversify{MaxPerCategory: *maxPerCat, CatDepth: *catDepth}
-	default:
-		pl.Pruned = *pruned
-	}
-	if *pruned && strat != infer.StrategyNaive {
-		log.Printf("-pruned applies to the naive sweep only; ignored for -strategy %v", strat)
 	}
 	pruneBefore := infer.PruneCounters()
 
@@ -191,10 +185,9 @@ func main() {
 		fmt.Printf("cascaded inference: scored %d/%d nodes (%d leaves)\n",
 			res.Stats.NodesScored, m.Tree.NumNodes(), res.Stats.LeavesScored)
 	}
-	if pl.Pruned {
-		ps := infer.PruneCounters()
-		fmt.Printf("pruned retrieval: skipped %d items in %d subtrees (%d bound evals, %d fallbacks)\n",
-			ps.ItemsPruned-pruneBefore.ItemsPruned, ps.SubtreesPruned-pruneBefore.SubtreesPruned,
+	if ps := infer.PruneCounters(); ps.BoundEvals > pruneBefore.BoundEvals {
+		fmt.Printf("category sweep: skipped %d items in %d categories (%d bound evals, %d checkpoint bails)\n",
+			ps.ItemsPruned-pruneBefore.ItemsPruned, ps.CategoriesSkipped-pruneBefore.CategoriesSkipped,
 			ps.BoundEvals-pruneBefore.BoundEvals, ps.Fallbacks-pruneBefore.Fallbacks)
 	}
 	printItems(res.Items, *offset)

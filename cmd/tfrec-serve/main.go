@@ -64,7 +64,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "admission control: max concurrently executing recommend requests (0 = unlimited); excess waits briefly, then sheds 429/503 with Retry-After")
 	queueWait := flag.Duration("queue-wait", 10*time.Millisecond, "admission control: how long a request may wait for an execution slot before shedding 503 (queue depth is 2x -max-inflight)")
 	timeout := flag.Duration("timeout", 0, "per-request budget covering queue wait and sweep (0 = unbounded); a deadline firing mid-sweep sheds 503, never a partial ranking")
-	pruned := flag.Bool("pruned", false, "default naive sweeps to taxonomy-guided branch-and-bound retrieval (rankings stay byte-identical)")
 	itemRange := flag.String("item-range", "", "shard mode: serve only catalog items in the half-open range lo:hi (empty = full catalog); a tfrec-router merges shard rankings")
 	flag.Parse()
 
@@ -72,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := []serve.Option{serve.WithWorkers(*workers), serve.WithCache(*cacheSize), serve.WithPruned(*pruned)}
+	opts := []serve.Option{serve.WithWorkers(*workers), serve.WithCache(*cacheSize)}
 	if *itemRange != "" {
 		rng, err := api.ParseItemRange(*itemRange)
 		if err != nil {
@@ -128,8 +127,8 @@ func main() {
 	}
 	c := sn.Composed
 	log.Printf("loaded %s in %s: format v%d, mapped=%v, epoch %d", *modelPath, loadDur, sn.Format, sn.Mapped, srv.Epoch())
-	log.Printf("serving %d users x %d items (K=%d) on %s, %d sweep workers, precision %s, pruned=%v, cache=%d, max-inflight=%d, timeout=%s",
-		c.User.Rows(), c.NumItems(), c.K(), *addr, srv.Pool().Workers(), srv.Precision(), *pruned, *cacheSize, *maxInflight, *timeout)
+	log.Printf("serving %d users x %d items (K=%d) on %s, %d sweep workers, precision %s, cache=%d, max-inflight=%d, timeout=%s",
+		c.User.Rows(), c.NumItems(), c.K(), *addr, srv.Pool().Workers(), srv.Precision(), *cacheSize, *maxInflight, *timeout)
 
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)

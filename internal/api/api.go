@@ -57,8 +57,8 @@ type RecommendRequest struct {
 	ExcludeCategories []int32 `json:"exclude_categories,omitempty"`
 	// Offset skips the first Offset ranked items (pagination).
 	Offset int `json:"offset,omitempty"`
-	// Pruned turns on taxonomy-guided branch-and-bound retrieval for
-	// naive sweeps; rankings are byte-identical either way.
+	// Pruned is parsed and ignored: every naive sweep is the exact
+	// category sweep.
 	Pruned bool `json:"pruned,omitempty"`
 }
 

@@ -93,16 +93,16 @@ type StatsFilters struct {
 }
 
 // StatsPruning mirrors infer.PruneCounters: how much dense-sweep work the
-// branch-and-bound descents saved (items_pruned versus the catalog size),
-// what they spent (bound_evals), and how often a pruned plan degraded to
-// the dense sweep (fallbacks). All zero until a request (or the server
-// default) asks for pruning.
+// category sweep saved (categories and items skipped, items versus the
+// catalog size), what it spent (bound_evals, one per cut category per
+// sweep), and how often the first-fill checkpoint handed a query to the
+// dense sweep (checkpoint_bails, which also counts the rare query whose
+// rounding allowance is not finite).
 type StatsPruning struct {
-	SubtreesPruned int64 `json:"subtrees_pruned"`
-	ItemsPruned    int64 `json:"items_pruned"`
-	BoundEvals     int64 `json:"bound_evals"`
-	Fallbacks      int64 `json:"fallbacks"`
-	Default        bool  `json:"default"`
+	CategoriesSkipped int64 `json:"categories_skipped"`
+	ItemsSkipped      int64 `json:"items_skipped"`
+	BoundEvals        int64 `json:"bound_evals"`
+	CheckpointBails   int64 `json:"checkpoint_bails"`
 }
 
 // StatsInference describes the parallel sweep and precision

@@ -21,21 +21,27 @@ import (
 // ---- naive --------------------------------------------------------------
 
 // executeNaive fills the armed collector with the exact f64 top-K of the
-// eligible items, at any precision and fan-out. eligible is the mask's
-// surviving item count (NumItems when mask is nil).
+// eligible items: the category sweep (sweep.go) first, and the dense
+// sweep of the plan's tier when the sweep hands the query back. A plan
+// whose collector covers the eligible set has nothing to skip and runs
+// dense directly. Steady-state calls allocate nothing.
+func (p *Pool) executeNaive(done <-chan struct{}, c *model.Composed, q []float64, prec model.Precision, maxWorkers int, cf *compiledFilter, eligible int, st *vecmath.TopKStream) {
+	if k := st.K(); k <= 0 || k >= eligible || !categorySweep(done, c.Index, q, cf, st) {
+		p.executeDense(done, c, q, prec, maxWorkers, maskOf(cf), eligible, st)
+	}
+}
+
+// executeDense fills the armed collector with the exact f64 top-K of the
+// eligible items (mask's surviving count is eligible; NumItems when mask
+// is nil) by sweeping every one, at any precision and fan-out.
 //
 // It is the one escalation loop: the precision's tier runs stage one
 // into a candidate heap of its over-fetch budget, stage two rescores the
 // candidates exactly, and the budget doubles until the certificate
 // separates (tier.go). The f64 tier — and any tier whose ε is non-finite
 // for this query, or whose budget covers the eligible items — sweeps
-// straight into st. pruned runs stage one as the branch-and-bound descent
-// (prune.go) — same ranking, sublinear work when the bounds bite; a
-// pruned plan whose prune ε is non-finite, or whose collector covers the
-// eligible set (nothing could ever prune), runs the dense sweep of its
-// tier instead, counted in PruneStats.Fallbacks. Steady-state calls
-// allocate nothing.
-func (p *Pool) executeNaive(done <-chan struct{}, c *model.Composed, q []float64, prec model.Precision, maxWorkers int, mask *vecmath.Bitset, eligible int, st *vecmath.TopKStream, pruned bool) {
+// straight into st.
+func (p *Pool) executeDense(done <-chan struct{}, c *model.Composed, q []float64, prec model.Precision, maxWorkers int, mask *vecmath.Bitset, eligible int, st *vecmath.TopKStream) {
 	ix := c.Index
 	k := st.K()
 	if k <= 0 || ix.NumItems() == 0 {
@@ -43,17 +49,8 @@ func (p *Pool) executeNaive(done <-chan struct{}, c *model.Composed, q []float64
 	}
 	sc := tierScratches.Get().(*tierScratch)
 	defer sc.release()
-	t := tierOf(prec)
 	tq := &sc.tq
-	tq.prepare(ix, t, q)
-	var epsPrune float64
-	if pruned {
-		epsPrune = ix.ItemPruneBound(q)
-		if k >= eligible || !finite(epsPrune) {
-			pruneFallbacks.Add(1)
-			pruned = false
-		}
-	}
+	tq.prepare(ix, tierOf(prec), q)
 	for kp := overFetch(k); ; kp *= 2 {
 		if canceled(done) {
 			return
@@ -61,13 +58,11 @@ func (p *Pool) executeNaive(done <-chan struct{}, c *model.Composed, q []float64
 		if !staged(tq, kp, eligible) {
 			tq.prepare(ix, tierF64, q)
 			st.Reset(k)
-			p.stageOne(done, c, tq, maxWorkers, mask, st, pruned, epsPrune)
+			p.runSweep(done, ix, tq, mask, maxWorkers, st)
 			return
 		}
 		sc.cand.Reset(kp)
-		// the prune allowance adds the tier's scoring error, so a pruned
-		// item's tier score also sits strictly below the candidate threshold
-		pruned = p.stageOne(done, c, tq, maxWorkers, mask, &sc.cand, pruned, epsPrune+tq.eps)
+		p.runSweep(done, ix, tq, mask, maxWorkers, &sc.cand)
 		if canceled(done) {
 			// a cancelled sweep left a truncated candidate set; rescoring it
 			// could "certify" a wrong ranking, so bail before stage two
@@ -81,33 +76,14 @@ func (p *Pool) executeNaive(done <-chan struct{}, c *model.Composed, q []float64
 	}
 }
 
-// stageOne streams tq's tier score of every eligible item into the armed
-// collector: the dense sweep, or — pruned — the branch-and-bound descent
-// with total prune allowance eps, which hands a walk that bails at its
-// loose-bounds checkpoint back to the dense sweep. It reports whether the
-// query should keep pruning: a bailed walk means its bounds are too loose
-// for this query, so the later escalation passes run dense.
-func (p *Pool) stageOne(done <-chan struct{}, c *model.Composed, tq *tierQuery, maxWorkers int, mask *vecmath.Bitset, out *vecmath.TopKStream, pruned bool, eps float64) bool {
-	if pruned && p.prunedSweep(done, c, tq, maxWorkers, mask, out, eps) != descendBailed {
-		return true
-	}
-	p.runSweep(done, c.Index, tq, mask, maxWorkers, out)
-	return false
-}
-
 // runSweep streams tq's tier score of every eligible item into the armed
 // collector, fanning the shard claims across the pool when it pays. The
 // done channel is polled at every shard boundary — serial and fanned
 // alike — so a fired deadline abandons the sweep within one shard's work;
 // the caller decides what to do with the (possibly partial) collector.
 //
-// The serial claim loop below recurs, with only its per-shard body
-// differing, in sweepRanges. The duplication is deliberate: a
-// forEachShard(done, ix, func(lo, hi)) helper would capture each
-// caller's stack block buffer in a closure, heap-escaping it and
-// breaking the zero-alloc-per-query guarantee the serving benches gate.
-// A change to the poll policy must be applied at both sites and in
-// sweepTask.run (parallel.go).
+// A change to the poll policy must be applied here and in sweepTask.run
+// (parallel.go).
 func (p *Pool) runSweep(done <-chan struct{}, ix *model.ScoringIndex, tq *tierQuery, mask *vecmath.Bitset, maxWorkers int, st *vecmath.TopKStream) {
 	fan := p.fanout(maxWorkers, ix.NumShards())
 	if fan <= 1 {
@@ -121,15 +97,15 @@ func (p *Pool) runSweep(done <-chan struct{}, ix *model.ScoringIndex, tq *tierQu
 		}
 		return
 	}
-	p.fanSweep(done, ix, tq, mask, nil, fan, st)
+	p.fanSweep(done, ix, tq, mask, fan, st)
 }
 
 // ---- cascade ------------------------------------------------------------
 
 // executeCascade runs the §5.1 beam walk, marks the leaves under the kept
 // lowest categories that pass the plan filter into a pooled eligibility
-// mask, and ranks them through executeNaive — so the cascade inherits the
-// naive engine's blocked and masked kernels, precision tiers and their
+// mask, and ranks them through executeDense — so the cascade inherits the
+// dense engine's blocked and masked kernels, precision tiers and their
 // certificates, pool fan-out and deadline polls instead of running its
 // own. The walk itself always runs serial f64: category levels are tiny,
 // and the walk decides WHICH leaves are reached, which must not depend on
@@ -138,7 +114,7 @@ func (p *Pool) executeCascade(done <-chan struct{}, c *model.Composed, q []float
 	cs := cascadeScratches.Get().(*cascadeScratch)
 	defer cascadeScratches.Put(cs)
 	stats := cs.beam(c, q, cfg, cf)
-	p.executeNaive(done, c, q, prec, maxWorkers, &cs.mask, stats.LeavesScored, st, false)
+	p.executeDense(done, c, q, prec, maxWorkers, &cs.mask, stats.LeavesScored, st)
 	return stats
 }
 
@@ -183,7 +159,7 @@ var divScratches = sync.Pool{New: func() any { return new(divScratch) }}
 // the whole eligible set, so the loop ends and returns fewer than K
 // exactly when the quota admits fewer. The quota and depth arrive
 // validated (Plan.Validate).
-func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []float64, maxPerCategory, catDepth int, prec model.Precision, maxWorkers int, mask *vecmath.Bitset, eligible int, final *vecmath.TopKStream) {
+func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []float64, maxPerCategory, catDepth int, prec model.Precision, maxWorkers int, cf *compiledFilter, eligible int, final *vecmath.TopKStream) {
 	k := final.K()
 	if k <= 0 {
 		return
@@ -198,7 +174,7 @@ func (p *Pool) executeDiversified(done <-chan struct{}, c *model.Composed, q []f
 			kp = eligible
 		}
 		ds.prefix.Reset(kp)
-		p.executeNaive(done, c, q, prec, maxWorkers, mask, eligible, &ds.prefix, false)
+		p.executeNaive(done, c, q, prec, maxWorkers, cf, eligible, &ds.prefix)
 		if canceled(done) {
 			return
 		}

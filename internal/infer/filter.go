@@ -89,8 +89,9 @@ func (f *Filter) validate(c *model.Composed) error {
 // eligible item there is nothing left to prune). Compiled filters are
 // pooled so the steady-state filtered serving path reuses the mask words.
 type compiledFilter struct {
-	mask     vecmath.Bitset
-	eligible int
+	mask        vecmath.Bitset
+	eligible    int
+	allow, deny []int32
 }
 
 var filterPool = sync.Pool{New: func() any { return new(compiledFilter) }}
@@ -123,12 +124,45 @@ func compileFilter(ix *model.ScoringIndex, f *Filter) *compiledFilter {
 		cf.mask.UnsetRange(f.RangeHi, ix.NumItems())
 	}
 	cf.eligible = cf.mask.Count()
+	cf.allow, cf.deny = f.AllowNodes, f.DenyNodes
 	return cf
+}
+
+// keeps reports whether node's subtree can hold an eligible item as far
+// as the allow and deny lists tell: some allowed subtree overlaps it (or
+// nothing is listed), and no denied subtree covers it. A nil filter keeps
+// everything. The category sweep drops what it does not keep before
+// bounding; the mask still decides item by item.
+func (cf *compiledFilter) keeps(ix *model.ScoringIndex, node int) bool {
+	if cf == nil {
+		return true
+	}
+	lo, hi := ix.DFSSpan(node)
+	for _, n := range cf.deny {
+		if dlo, dhi := ix.DFSSpan(int(n)); dlo <= lo && hi <= dhi {
+			return false
+		}
+	}
+	for _, n := range cf.allow {
+		if alo, ahi := ix.DFSSpan(int(n)); alo < hi && lo < ahi {
+			return true
+		}
+	}
+	return len(cf.allow) == 0
+}
+
+// maskOf is cf's eligibility mask, nil for a nil filter.
+func maskOf(cf *compiledFilter) *vecmath.Bitset {
+	if cf == nil {
+		return nil
+	}
+	return &cf.mask
 }
 
 // releaseFilter recycles a compiled filter; nil is a no-op.
 func releaseFilter(cf *compiledFilter) {
 	if cf != nil {
+		cf.allow, cf.deny = nil, nil
 		filterPool.Put(cf)
 	}
 }

@@ -194,8 +194,8 @@ func TestExecuteI8ZeroAlloc(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// the platform-default plan (the fused int8 sweep on SIMD hosts, the
-	// f64 sweep elsewhere), both explicit tiers, and the pruned descent
-	// over the fused range sweep
+	// f64 sweep elsewhere), both explicit tiers, and a pruned plan (the
+	// category sweep, like every naive plan)
 	for _, pl := range []Plan{
 		{K: 10},
 		{K: 10, Precision: model.PrecisionF64},

@@ -159,9 +159,8 @@ func (p *Pool) dispatch(t *sweepTask, fan int) {
 // ---- single-query sweep -------------------------------------------------
 
 // sweepTask is the fan-out state of one parallel single-query sweep at
-// any tier: participants claim work units from next — the index's shards
-// when ranges is nil, else the pruned descent's deferred ranges — sweep
-// them into per-worker heaps of budget k, and merge those into out (the
+// any tier: participants claim the index's shards from next, sweep them
+// into per-worker heaps of budget k, and merge those into out (the
 // final collector, or a reduced tier's candidate heap; the caller owns
 // the rescore stage). A non-nil mask restricts the sweep to eligible
 // items (filtered plans). wg is the dispatch's completion group and
@@ -174,7 +173,6 @@ type sweepTask struct {
 	tq      tierQuery
 	k       int
 	mask    *vecmath.Bitset
-	ranges  []itemRange
 	done    <-chan struct{}
 	units   int32
 	next    atomic.Int32
@@ -190,12 +188,8 @@ func (t *sweepTask) run(st *vecmath.TopKStream) {
 		if u >= int(t.units) {
 			break
 		}
-		if t.ranges == nil {
-			lo, hi := t.ix.Shard(u)
-			sweepRange(t.ix, &t.tq, lo, hi, &b, t.mask, st)
-		} else {
-			t.ranges[u].sweep(t.ix, &t.tq, &b, t.mask, st)
-		}
+		lo, hi := t.ix.Shard(u)
+		sweepRange(t.ix, &t.tq, lo, hi, &b, t.mask, st)
 	}
 	if st.Len() > 0 {
 		t.merge(st)
@@ -214,20 +208,16 @@ func (t *sweepTask) merge(st *vecmath.TopKStream) {
 	t.out.Merge(st)
 }
 
-// fanSweep sweeps the index's shards — or ranges, when non-nil — across
-// fan participants into st.
-func (p *Pool) fanSweep(done <-chan struct{}, ix *model.ScoringIndex, tq *tierQuery, mask *vecmath.Bitset, ranges []itemRange, fan int, st *vecmath.TopKStream) {
+// fanSweep sweeps the index's shards across fan participants into st.
+func (p *Pool) fanSweep(done <-chan struct{}, ix *model.ScoringIndex, tq *tierQuery, mask *vecmath.Bitset, fan int, st *vecmath.TopKStream) {
 	t, _ := p.sweeps.Get().(*sweepTask)
 	if t == nil {
 		t = new(sweepTask)
 	}
-	t.ix, t.tq, t.k, t.mask, t.ranges, t.done, t.out = ix, *tq, st.K(), mask, ranges, done, st
+	t.ix, t.tq, t.k, t.mask, t.done, t.out = ix, *tq, st.K(), mask, done, st
 	t.units = int32(ix.NumShards())
-	if ranges != nil {
-		t.units = int32(len(ranges))
-	}
 	t.next.Store(0)
 	p.dispatch(t, fan)
-	t.ix, t.tq, t.mask, t.ranges, t.done, t.out = nil, tierQuery{}, nil, nil, nil, nil
+	t.ix, t.tq, t.mask, t.done, t.out = nil, tierQuery{}, nil, nil, nil
 	p.sweeps.Put(t)
 }

@@ -137,12 +137,9 @@ type Plan struct {
 	Diversify *Diversify
 	// Filter restricts the eligible items; nil passes the whole catalog.
 	Filter *Filter
-	// Pruned runs the naive sweep as a taxonomy-guided branch-and-bound
-	// descent (prune.go): subtrees whose certified score bound cannot
-	// reach the current k-th heap score are skipped. Rankings stay
-	// byte-identical to the dense path at every precision; only the work
-	// changes. Valid only with StrategyNaive — the other strategies have
-	// no full-catalog sweep to prune.
+	// Pruned is accepted with every strategy and ignored: naive and
+	// diversified plans always run the category sweep (sweep.go), which
+	// skips the categories whose certified bound cannot reach the page.
 	Pruned bool
 }
 
@@ -161,9 +158,6 @@ func (pl Plan) Validate(c *model.Composed) error {
 	}
 	if pl.MaxWorkers < 0 {
 		return fmt.Errorf("infer: plan MaxWorkers must be non-negative, got %d", pl.MaxWorkers)
-	}
-	if pl.Pruned && pl.Strategy != StrategyNaive {
-		return fmt.Errorf("infer: pruned retrieval applies only to naive plans, got strategy %v", pl.Strategy)
 	}
 	switch pl.Strategy {
 	case StrategyNaive:
@@ -282,10 +276,9 @@ func (p *Pool) execInto(ctx context.Context, c *model.Composed, q []float64, pl 
 	}
 	cf := compileFilter(c.Index, pl.Filter)
 	defer releaseFilter(cf)
-	var mask *vecmath.Bitset
 	eligible := c.Index.NumItems()
 	if cf != nil {
-		mask, eligible = &cf.mask, cf.eligible
+		eligible = cf.eligible
 	}
 	st.Reset(pl.heapSize(c))
 	res := Result{Eligible: eligible}
@@ -293,9 +286,9 @@ func (p *Pool) execInto(ctx context.Context, c *model.Composed, q []float64, pl 
 	case StrategyCascade:
 		res.Stats = p.executeCascade(done, c, q, *pl.Cascade, pl.Precision, pl.MaxWorkers, cf, st)
 	case StrategyDiversified:
-		p.executeDiversified(done, c, q, pl.Diversify.MaxPerCategory, pl.diversifyDepth(c), pl.Precision, pl.MaxWorkers, mask, eligible, st)
+		p.executeDiversified(done, c, q, pl.Diversify.MaxPerCategory, pl.diversifyDepth(c), pl.Precision, pl.MaxWorkers, cf, eligible, st)
 	default:
-		p.executeNaive(done, c, q, pl.Precision, pl.MaxWorkers, mask, eligible, st, pl.Pruned)
+		p.executeNaive(done, c, q, pl.Precision, pl.MaxWorkers, cf, eligible, st)
 	}
 	// one check decides: engines bail cooperatively but quietly, so a
 	// ranking is returned iff the context still holds here — a cancelled

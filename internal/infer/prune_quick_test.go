@@ -10,21 +10,21 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Property: a pruned naive plan returns pages byte-identical to the
-// brute-force oracle — and therefore to the unpruned plan — across
-// {serial, Pool} × {f64, int8}, shard sizes, worker counts, k,
-// offsets, filters and every tie regime. The tie regimes double as the
-// adversarial bound surface: with zeroed factors (tieRaw%4 != 0) every
-// per-dimension envelope is exactly tight and every subtree bound sits
-// within one bias step of the k-th score, so the engine must survive
-// bounds that barely (or never) clear the prune threshold.
+// Property: a naive plan — the category sweep, with its checkpoint bail
+// to the dense tiers — returns pages byte-identical to the brute-force
+// oracle across {serial, Pool} × {f64, int8}, shard sizes, worker
+// counts, k, offsets, filters and every tie regime. The tie regimes
+// double as the adversarial bound surface: with zeroed factors
+// (tieRaw%4 != 0) every ball has radius zero and every category bound
+// sits within one bias step of the k-th score, so the sweep must survive
+// bounds that barely (or never) clear the threshold.
 func TestQuickPrunedMatchesOracle(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	f := func(seed uint16, shardRaw, kRaw, sizeRaw, tieRaw uint8, fltRaw uint16) bool {
 		c, q := tierWorld(t, uint64(seed)+811, shardRaw, kRaw, sizeRaw, tieRaw)
 		var flt *Filter
-		if fltRaw%3 != 0 { // mix unfiltered and filtered descents
+		if fltRaw%3 != 0 { // mix unfiltered and filtered sweeps
 			flt = randomFilter(c, fltRaw)
 		}
 		eligible := eligibleSet(c, flt)
@@ -71,8 +71,8 @@ func TestQuickPrunedFallbackMatchesOracle(t *testing.T) {
 }
 
 // prunedSkewedWorld builds a world where one level-1 subtree dominates by
-// a wide bias margin, so the branch-and-bound descent provably discards
-// the sibling subtrees once the candidate heap fills from the favored one.
+// a wide bias margin, so the category sweep provably skips the sibling
+// subtrees' categories once the heap fills from the favored one.
 func prunedSkewedWorld(t *testing.T) (*model.Composed, []float64) {
 	t.Helper()
 	rng := vecmath.NewRNG(4242)
@@ -108,37 +108,34 @@ func prunedSkewedWorld(t *testing.T) (*model.Composed, []float64) {
 	return c, q
 }
 
-// On the skewed world the pruned engine must both match the dense page
-// byte-for-byte and actually prune: subtree and item counters advance for
-// every precision tier.
+// On the skewed world the category sweep must both match the
+// brute-force page byte-for-byte and actually skip: category and item
+// counters advance at every precision tier and fan-out.
 func TestPrunedSkewedWorldPrunesAndMatches(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	c, q := prunedSkewedWorld(t)
+	scores := make(map[int]float64)
+	for item := 0; item < c.NumItems(); item++ {
+		scores[item] = c.Index.ScoreItem(item, q)
+	}
+	want := rankEligible(scores, 10, 0)
 	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionInt8} {
 		for _, workers := range []int{0, 4} {
-			dense := Plan{K: 10, Precision: prec, MaxWorkers: workers}
-			pruned := dense
-			pruned.Pruned = true
-			want, err := pool.Execute(context.Background(), c, q, dense)
-			if err != nil {
-				t.Fatal(err)
-			}
 			before := PruneCounters()
-			got, err := pool.Execute(context.Background(), c, q, pruned)
+			got, err := pool.Execute(context.Background(), c, q, Plan{K: 10, Precision: prec, MaxWorkers: workers, Pruned: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			after := PruneCounters()
-			if !samePage(want.Items, got.Items) {
-				t.Fatalf("pruned page diverged (prec=%v workers=%d):\nwant %v\ngot  %v",
-					prec, workers, want.Items, got.Items)
+			if !samePage(want, got.Items) {
+				t.Fatalf("page diverged (prec=%v workers=%d):\nwant %v\ngot  %v", prec, workers, want, got.Items)
 			}
-			if after.SubtreesPruned <= before.SubtreesPruned {
-				t.Fatalf("no subtrees pruned on skewed world (prec=%v workers=%d)", prec, workers)
+			if after.CategoriesSkipped <= before.CategoriesSkipped {
+				t.Fatalf("no categories skipped on skewed world (prec=%v workers=%d)", prec, workers)
 			}
 			if after.ItemsPruned <= before.ItemsPruned {
-				t.Fatalf("no items pruned on skewed world (prec=%v workers=%d)", prec, workers)
+				t.Fatalf("no items skipped on skewed world (prec=%v workers=%d)", prec, workers)
 			}
 			if after.BoundEvals <= before.BoundEvals {
 				t.Fatalf("no bounds evaluated (prec=%v workers=%d)", prec, workers)
@@ -147,15 +144,13 @@ func TestPrunedSkewedWorldPrunesAndMatches(t *testing.T) {
 	}
 }
 
-// prunedDeferWorld builds an 8192-item world whose first four level-1
-// subtrees carry a +5 bias and the other four −5: the descent passes the
-// loose-bounds checkpoint (half the catalog is prunable once the heap
-// fills), then sweeps the favored half past prunedSeedItems, so with a
-// multi-shard pool it defers the remaining ranges to the workers. With
-// contiguous set the taxonomy is built from a parent array whose every
-// subtree spans a raw item-id range, so the deferred ranges take the
-// blocked kernels; otherwise generated ids interleave and they gather.
-func prunedDeferWorld(t *testing.T, contiguous bool) (*model.Composed, []float64) {
+// sweepRangeWorld builds an 8192-item world whose first level-1 subtree
+// carries a +5 bias and the other seven −5, so the category sweep passes
+// its checkpoint and skips the disfavored seven eighths. With contiguous
+// set the taxonomy is built from a parent array whose every subtree spans
+// a raw item-id range, so the swept categories take the blocked kernels;
+// otherwise generated ids interleave and they gather.
+func sweepRangeWorld(t *testing.T, contiguous bool) (*model.Composed, []float64) {
 	t.Helper()
 	const cats, subs, items = 8, 64, 8192
 	rng := vecmath.NewRNG(6161)
@@ -183,7 +178,7 @@ func prunedDeferWorld(t *testing.T, contiguous bool) (*model.Composed, []float64
 	}
 	for i, n := range tree.Level(1) {
 		m.Bias.Row(int(n))[0] = 5
-		if i >= cats/2 {
+		if i >= 1 {
 			m.Bias.Row(int(n))[0] = -5
 		}
 	}
@@ -199,15 +194,15 @@ func prunedDeferWorld(t *testing.T, contiguous bool) (*model.Composed, []float64
 	return c, q
 }
 
-// Property: a pooled pruned descent that defers its surviving ranges to
-// the workers — contiguous ranges through the blocked kernels, interleaved
-// ones through gathers — returns the brute-force oracle page at every
-// tier, with and without a filter mask.
-func TestPrunedDeferredRangesMatchOracle(t *testing.T) {
+// Property: the category sweep — contiguous categories through the
+// blocked kernels, interleaved ones through gathers — returns the
+// brute-force oracle page on pooled and serial executors, with and
+// without a filter mask, and skips the disfavored part of the catalog.
+func TestCategorySweepRangesMatchOracle(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	for _, contiguous := range []bool{false, true} {
-		c, q := prunedDeferWorld(t, contiguous)
+		c, q := sweepRangeWorld(t, contiguous)
 		// the mask leaves mostly eligible blocks below item 2048 and sparse
 		// ones above it, so both masked block paths run
 		mask := &Filter{DenyNodes: []int32{c.Tree.Level(1)[7]}}
@@ -225,43 +220,65 @@ func TestPrunedDeferredRangesMatchOracle(t *testing.T) {
 				}
 			}
 			for _, k := range []int{1, 20} {
-				pl := Plan{K: k, Offset: 2, Filter: flt, Pruned: true}
+				before := PruneCounters()
+				pl := Plan{K: k, Offset: 2, Filter: flt}
 				if !executeAll(t, pool, c, q, pl, rankEligible(scores, k, 2)) {
 					t.Fatalf("contiguous=%v filtered=%v k=%d diverged from the oracle", contiguous, flt != nil, k)
+				}
+				if after := PruneCounters(); after.ItemsPruned-before.ItemsPruned < int64(c.NumItems()/2) {
+					t.Fatalf("contiguous=%v filtered=%v k=%d skipped %d items, want at least half the catalog",
+						contiguous, flt != nil, k, after.ItemsPruned-before.ItemsPruned)
 				}
 			}
 		}
 	}
 }
 
-// The dense fallback (k covers the catalog) must bump the fallback
-// counter and leave the page identical to the dense sweep.
+// On a random-init world the bounds are loose: the checkpoint must bail
+// at the first heap fill, bump the fallback counter and leave the page
+// identical to the dense f64 sweep at every tier.
 func TestPrunedFallbackCounter(t *testing.T) {
 	c, q := tierWorld(t, 5150, 7, 3, 2, 0)
-	k := c.NumItems() + 1
-	want := serialF64(t, c, q, Plan{K: k}).Items
-	before := PruneCounters()
-	st := vecmath.NewTopKStream(k)
-	var p *Pool
-	p.execInto(context.Background(), c, q, Plan{K: k, Pruned: true}, st)
-	if after := PruneCounters(); after.Fallbacks <= before.Fallbacks {
-		t.Fatal("fallback counter did not advance")
-	}
-	if got := st.Ranked(); !samePage(want, got) {
-		t.Fatalf("fallback page diverged:\nwant %v\ngot  %v", want, got)
+	want := serialF64(t, c, q, Plan{K: 5}).Items
+	for _, prec := range []model.Precision{model.PrecisionF64, model.PrecisionInt8} {
+		before := PruneCounters()
+		st := vecmath.NewTopKStream(5)
+		var p *Pool
+		p.execInto(context.Background(), c, q, Plan{K: 5, Precision: prec}, st)
+		if after := PruneCounters(); after.Fallbacks <= before.Fallbacks {
+			t.Fatalf("%v: fallback counter did not advance", prec)
+		}
+		if got := st.Ranked(); !samePage(want, got) {
+			t.Fatalf("%v: fallback page diverged:\nwant %v\ngot  %v", prec, want, got)
+		}
 	}
 }
 
-// Pruned is a naive-only knob: every other strategy must fail validation,
-// and a pruned plan in a batch must answer its per-query Execute page.
+// Pruned is a validated no-op: every strategy accepts it and answers the
+// page it answers without it, and a pruned plan in a batch answers its
+// per-query Execute page.
 func TestPrunedPlanValidation(t *testing.T) {
 	c, q := tierWorld(t, 6006, 1, 2, 1, 0)
 	cc := UniformCascade(c.Tree.Depth(), 0.5)
-	for _, st := range []Strategy{StrategyCascade, StrategyDiversified} {
-		pl := Plan{K: 3, Strategy: st, Pruned: true, Cascade: &cc,
-			Diversify: &Diversify{MaxPerCategory: 1, CatDepth: 1}}
-		if _, err := (*Pool)(nil).Execute(context.Background(), c, q, pl); err == nil {
-			t.Fatalf("strategy %v accepted a pruned plan", st)
+	for _, st := range []Strategy{StrategyNaive, StrategyCascade, StrategyDiversified} {
+		pl := Plan{K: 3, Strategy: st, Cascade: &cc, Diversify: &Diversify{MaxPerCategory: 1, CatDepth: 1}}
+		if st != StrategyCascade {
+			pl.Cascade = nil
+		}
+		if st != StrategyDiversified {
+			pl.Diversify = nil
+		}
+		want, err := (*Pool)(nil).Execute(context.Background(), c, q, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.Pruned = true
+		got, err := (*Pool)(nil).Execute(context.Background(), c, q, pl)
+		if err != nil {
+			t.Fatalf("strategy %v rejected a pruned plan: %v", st, err)
+		}
+		if !samePage(want.Items, got.Items) {
+			t.Fatalf("strategy %v: pruned page diverged:\nwant %v\ngot  %v", st, want.Items, got.Items)
 		}
 	}
 	pool := NewPool(2)

@@ -50,7 +50,7 @@ type ScoringIndex struct {
 	maxItemRowErrI8, maxItemScaleI8, maxAbsItemOffsetI8 float64
 
 	// Magnitude bounds of the item slab, shared by the int8 tier's
-	// certified error bound and the prune bound (ensureBounds).
+	// certified error bound and the cut's allowance (ensureBounds).
 	boundsOnce                       sync.Once
 	maxAbsItemFactor, maxAbsItemBias float64
 
@@ -83,24 +83,27 @@ type ScoringIndex struct {
 	// dfsLo/dfsHi give each node's span into it, so EVERY subtree — however
 	// interleaved its raw item ids — is one contiguous run of dfsItems.
 	// Child spans partition their parent's span in child order by
-	// construction, the invariant the branch-and-bound engine needs to
-	// visit each item exactly once while descending.
+	// construction, so the category sweep gathers any category's items as
+	// one run.
 	dfsItems     []int32 // numItems
 	dfsLo, dfsHi []int32 // numNodes
 
-	// Per-subtree score envelopes for branch-and-bound retrieval, built
-	// eagerly at Compose() time like the item ranges. subLo/subHi hold, per
-	// node and factor dimension, the exact coordinate-wise minimum/maximum
-	// over the item rows of the node's subtree (a leaf's envelope is its own
-	// row; an interior node's is the fold of its children's — comparisons
-	// only, so no rounding enters the envelope itself). subMaxBias holds the
-	// maximum folded bias over the subtree's items. SubtreeBound turns an
-	// envelope into a query-specific upper bound on every item score under
-	// the node; nodes with empty subtrees keep the identity envelope
-	// (+Inf/−Inf) and must not be bounded — the pruned engine never visits
-	// them because their DFS span is empty.
+	// Per-subtree score envelopes, built eagerly at Compose() time like
+	// the item ranges and carried by the v4 file format. subLo/subHi hold,
+	// per node and factor dimension, the exact coordinate-wise
+	// minimum/maximum over the item rows of the node's subtree (a leaf's
+	// envelope is its own row; an interior node's is the fold of its
+	// children's — comparisons only, so no rounding enters the envelope
+	// itself). subMaxBias holds the maximum folded bias over the subtree's
+	// items; nodes with empty subtrees keep the identity envelope
+	// (+Inf/−Inf). The cut (cut.go) takes its ball centres from the cut
+	// level's envelopes; no sweep reads them.
 	subLo, subHi []float64 // numNodes x k
 	subMaxBias   []float64 // numNodes
+
+	// cut holds the ball bounds of the item parents (cut.go), derived
+	// from the slabs above by Compose and LoadFile alike.
+	cut itemCut
 }
 
 // buildIndex flattens the composed factor matrices for a taxonomy. The
@@ -155,6 +158,7 @@ func buildIndex(tree *taxonomy.Tree, eff *vecmath.Matrix, effBias *vecmath.Matri
 		return ix.subLo[node*k : (node+1)*k], ix.subHi[node*k : (node+1)*k], &ix.subMaxBias[node]
 	})
 	ix.shardItems = defaultShardItems(k)
+	ix.buildCut(tree, ix.slabRows)
 	return ix
 }
 
@@ -282,7 +286,7 @@ func foldEnvelopes(tree *taxonomy.Tree, env func(node int) (lo, hi []float64, ma
 }
 
 // ensureBounds records the item slab's magnitude bounds on first use by
-// the int8 tier or the prune bound; both read them.
+// the int8 tier or the cut's allowance; both read them.
 func (ix *ScoringIndex) ensureBounds() {
 	ix.boundsOnce.Do(func() {
 		ix.maxAbsItemFactor = vecmath.MaxAbs(ix.itemFactors)
@@ -385,7 +389,7 @@ func (ix *ScoringIndex) ItemScoresRangeInto(q []float64, lo, hi int, dst []float
 // descendants and whether those leaves exactly fill the range. Contiguous
 // subtrees let a category filter resolve to a single range operation on
 // the item-major layout; non-contiguous ones fall back to an
-// ancestor-column scan (or, in the pruned engine, to a DFSSpan gather).
+// ancestor-column scan (or, in the category sweep, to a DFSSpan gather).
 func (ix *ScoringIndex) ItemRange(node int) (lo, hi int, contiguous bool) {
 	lo, hi = int(ix.itemLo[node]), int(ix.itemHi[node])
 	return lo, hi, int(ix.subtreeLeaves[node]) == hi-lo
@@ -402,47 +406,20 @@ func (ix *ScoringIndex) DFSSpan(node int) (lo, hi int) {
 
 // DFSItems returns the catalog's item ids in depth-first taxonomy order as
 // a shared read-only slice: dfsItems[DFSSpan(node)] is exactly the item
-// set of node's subtree, for every node. The branch-and-bound engine
-// gather-scores through it when a subtree's raw item ids interleave with
-// its siblings', and the cascade marks its kept categories' leaves
-// through it.
+// set of node's subtree, for every node. The category sweep gather-scores
+// through it when a category's raw item ids interleave with its
+// siblings', and the cascade marks its kept categories' leaves through
+// it.
 func (ix *ScoringIndex) DFSItems() []int32 { return ix.dfsItems }
 
-// SubtreeBound returns an upper bound on ScoreItem(item, q) over every
-// item in node's subtree: the maximum folded bias under the node plus, per
-// factor dimension, the larger of q_j times the envelope's min and max.
-// Since score = bias + Σ_j q_j·v_j and v_j ∈ [subLo_j, subHi_j] for every
-// subtree item row, each term is bounded by max(q_j·subLo_j, q_j·subHi_j)
-// in real arithmetic; the floating-point evaluation here and the item
-// scores both round, which ItemPruneBound's ε absorbs. Callers must only
-// pass nodes with at least one leaf descendant (empty subtrees keep the
-// ±Inf identity envelope).
-func (ix *ScoringIndex) SubtreeBound(node int, q []float64) float64 {
-	lo := ix.subLo[node*ix.k : (node+1)*ix.k : (node+1)*ix.k]
-	hi := ix.subHi[node*ix.k : (node+1)*ix.k : (node+1)*ix.k]
-	b := ix.subMaxBias[node]
-	for j, qj := range q {
-		a, c := qj*lo[j], qj*hi[j]
-		if a > c {
-			b += a
-		} else {
-			b += c
-		}
-	}
-	return b
-}
-
-// ItemPruneBound returns ε such that for every item and every node whose
-// subtree contains it, ScoreItem(item, q) ≤ SubtreeBound(node, q) + ε. The
-// bound dominates in real arithmetic (see SubtreeBound); ε covers the
-// float64 rounding of both the n-term score and the n-term bound
-// evaluation: each is within the standard γ_{n+1} accumulation error of
-// its real value, so their computed difference is within ~2(n+2)·2⁻⁵³ of
-// the real (non-negative) gap. We charge 2⁻⁵⁰ per step — 4x slack — plus a
-// tiny absolute term for subnormals. The branch-and-bound engine prunes a
-// subtree only when its bound plus the serving tier's total ε is strictly
-// below the current k-th heap score, so no pruned item could have entered
-// the heap.
+// ItemPruneBound returns the rounding allowance of an n-term score bound
+// whose terms are dominated by those of the item scores: ε such that the
+// float64 evaluation of such a bound and of ScoreItem(item, q) can differ
+// from their real values by at most ε in total. Each n-term sum is within
+// the standard γ_{n+1} accumulation error of its real value, so the two
+// together stay within ~2(n+2)·2⁻⁵³·(Σ|q|·max|v| + max|bias|). We charge
+// 2⁻⁵⁰ per step — 4x slack — plus a tiny absolute term for subnormals.
+// CutBoundsInto adds its ball term's share to it.
 func (ix *ScoringIndex) ItemPruneBound(q []float64) float64 {
 	ix.ensureBounds()
 	var sumAbs float64

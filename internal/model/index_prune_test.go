@@ -8,9 +8,23 @@ import (
 	"repro/internal/vecmath"
 )
 
-// TestSubtreeBoundDominatesScores is the pruning invariant: for every node
-// with leaf descendants and every item in its subtree,
-// ScoreItem(item, q) ≤ SubtreeBound(node, q) + ItemPruneBound(q).
+// subtreeBound turns node's envelope (the v4 envelope sections) into an
+// upper bound on every item score under it: the maximum folded bias plus,
+// per factor dimension, the larger of q_j times the envelope's min and
+// max. Only nodes with leaf descendants may be bounded.
+func subtreeBound(ix *ScoringIndex, node int, q []float64) float64 {
+	lo := ix.subLo[node*ix.k : (node+1)*ix.k]
+	hi := ix.subHi[node*ix.k : (node+1)*ix.k]
+	b := ix.subMaxBias[node]
+	for j, qj := range q {
+		b += max(qj*lo[j], qj*hi[j])
+	}
+	return b
+}
+
+// TestSubtreeBoundDominatesScores is the envelope invariant: for every
+// node with leaf descendants and every item in its subtree,
+// ScoreItem(item, q) ≤ subtreeBound(node, q) + ItemPruneBound(q).
 func TestSubtreeBoundDominatesScores(t *testing.T) {
 	for _, useBias := range []bool{false, true} {
 		_, c := indexWorld(t, useBias)
@@ -19,7 +33,7 @@ func TestSubtreeBoundDominatesScores(t *testing.T) {
 			q := indexQuery(c.K(), seed)
 			eps := ix.ItemPruneBound(q)
 			for node := 0; node < tree.NumNodes(); node++ {
-				bound := ix.SubtreeBound(node, q)
+				bound := subtreeBound(ix, node, q)
 				for item := range subtreeItems(tree, node) {
 					if s := ix.ScoreItem(item, q); s > bound+eps {
 						t.Fatalf("useBias=%v node %d item %d: score %v exceeds bound %v + eps %v",
@@ -40,7 +54,7 @@ func TestSubtreeBoundLeafIsTight(t *testing.T) {
 	eps := ix.ItemPruneBound(q)
 	for item := 0; item < c.NumItems(); item++ {
 		leaf := tree.ItemNode(item)
-		bound := ix.SubtreeBound(leaf, q)
+		bound := subtreeBound(ix, leaf, q)
 		score := ix.ScoreItem(item, q)
 		if math.Abs(bound-score) > eps {
 			t.Fatalf("item %d: leaf bound %v differs from score %v beyond eps %v", item, bound, score, eps)
@@ -59,7 +73,7 @@ func TestSubtreeBoundMonotoneUpTree(t *testing.T) {
 	for d := tree.Depth(); d >= 1; d-- {
 		for _, node := range tree.Level(d) {
 			p := tree.Parent(int(node))
-			if child, parent := ix.SubtreeBound(int(node), q), ix.SubtreeBound(p, q); child > parent+eps {
+			if child, parent := subtreeBound(ix, int(node), q), subtreeBound(ix, p, q); child > parent+eps {
 				t.Fatalf("node %d bound %v exceeds parent %d bound %v", node, child, p, parent)
 			}
 		}
@@ -83,10 +97,42 @@ func TestSubtreeBoundNonContiguousTree(t *testing.T) {
 	q := indexQuery(3, 9)
 	eps := ix.ItemPruneBound(q)
 	for node := 0; node < tree.NumNodes(); node++ {
-		bound := ix.SubtreeBound(node, q)
+		bound := subtreeBound(ix, node, q)
 		for item := range subtreeItems(tree, node) {
 			if s := ix.ScoreItem(item, q); s > bound+eps {
 				t.Fatalf("node %d item %d: score %v exceeds bound %v", node, item, s, bound)
+			}
+		}
+	}
+}
+
+// TestCutBoundDominatesScores is the category sweep's invariant: the cut
+// partitions the catalog, and every item scores at most its category's
+// ball bound plus the returned allowance.
+func TestCutBoundDominatesScores(t *testing.T) {
+	for _, useBias := range []bool{false, true} {
+		_, c := indexWorld(t, useBias)
+		ix, tree := c.Index, c.Tree
+		if got, want := ix.NumCut(), len(tree.Level(tree.Depth()-1)); got != want {
+			t.Fatalf("cut holds %d categories, want the %d item parents", got, want)
+		}
+		bounds := make([]float64, ix.NumCut())
+		for _, seed := range []uint64{3, 11, 29} {
+			q := indexQuery(c.K(), seed)
+			eps := ix.CutBoundsInto(q, bounds)
+			seen := 0
+			for j := range bounds {
+				lo, hi := ix.DFSSpan(ix.CutNode(j))
+				seen += hi - lo
+				for _, it := range ix.DFSItems()[lo:hi] {
+					if s := ix.ScoreItem(int(it), q); s > bounds[j]+eps {
+						t.Fatalf("useBias=%v category %d item %d: score %v exceeds bound %v + eps %v",
+							useBias, j, it, s, bounds[j], eps)
+					}
+				}
+			}
+			if seen != ix.NumItems() {
+				t.Fatalf("cut covers %d items, catalog %d", seen, ix.NumItems())
 			}
 		}
 	}

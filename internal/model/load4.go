@@ -319,8 +319,9 @@ func tfFromSections(s *sectionsV4) (*TF, error) {
 // length-, CRC- and range-checked like every section but not viewed: no
 // sweep reads them.
 // The caller owns the backing memory's lifetime (Snapshot ties it to the
-// mapping).
-func composedFromSections(s *sectionsV4) (*Composed, error) {
+// mapping). rows, when non-nil, is where the cut's passes read the item
+// slab instead of the view (see LoadFile).
+func composedFromSections(s *sectionsV4, rows func(ix *ScoringIndex) rowReader) (*Composed, error) {
 	tree, err := treeFromSections(s)
 	if err != nil {
 		return nil, err
@@ -370,6 +371,11 @@ func composedFromSections(s *sectionsV4) (*Composed, error) {
 	// read-only) memory
 	ix.i8Once.Do(func() {})
 	ix.boundsOnce.Do(func() {})
+	if rows == nil {
+		ix.buildCut(tree, ix.slabRows)
+	} else {
+		ix.buildCut(tree, rows(ix))
+	}
 
 	return &Composed{
 		P:       p,

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Snapshot is a servable model image plus the resources backing it. For a
@@ -111,7 +113,9 @@ func loadFileV4(f *os.File, path string) (*Snapshot, error) {
 			f.Close()
 			return nil, perr
 		}
-		c, cerr := composedFromSections(s)
+		c, cerr := composedFromSections(s, func(ix *ScoringIndex) rowReader {
+			return fileRows(f, data, s.sec[secItemFactors], ix)
+		})
 		if cerr != nil {
 			munmapFile(data)
 			f.Close()
@@ -146,11 +150,33 @@ func loadFileV4(f *os.File, path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := composedFromSections(s)
+	c, err := composedFromSections(s, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Snapshot{Composed: c, Format: 4, Path: path}, nil
+}
+
+// fileRows reads the item rows of a mapped snapshot's f64 slab (sec, a
+// view of data) from the descriptor — through the page cache, like the
+// checksums — so deriving the cut at load does not fault the mapping into
+// resident memory. A failed read falls back to the mapping itself.
+func fileRows(f *os.File, data, sec []byte, ix *ScoringIndex) rowReader {
+	if len(sec) == 0 || !hostLittle {
+		// nothing to read, or the view is already a converted heap copy
+		return ix.slabRows
+	}
+	off := int64(uintptr(unsafe.Pointer(&sec[0])) - uintptr(unsafe.Pointer(&data[0])))
+	var buf []float64
+	return func(lo, hi int) []float64 {
+		n := (hi - lo) * ix.k
+		buf = slices.Grow(buf[:0], n)[:n]
+		b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(buf))), n*8)
+		if _, err := f.ReadAt(b, off+int64(lo*ix.k*8)); err != nil {
+			return ix.slabRows(lo, hi)
+		}
+		return buf
+	}
 }
 
 // crcOverFile checksums a byte range by streaming it from the descriptor

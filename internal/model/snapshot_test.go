@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"unsafe"
@@ -83,9 +84,15 @@ func TestLoadFileMappedMatchesComposeBitwise(t *testing.T) {
 		if got, want := ix.ScoreNode(n, q), refIx.ScoreNode(n, q); got != want {
 			t.Fatalf("f64 node %d: mapped %v != composed %v", n, got, want)
 		}
-		if got, want := ix.SubtreeBound(n, q), refIx.SubtreeBound(n, q); got != want {
+		if got, want := subtreeBound(ix, n, q), subtreeBound(refIx, n, q); got != want {
 			t.Fatalf("subtree bound node %d: mapped %v != composed %v", n, got, want)
 		}
+	}
+	// the cut is rebuilt at load: its bounds and allowance must match the
+	// composed snapshot's bit for bit
+	got, want := make([]float64, ix.NumCut()), make([]float64, refIx.NumCut())
+	if ge, we := ix.CutBoundsInto(q, got), refIx.CutBoundsInto(q, want); ge != we || !slices.Equal(got, want) {
+		t.Fatalf("cut bounds: mapped %v (eps %v) != composed %v (eps %v)", got, ge, want, we)
 	}
 	// the certified error bounds derive from persisted aggregates and must
 	// reproduce exactly, or exactness certificates would drift across a

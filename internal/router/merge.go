@@ -170,8 +170,7 @@ func minResponseEpoch(oks []*api.RecommendResponse) uint64 {
 }
 
 // cacheKey canonicalizes a folded request into its cache identity.
-// Pruned is result-neutral (the branch-and-bound rankings are
-// byte-identical) and the pass-through query knobs (workers, precision)
+// Pruned is ignored by every node and the pass-through query knobs (workers, precision)
 // never reach the key, so requests differing only in execution knobs
 // share an entry — exactly the policy of the single-node cache.
 func cacheKey(wr api.RecommendRequest) string {

@@ -168,7 +168,7 @@ func post(t *testing.T, url, body string) (int, string) {
 // single full-catalog node — status, items, scores, tie-breaks, epoch,
 // fingerprint, every JSON byte — across strategies, filters, the ignored
 // execution knobs (?precision= × ?workers=, malformed values included),
-// pagination and the branch-and-bound engine. The retired per-shape
+// pagination and the category sweep. The retired per-shape
 // routes are rows too: both sides must answer them with the same typed
 // 404 not_found envelope.
 func TestRouterByteIdenticalToSingleNode(t *testing.T) {

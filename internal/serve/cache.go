@@ -169,10 +169,8 @@ func newResultCache(capacity int) *resultCache {
 // cacheKey canonicalizes a request into its cache identity: the query
 // subject (user + recent baskets, in order — basket order drives the
 // Markov term) and every plan field that can change the returned page.
-// Precision and Pruned are deliberately absent: the first has no effect,
-// and the executor's rankings are byte-identical with and without the
-// branch-and-bound engine (the property the plan-equivalence suites pin),
-// so requests differing only in those knobs share one entry. Category
+// Precision is deliberately absent: it has no effect, so requests
+// differing only in it share one entry. Category
 // lists are sorted copies — filters are set semantics, so permuted lists
 // share an entry too.
 func cacheKey(req *Request) string {

@@ -42,9 +42,9 @@ import (
 // exclude_categories, offset) or query parameters (?exclude_purchased=,
 // ?category=3,17, ?exclude_category=, ?offset=; parameters win). Filters
 // apply before the ranking heap, so k items come back even when most of
-// the catalog is filtered out. A "pruned" field or ?pruned= parameter
-// turns on taxonomy-guided branch-and-bound retrieval for naive sweeps;
-// rankings are byte-identical either way (see infer.Plan.Pruned).
+// the catalog is filtered out. A "pruned" field or ?pruned= parameter is
+// validated and ignored: naive and diversified requests always run the
+// exact category sweep (see infer.Plan.Pruned).
 //
 // Reload hot-swaps a retrained snapshot: in-flight requests finish on the
 // snapshot they loaded, new requests see the new one (Server.Update is an
@@ -188,7 +188,6 @@ func toRequest(wr api.RecommendRequest, c *model.Composed) (Request, error) {
 		ExcludePurchased:  wr.ExcludePurchased,
 		Categories:        wr.Categories,
 		ExcludeCategories: wr.ExcludeCategories,
-		Pruned:            wr.Pruned,
 	}
 	for _, b := range wr.Recent {
 		req.Recent = append(req.Recent, dataset.Basket(b))
@@ -262,14 +261,12 @@ func queryParams(r *http.Request, req *Request) error {
 		}
 		req.Offset = n
 	}
-	// ?pruned=true turns on branch-and-bound retrieval (rankings are
-	// byte-identical; the knob only changes the sweep's execution shape)
+	// ?pruned= is validated and ignored: every naive sweep is the
+	// category sweep
 	if ps := qv.Get("pruned"); ps != "" {
-		v, err := strconv.ParseBool(ps)
-		if err != nil {
+		if _, err := strconv.ParseBool(ps); err != nil {
 			return fmt.Errorf("bad pruned parameter %q", ps)
 		}
-		req.Pruned = v
 	}
 	return nil
 }
@@ -443,11 +440,10 @@ func (h *HTTP) stats(w http.ResponseWriter, r *http.Request) {
 	out.Inference.Filters.ExcludePurchased, out.Inference.Filters.Category, out.Inference.Filters.Paged = h.srv.FilterStats()
 	out.Inference.Kernels = vecmath.Kernels()
 	ps := infer.PruneCounters()
-	out.Inference.Pruning.SubtreesPruned = ps.SubtreesPruned
-	out.Inference.Pruning.ItemsPruned = ps.ItemsPruned
-	out.Inference.Pruning.BoundEvals = ps.BoundEvals
-	out.Inference.Pruning.Fallbacks = ps.Fallbacks
-	out.Inference.Pruning.Default = h.srv.pruned
+	out.Inference.Pruning = api.StatsPruning{
+		CategoriesSkipped: ps.CategoriesSkipped, ItemsSkipped: ps.ItemsPruned,
+		BoundEvals: ps.BoundEvals, CheckpointBails: ps.Fallbacks,
+	}
 	if cs, ok := h.srv.CacheStats(); ok {
 		out.Cache = &api.StatsCache{CacheStats: cs, HTTPHits: h.cacheHits.Load()}
 	}

@@ -1,61 +1,54 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"repro/internal/infer"
+	"repro/internal/model"
 )
 
-// Pruned requests must return byte-identical pages to dense requests —
-// per request, as the server default, and across precision overrides.
+// Served pages are the exact f64 pages of the category sweep — pooled
+// and serial servers alike, paged and diversified — so they must equal
+// the dense f64 sweep's.
 func TestPrunedRequestsMatchDense(t *testing.T) {
 	m, _ := trainedModel(t)
-	s := New(m, WithWorkers(4))
-	defer s.Close()
-	base := Request{User: 3, K: 7, Offset: 2, Recent: nil}
-	want, err := s.Recommend(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := base
-	req.Pruned = true
-	got, err := s.Recommend(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("pruned: %d items, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pruned rank %d: %+v vs %+v", i, got[i], want[i])
+	c := m.Compose()
+	q := make([]float64, c.K())
+	for _, s := range []*Server{New(m, WithWorkers(4)), New(m)} {
+		for _, req := range []Request{{User: 3, K: 7, Offset: 2}, {User: 5, K: 4, MaxPerCategory: 1}} {
+			got, err := s.Recommend(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.BuildQueryInto(req.User, nil, q)
+			pl := infer.Plan{K: req.K, Offset: req.Offset, Precision: model.PrecisionF64, MaxWorkers: 1}
+			if req.MaxPerCategory > 0 {
+				pl.Strategy, pl.Diversify = infer.StrategyDiversified, &infer.Diversify{MaxPerCategory: req.MaxPerCategory}
+			}
+			want, err := infer.Execute(context.Background(), c, q, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want.Items) {
+				t.Fatalf("%+v: %d items, want %d", req, len(got), len(want.Items))
+			}
+			for i, w := range want.Items {
+				if got[i].ID != w.ID || got[i].Score != w.Score {
+					t.Fatalf("%+v rank %d: %+v vs %+v", req, i, got[i], w)
+				}
+			}
 		}
-	}
-
-	// server-level default: same page, no per-request flag
-	sp := New(m, WithPruned(true))
-	got, err = sp.Recommend(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("server default rank %d: %+v vs %+v", i, got[i], want[i])
-		}
-	}
-
-	// the knob is ignored (not rejected) on taxonomy-walking strategies
-	req.MaxPerCategory = 2
-	if _, err := s.Recommend(req); err != nil {
-		t.Fatalf("pruned+diversified should ignore the knob, got %v", err)
+		s.Close()
 	}
 }
 
-// The wire surfaces: the "pruned" JSON field and ?pruned= parameter both
-// reach the plan, bad values are 400s, and /v1/stats reports the counters.
+// The wire surfaces: the "pruned" JSON field and ?pruned= parameter are
+// validated and ignored (bad values are 400s), and /v1/stats reports the
+// category sweep counters.
 func TestHTTPPruned(t *testing.T) {
 	m, _ := trainedModel(t)
 	h := NewHTTP(New(m), nil)
@@ -103,9 +96,6 @@ func TestHTTPPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	if stats.Inference.Pruning.BoundEvals <= 0 {
-		t.Fatal("stats report no bound evaluations after pruned traffic")
-	}
-	if stats.Inference.Pruning.Default {
-		t.Fatal("stats report a pruned default on a dense-default server")
+		t.Fatal("stats report no bound evaluations after naive traffic")
 	}
 }

@@ -84,10 +84,6 @@ type Server struct {
 	// request fans its catalog sweep across it. Nil means every request
 	// runs serial.
 	sweep *infer.Pool
-	// pruned makes branch-and-bound retrieval the default for naive
-	// request sweeps (WithPruned); individual requests can still opt in
-	// via Request.Pruned when the server default is off.
-	pruned bool
 	// purchased[user] lists the distinct items of the user's recorded
 	// purchase history (WithHistory); exclude-purchased filters are built
 	// from it plus the request's Recent baskets.
@@ -122,16 +118,6 @@ func WithWorkers(n int) Option {
 		}
 		s.sweep = infer.NewPool(n)
 	}
-}
-
-// WithPruned makes taxonomy-guided branch-and-bound retrieval the default
-// for naive request sweeps. Rankings stay byte-identical to the dense
-// sweep — the engine only skips subtrees its bound certificates prove
-// cannot place an item — so the option is purely a performance default:
-// worth turning on when the catalog's score mass concentrates in few
-// subtrees, near-free (a bounded ~5% overhead) when it does not.
-func WithPruned(on bool) Option {
-	return func(s *Server) { s.pruned = on }
 }
 
 // WithHistory supplies the purchase log backing exclude-purchased
@@ -392,12 +378,8 @@ type Request struct {
 	// host's tier (Server.Precision), and every tier returns the exact
 	// f64 ranking, so no value could change the answer.
 	Precision model.Precision
-	// Pruned turns on taxonomy-guided branch-and-bound retrieval for this
-	// request's catalog sweep. Rankings are byte-identical to the dense
-	// sweep (the bound certificates guarantee it), so the knob only trades
-	// execution shape: sublinear on skew-friendly catalogs, a bounded ~5%
-	// overhead when the bounds cannot prune. Applies to naive sweeps only
-	// (cascaded and diversified shapes walk the taxonomy themselves).
+	// Deprecated: Pruned is ignored. Naive and diversified requests always
+	// run the exact category sweep.
 	Pruned bool
 }
 
@@ -490,11 +472,6 @@ func (s *Server) planFor(req Request) infer.Plan {
 	case req.MaxPerCategory > 0:
 		pl.Strategy = infer.StrategyDiversified
 		pl.Diversify = &infer.Diversify{MaxPerCategory: req.MaxPerCategory, CatDepth: req.CatDepth}
-	default:
-		// pruning only shapes the naive sweep; a cascaded or diversified
-		// request silently ignores the knob rather than failing validation,
-		// since those strategies already walk the taxonomy
-		pl.Pruned = req.Pruned || s.pruned
 	}
 	return pl
 }

@@ -1,30 +1,32 @@
 package tfrec
 
-// BenchmarkTopKSkewed*/BenchmarkTopKUniform* bracket the branch-and-bound
-// descent (Plan.Pruned) against the dense sweep it certifies against:
+// The category sweep (internal/infer/sweep.go) against the dense sweeps it
+// replaces, as tfrec-benchgate ratio floors:
 //
-//	BenchmarkTopKSkewedDense   vs BenchmarkTopKSkewedPruned   (≥2x floor)
-//	BenchmarkTopKUniformDense  vs BenchmarkTopKUniformPruned  (≥0.95 floor)
+//	BenchmarkTopKSkewedDense   vs BenchmarkTopKSkewedPruned       (≥2x floor)
+//	BenchmarkTopKUniformDense  vs BenchmarkTopKUniformPruned      (≥0.95 floor)
+//	BenchmarkCategorySweepLearnedDenseI8 vs BenchmarkCategorySweepLearned (≥1.5x floor)
 //
-// The skewed world concentrates all signal in one of 16 level-1 subtrees
-// (its bias offset is +5, the rest sit at −5), so the subtree envelopes
-// price the 15 cold subtrees — ~94% of the catalog — below the top-k
-// threshold and the descent never reads their factors; tfrec-benchgate
-// keeps the ≥2x win. The uniform world is benchWideWorld, whose random
-// factors make every envelope loose: the descent burns its bound budget,
-// falls back to deferred dense ranges, and must cost at most ~5% over the
-// plain sweep (the ≥0.95 floor). Both pruned plans return pages
-// byte-identical to their dense partners — the property suites in
-// internal/infer pin that; these benches pin what the exactness costs.
-// All four pin the exact f64 tier rather than reading the platform
-// default, so the pair ratios measure the descent itself: at the int8
-// tier the prune allowance also carries the quantization bound, which
-// prunes less (the skewed pair reads ~1.5x there, not ≥2x).
+// The *Dense sides are direct index sweeps written against exported
+// calls, so no executor knob is needed to reach a dense path; the other
+// sides are plain naive plans, which always run the category sweep. The
+// skewed world concentrates all signal in one of 16 level-1 subtrees (its
+// bias offset is +5, the rest sit at −5), so the ball bounds price the 15
+// cold subtrees — ~94% of the catalog — below the top-k threshold and the
+// sweep never reads their factors. The uniform world is benchWideWorld,
+// whose random factors make every ball loose: the sweep must bail at its
+// first-fill checkpoint and cost at most ~5% over the plain f64 sweep. The
+// learned pair runs the shared learned fixture (internal/fixture) against
+// the two-stage int8 sweep the served tier ran before the category sweep.
+// Every plan returns pages byte-identical to the dense f64 sweep — the
+// suites in internal/infer pin that; these benches pin what it costs.
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"repro/internal/fixture"
 	"repro/internal/infer"
 	"repro/internal/model"
 	"repro/internal/taxonomy"
@@ -77,31 +79,115 @@ func benchExecPlan(b *testing.B, c *model.Composed, q []float64, pl infer.Plan) 
 	}
 }
 
-// BenchmarkTopKSkewedDense is the full dense sweep of the skewed world —
-// the "slow" side of the gated ≥2x pruning pair.
+// benchDense times the direct serial f64 index sweep (sweepTopK) of a
+// top-10 page.
+func benchDense(b *testing.B, c *model.Composed, q []float64) {
+	b.Helper()
+	st := vecmath.NewTopKStream(10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Reset(10)
+		sweepTopK(c, q, st)
+		_ = st.Ranked()
+	}
+}
+
+// BenchmarkTopKSkewedDense is the full dense f64 sweep of the skewed
+// world — the "slow" side of the gated ≥2x pair.
 func BenchmarkTopKSkewedDense(b *testing.B) {
 	c, q := benchSkewedWorld(b)
-	benchExecPlan(b, c, q, infer.Plan{K: 10, MaxWorkers: 1, Precision: model.PrecisionF64})
+	benchDense(b, c, q)
 }
 
-// BenchmarkTopKSkewedPruned is the branch-and-bound descent on the same
-// world and query; byte-identical page, ~94% of the catalog unread.
+// BenchmarkTopKSkewedPruned is the category sweep on the same world and
+// query; byte-identical page, ~94% of the catalog unread.
 func BenchmarkTopKSkewedPruned(b *testing.B) {
 	c, q := benchSkewedWorld(b)
-	benchExecPlan(b, c, q, infer.Plan{K: 10, MaxWorkers: 1, Precision: model.PrecisionF64, Pruned: true})
+	benchExecPlan(b, c, q, infer.Plan{K: 10, MaxWorkers: 1, Precision: model.PrecisionF64})
 }
 
-// BenchmarkTopKUniformDense is the dense sweep of the loose-envelope wide
-// world — the reference the fallback overhead is measured against.
+// BenchmarkTopKUniformDense is the dense f64 sweep of the loose-ball wide
+// world — the reference the checkpoint bail is measured against.
 func BenchmarkTopKUniformDense(b *testing.B) {
+	c, q := benchWideWorld(b)
+	benchDense(b, c, q)
+}
+
+// BenchmarkTopKUniformPruned is the naive plan on a world where the
+// bounds never pay: the sweep bails at its checkpoint into the dense f64
+// sweep within the ≥0.95 ratio floor (≤ ~5% for the bounds and the
+// categories swept before the first heap fill).
+func BenchmarkTopKUniformPruned(b *testing.B) {
 	c, q := benchWideWorld(b)
 	benchExecPlan(b, c, q, infer.Plan{K: 10, MaxWorkers: 1, Precision: model.PrecisionF64})
 }
 
-// BenchmarkTopKUniformPruned is the descent on a world where pruning
-// never pays: it must degrade into the dense sweep within the ≥0.95
-// ratio floor (≤ ~5% overhead for bounds, the seed pass and the queue).
-func BenchmarkTopKUniformPruned(b *testing.B) {
-	c, q := benchWideWorld(b)
-	benchExecPlan(b, c, q, infer.Plan{K: 10, MaxWorkers: 1, Precision: model.PrecisionF64, Pruned: true})
+// learnedBenchQueries are the learned fixture's queries for its first 64
+// users, each with its latest basket as the Markov context.
+func learnedBenchQueries(b *testing.B) (*model.Composed, [][]float64) {
+	b.Helper()
+	w, err := fixture.Learned()
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := w.C
+	qs := make([][]float64, 64)
+	for u := range qs {
+		qs[u] = make([]float64, c.K())
+		h := w.History.Users[u].Baskets
+		c.BuildQueryInto(u, c.PrevBaskets(h, len(h)), qs[u])
+	}
+	return c, qs
+}
+
+// BenchmarkCategorySweepLearned is the served naive plan on the learned
+// fixture: the category sweep, cycling through 64 users' queries.
+func BenchmarkCategorySweepLearned(b *testing.B) {
+	c, qs := learnedBenchQueries(b)
+	st := vecmath.NewTopKStream(10)
+	pl := infer.Plan{K: 10, MaxWorkers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := infer.ExecuteInto(context.Background(), c, qs[i%len(qs)], pl, st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCategorySweepLearnedDenseI8 is the reference for the learned
+// pair: the dense two-stage int8 sweep over the same queries, written
+// against exported calls — the quantized block sweep into a 2k+64
+// candidate heap, then the exact rescore of the candidates.
+func BenchmarkCategorySweepLearnedDenseI8(b *testing.B) {
+	c, qs := learnedBenchQueries(b)
+	ix := c.Index
+	u := make([]int8, c.K())
+	var rows [256]int32
+	var scores [256]float64
+	cand, st := vecmath.NewTopKStream(84), vecmath.NewTopKStream(10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		qscale, sumQ, _ := vecmath.QuantizeQuery(u, q)
+		cand.Reset(84)
+		for lo := 0; lo < ix.NumItems(); lo += len(rows) {
+			hi := min(lo+len(rows), ix.NumItems())
+			tau := math.Inf(-1)
+			if th, full := cand.Threshold(); full {
+				tau = th
+			}
+			n := ix.ItemScoresRangeI8Above(u, qscale, sumQ, tau, lo, hi, rows[:], scores[:])
+			for j, r := range rows[:n] {
+				cand.Push(lo+int(r), scores[j])
+			}
+		}
+		st.Reset(10)
+		for _, e := range cand.Entries() {
+			st.Push(e.ID, ix.ScoreItem(e.ID, q))
+		}
+		_ = st.Ranked()
+	}
 }

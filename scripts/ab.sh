@@ -10,9 +10,12 @@
 # registered in .git), removed on exit; concurrent runs on one base get
 # separate trees, and a run killed past its trap leaves only a stray
 # directory behind. Each pair runs `bash bench/run.sh --workload
-# <workload>` once in each tree, alternating which side goes first, and
-# keeps both result files as before-<i>.json / after-<i>.json in a fresh
-# directory under .bench_build/ab/. tfrec-ab then prints, per declared
+# <workload>` once in each tree, in an order drawn per pair from a seeded
+# generator (AB_SEED=<0..32767> replays one; by default the clock picks
+# it), so a position effect cannot line up with one side. The seed and
+# each pair's order are printed and written to the output directory
+# (order-seed, order), next to both result files as before-<i>.json /
+# after-<i>.json in a fresh directory under .bench_build/ab/. tfrec-ab then prints, per declared
 # metric, each side's median and IQR, the median paired ratio, the wins
 # and a verdict. Merge the directories of several invocations with
 # `go run ./cmd/tfrec-ab -before B.json -after A.json DIR...`.
@@ -36,6 +39,10 @@ case " $* " in
 esac
 out="$root/.bench_build/ab/$workload-$(date +%Y%m%d-%H%M%S)"
 mkdir -p "$out"
+seed=${AB_SEED:-$(($(date +%s%N) / 1000 % 32768))}
+RANDOM=$seed
+echo "order seed $seed" >&2
+echo "$seed" >"$out/order-seed"
 
 # run_side <side> <tree> <pair> [run.sh args...]: one benchmark run, its
 # log and result file kept under $out
@@ -48,10 +55,12 @@ run_side() {
 }
 
 for ((i = 1; i <= pairs; i++)); do
-	if ((i % 2)); then
+	if ((RANDOM % 2)); then
+		echo "$i before after" >>"$out/order"
 		run_side before "$wt" "$i" "$@"
 		run_side after "$root" "$i" "$@"
 	else
+		echo "$i after before" >>"$out/order"
 		run_side after "$root" "$i" "$@"
 		run_side before "$wt" "$i" "$@"
 	fi
